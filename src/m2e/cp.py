@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import cp_reconstruct, frobenius_norm, hadamard, khatri_rao, matricize
+from .tensors import cp_reconstruct, frobenius_norm, hadamard, mttkrp, partial_mttkrp
 
 
 @dataclass(frozen=True)
@@ -81,19 +81,22 @@ def cp_relative_error(tensor: np.ndarray, factors: CpFactors) -> float:
     return resid / scale if scale > 0 else resid
 
 
-def als_update(tensor: np.ndarray, factors: list[np.ndarray], mode: int, ridge: float) -> np.ndarray:
+def als_update(tensor: np.ndarray, factors: list[np.ndarray], mode: int, ridge: float,
+               partial: np.ndarray | None = None) -> np.ndarray:
     """Exact least-squares update of one factor with the others fixed.
 
     Solves the ridge-regularized normal equations using the Gram identity
     (A.T A) * (B.T B) = (A kr B).T (A kr B), so only R x R systems appear.
+    For modes 1 and 2, `partial` may carry partial_mttkrp(tensor, factors[2])
+    so that the two updates share one pass over the tensor.
     """
     others = [factors[m] for m in range(3) if m != mode - 1]
     small, big = others  # ascending mode order; big is the larger mode index
     gram = hadamard(big.T @ big, small.T @ small)
     gram = gram + ridge * np.eye(gram.shape[0])
-    mttkrp = matricize(tensor, mode) @ khatri_rao(big, small)
-    # gram is symmetric: solve gram @ X.T = mttkrp.T
-    return np.linalg.solve(gram, mttkrp.T).T
+    rhs = mttkrp(tensor, factors, mode, partial)
+    # gram is symmetric: solve gram @ X.T = rhs.T
+    return np.linalg.solve(gram, rhs.T).T
 
 
 def cp_als_fit(tensor: np.ndarray, opts: AlsOptions) -> CpFit:
@@ -102,7 +105,8 @@ def cp_als_fit(tensor: np.ndarray, opts: AlsOptions) -> CpFit:
     Parameters
     ----------
     tensor : ndarray, shape (I1, I2, I3)
-        Dense real tensor; entries must be finite.
+        Dense real tensor; entries must be finite. It is made C-contiguous
+        once, so each sweep reads it in two passes without copying.
     opts : AlsOptions
         Rank, iteration cap, stopping tolerance, seed and ridge.
 
@@ -114,7 +118,7 @@ def cp_als_fit(tensor: np.ndarray, opts: AlsOptions) -> CpFit:
         input tensor short-circuits to all-zero factors with
         ``degenerate=True``.
     """
-    t = np.asarray(tensor, dtype=float)
+    t = np.ascontiguousarray(tensor, dtype=float)
     if t.ndim != 3:
         raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
     if not np.isfinite(t).all():
@@ -131,8 +135,9 @@ def cp_als_fit(tensor: np.ndarray, opts: AlsOptions) -> CpFit:
     trace = []
     converged = False
     for it in range(opts.max_iters):
+        partial = partial_mttkrp(t, factors[2])  # modes 1 and 2 leave factors[2] fixed
         for mode in (1, 2, 3):
-            factors[mode - 1] = als_update(t, factors, mode, opts.ridge)
+            factors[mode - 1] = als_update(t, factors, mode, opts.ridge, partial)
         err = frobenius_norm(t - cp_reconstruct(factors)) / scale
         trace.append(err)
         if it >= 1 and abs(trace[-2] - err) < opts.rel_tol:

@@ -20,7 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensors import GraphViewTensor, check_partial_symmetry
+from .tensors import (GraphViewTensor, check_partial_symmetry, mode3_mttkrp,
+                      mttkrp_from_partial, partial_mttkrp)
 
 # Monitor callbacks receive (event, info-dict); see m2e_fit.
 Monitor = Callable[[str, dict], None]
@@ -130,7 +131,11 @@ class M2eSolution:
 #
 # Every block update minimizes a quadratic  tr(M A M^T) - tr(B^T M)  in its
 # matrix M; the gradient is 2 M A - B and its Lipschitz constant is the top
-# eigenvalue of 2 A.
+# eigenvalue of 2 A. The systems take the view's MTTKRPs from the two-pass
+# kernel in m2e.tensors, so each outer iteration reads a view twice: pass 1,
+# partial_mttkrp(X, F), serves the node and aux systems, since F is fixed
+# during both; pass 2, mode3_mttkrp(X, H, P), serves the subject system and
+# the objective's cross term.
 
 
 def lipschitz_constant(a: np.ndarray) -> float:
@@ -163,28 +168,37 @@ def quadratic_objective(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("ij,jk,ik->", m, a, m) - np.einsum("ij,ij->", b, m))
 
 
-def node_system(x: np.ndarray, p: np.ndarray, f: np.ndarray, u: np.ndarray, mu: float):
-    """Quadratic (A, B) for the node-factor block given aux copy p, subject f."""
+def node_system(y: np.ndarray, p: np.ndarray, f: np.ndarray, u: np.ndarray, mu: float):
+    """Quadratic (A, B) for the node-factor block given aux copy p, subject f.
+
+    `y` is the view's pass-1 product partial_mttkrp(X, f).
+    """
     r = p.shape[1]
     a = (f.T @ f) * (p.T @ p) + 0.5 * mu * np.eye(r)
-    b = 2.0 * np.einsum("ijk,jr,kr->ir", x, p, f, optimize=True) + mu * p - u
+    b = 2.0 * mttkrp_from_partial(y, p, 1) + mu * p - u
     return a, b
 
 
-def aux_system(x: np.ndarray, h: np.ndarray, f: np.ndarray, u: np.ndarray, mu: float):
-    """Quadratic (A, B) for the auxiliary node copy given node factor h."""
+def aux_system(y: np.ndarray, h: np.ndarray, f: np.ndarray, u: np.ndarray, mu: float):
+    """Quadratic (A, B) for the auxiliary node copy given node factor h.
+
+    `y` is the view's pass-1 product partial_mttkrp(X, f).
+    """
     r = h.shape[1]
     a = (f.T @ f) * (h.T @ h) + 0.5 * mu * np.eye(r)
-    b = 2.0 * np.einsum("ijk,ir,kr->jr", x, h, f, optimize=True) + mu * h + u
+    b = 2.0 * mttkrp_from_partial(y, h, 2) + mu * h + u
     return a, b
 
 
-def subject_system(x: np.ndarray, h: np.ndarray, p: np.ndarray,
+def subject_system(g: np.ndarray, h: np.ndarray, p: np.ndarray,
                    consensus: np.ndarray | None, lam: float):
-    """Quadratic (A, B) for a view's subject factor; lam=0 drops the pull."""
+    """Quadratic (A, B) for a view's subject factor; lam=0 drops the pull.
+
+    `g` is the view's mode-3 MTTKRP mode3_mttkrp(X, h, p).
+    """
     r = h.shape[1]
     a = (p.T @ p) * (h.T @ h)
-    b = 2.0 * np.einsum("ijk,ir,jr->kr", x, h, p, optimize=True)
+    b = 2.0 * g
     if lam > 0:
         if consensus is None:
             raise ValueError("a consensus matrix is required when lam > 0")
@@ -194,12 +208,12 @@ def subject_system(x: np.ndarray, h: np.ndarray, p: np.ndarray,
 
 
 def update_node_factor(x, h, p, f, u, mu, inner_steps: int = 1) -> np.ndarray:
-    a, b = node_system(x, p, f, u, mu)
+    a, b = node_system(partial_mttkrp(x, f), p, f, u, mu)
     return proximal_step(h, a, b, inner_steps)
 
 
 def update_aux_factor(x, h, p, f, u, mu, inner_steps: int = 1) -> np.ndarray:
-    a, b = aux_system(x, h, f, u, mu)
+    a, b = aux_system(partial_mttkrp(x, f), h, f, u, mu)
     return proximal_step(p, a, b, inner_steps)
 
 
@@ -209,7 +223,7 @@ def update_dual(u, h, p, mu) -> np.ndarray:
 
 
 def update_subject_factor(x, h, p, f, consensus, lam, inner_steps: int = 1) -> np.ndarray:
-    a, b = subject_system(x, h, p, consensus, lam)
+    a, b = subject_system(mode3_mttkrp(x, h, p), h, p, consensus, lam)
     return proximal_step(f, a, b, inner_steps)
 
 
@@ -237,13 +251,14 @@ def _model(h: np.ndarray, p: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.einsum("ir,jr,kr->ijk", h, p, f, optimize=True)
 
 
-def _squared_error(x_energy: float, x: np.ndarray, h, p, f) -> float:
+def _squared_error(x_energy: float, g: np.ndarray, h, p, f) -> float:
     """||X - model||_F^2 via <X,X> - 2<X,model> + <model,model>.
 
+    `g` is mode3_mttkrp(X, h, p), so the cross term <X,model> is <g, f>.
     The model Gram collapses to factor Grams, so no M x M x N temporary is
     formed; clamped at zero against cancellation noise near exact fits.
     """
-    cross = float(np.einsum("ijk,ir,jr,kr->", x, h, p, f, optimize=True))
+    cross = float(np.vdot(g, f))
     gram = (h.T @ h) * (p.T @ p) * (f.T @ f)
     return max(x_energy - 2.0 * cross + float(gram.sum()), 0.0)
 
@@ -293,10 +308,12 @@ def spectral_start(x: np.ndarray, rank: int, rng: np.random.Generator):
     X_(1) X_(1)^T, sign-fixed and scaled to the balanced column norm;
     columns beyond the node count are filled with seeded noise at the same
     scale. Subject factor: one ridge least-squares solve against the node
-    start.
+    start. `x` should be C-contiguous, so that its (M, M*N) unfolding is a
+    view; the Gram does not depend on the order of that unfolding's columns.
     """
     m = x.shape[0]
-    gram = np.einsum("ijn,kjn->ik", x, x, optimize=True)
+    unfolded = x.reshape(m, -1)
+    gram = unfolded @ unfolded.T
     _, vec = np.linalg.eigh(gram)
     vec = vec[:, ::-1][:, :min(rank, m)]
     sign = np.sign(vec[np.abs(vec).argmax(axis=0), np.arange(vec.shape[1])])
@@ -308,7 +325,7 @@ def spectral_start(x: np.ndarray, rank: int, rng: np.random.Generator):
         extra = rng.standard_normal((m, rank - h.shape[1]))
         h = np.hstack([h, extra * col_scale / np.sqrt(m)])
     a = (h.T @ h) * (h.T @ h) + 1e-8 * np.eye(rank)
-    b = np.einsum("ijk,ir,jr->kr", x, h, h, optimize=True)
+    b = mode3_mttkrp(x, h, h)
     f = np.linalg.solve(a, b.T).T
     return h, f
 
@@ -340,10 +357,11 @@ def _init_state(views: Sequence[np.ndarray], config: M2eConfig,
 
 
 def _as_view_arrays(views: Sequence) -> list[np.ndarray]:
+    """Validated, C-contiguous view arrays (contiguity keeps the kernel copy-free)."""
     arrays = []
     for i, v in enumerate(views):
         if isinstance(v, GraphViewTensor):
-            arrays.append(v.data)
+            arrays.append(np.ascontiguousarray(v.data))
             continue
         t = np.asarray(v, dtype=float)
         if t.ndim != 3 or t.shape[0] != t.shape[1]:
@@ -353,7 +371,7 @@ def _as_view_arrays(views: Sequence) -> list[np.ndarray]:
         ok, asym = check_partial_symmetry(t)
         if not ok:
             raise ValueError(f"view {i}: slices asymmetric by {asym:.3g}")
-        arrays.append(t)
+        arrays.append(np.ascontiguousarray(t))
     if not arrays:
         raise ValueError("need at least one view")
     subjects = {a.shape[2] for a in arrays}
@@ -392,12 +410,17 @@ def _monitored_step(monitor, view, block, m, a, b, steps):
     return out
 
 
-def _loop_objective(views, energies, state, lambdas, consensus_term: bool) -> float:
-    """Trace objective evaluated without materializing reconstructions."""
+def _loop_objective(energies, mttkrps, state, lambdas, consensus_term: bool) -> float:
+    """Trace objective from each view's energy and last subject MTTKRP.
+
+    `mttkrps[v]` is mode3_mttkrp(X_v, node[v], node_aux[v]) at the current
+    node factors, as the sweep's subject step computed it, so the objective
+    takes no pass over the views.
+    """
     total = 0.0
-    for x, energy, h, p, f, lam in zip(views, energies, state.node, state.node_aux,
+    for energy, g, h, p, f, lam in zip(energies, mttkrps, state.node, state.node_aux,
                                        state.subject, lambdas):
-        total += _squared_error(energy, x, h, p, f)
+        total += _squared_error(energy, g, h, p, f)
         if consensus_term:
             diff = f - state.consensus
             total += float(lam) * float(np.vdot(diff, diff))
@@ -424,14 +447,18 @@ def _grow(mus: list[float], config: M2eConfig) -> list[float]:
 
 
 def _run_outer_loop(views, config, lambdas, state, mus, sweep, consensus_term, monitor):
-    """Shared outer loop: sweep blocks, trace, check the dual stopping rule."""
+    """Shared outer loop: sweep blocks, trace, check the dual stopping rule.
+
+    `sweep(state, mus)` updates every block and returns each view's last
+    subject MTTKRP, from which the objective is traced.
+    """
     energies = [float(np.vdot(x, x)) for x in views]
     obj_trace: list[float] = []
     res_trace: list[float] = []
     converged = False
     for it in range(config.max_outer_iters):
-        sweep(state, mus)
-        obj = _loop_objective(views, energies, state, lambdas, consensus_term)
+        mttkrps = sweep(state, mus)
+        obj = _loop_objective(energies, mttkrps, state, lambdas, consensus_term)
         res = coupling_residual(state)
         _ensure_finite(state, obj, it)
         obj_trace.append(obj)
@@ -448,6 +475,28 @@ def _run_outer_loop(views, config, lambdas, state, mus, sweep, consensus_term, m
                 converged = True
                 break
     return np.asarray(obj_trace), np.asarray(res_trace), converged
+
+
+def _node_steps(monitor, steps, st: M2eState, v: int, x: np.ndarray, mu: float):
+    """Node, aux and dual updates of view v, sharing one pass over x."""
+    y = partial_mttkrp(x, st.subject[v])
+    st.node[v] = _monitored_step(
+        monitor, v, "node", st.node[v],
+        *node_system(y, st.node_aux[v], st.subject[v], st.dual[v], mu), steps=steps)
+    st.node_aux[v] = _monitored_step(
+        monitor, v, "aux", st.node_aux[v],
+        *aux_system(y, st.node[v], st.subject[v], st.dual[v], mu), steps=steps)
+    st.dual[v] = update_dual(st.dual[v], st.node[v], st.node_aux[v], mu)
+
+
+def _subject_step(monitor, steps, st: M2eState, v: int, x: np.ndarray,
+                  consensus: np.ndarray | None, lam: float) -> np.ndarray:
+    """Subject update of view v; returns its MTTKRP, the second pass over x."""
+    g = mode3_mttkrp(x, st.node[v], st.node_aux[v])
+    st.subject[v] = _monitored_step(
+        monitor, v, "subject", st.subject[v],
+        *subject_system(g, st.node[v], st.node_aux[v], consensus, lam), steps=steps)
+    return g
 
 
 def _solution(views, state, lambdas, traces, consensus_term: bool) -> M2eSolution:
@@ -493,22 +542,13 @@ def m2e_fit(views: Sequence, config: M2eConfig, monitor: Monitor | None = None) 
     state, mus = _init_state(xs, config, lambdas)
 
     def sweep(st: M2eState, penalties):
+        mttkrps = []
         for v, x in enumerate(xs):
-            mu = penalties[v]
-            st.node[v] = _monitored_step(
-                monitor, v, "node", st.node[v],
-                *node_system(x, st.node_aux[v], st.subject[v], st.dual[v], mu),
-                steps=config.inner_steps)
-            st.node_aux[v] = _monitored_step(
-                monitor, v, "aux", st.node_aux[v],
-                *aux_system(x, st.node[v], st.subject[v], st.dual[v], mu),
-                steps=config.inner_steps)
-            st.dual[v] = update_dual(st.dual[v], st.node[v], st.node_aux[v], mu)
-            st.subject[v] = _monitored_step(
-                monitor, v, "subject", st.subject[v],
-                *subject_system(x, st.node[v], st.node_aux[v], st.consensus, lambdas[v]),
-                steps=config.inner_steps)
+            _node_steps(monitor, config.inner_steps, st, v, x, penalties[v])
+            mttkrps.append(_subject_step(monitor, config.inner_steps, st, v, x,
+                                         st.consensus, lambdas[v]))
         st.consensus = update_consensus(st.subject, lambdas)
+        return mttkrps
 
     traces = _run_outer_loop(xs, config, lambdas, state, mus, sweep, True, monitor)
     return _solution(xs, state, lambdas, traces, True)
@@ -532,25 +572,18 @@ def m2e_ds_fit(views: Sequence, config: M2eConfig, monitor: Monitor | None = Non
 
     def sweep(st: M2eState, penalties):
         for v, x in enumerate(xs):
-            mu = penalties[v]
-            st.node[v] = _monitored_step(
-                monitor, v, "node", st.node[v],
-                *node_system(x, st.node_aux[v], st.subject[v], st.dual[v], mu),
-                steps=config.inner_steps)
-            st.node_aux[v] = _monitored_step(
-                monitor, v, "aux", st.node_aux[v],
-                *aux_system(x, st.node[v], st.subject[v], st.dual[v], mu),
-                steps=config.inner_steps)
-            st.dual[v] = update_dual(st.dual[v], st.node[v], st.node_aux[v], mu)
+            _node_steps(monitor, config.inner_steps, st, v, x, penalties[v])
+        mttkrps = [mode3_mttkrp(x, st.node[v], st.node_aux[v]) for v, x in enumerate(xs)]
         a_sum, b_sum = None, None
-        for v, x in enumerate(xs):
-            a, b = subject_system(x, st.node[v], st.node_aux[v], None, 0.0)
+        for v, g in enumerate(mttkrps):
+            a, b = subject_system(g, st.node[v], st.node_aux[v], None, 0.0)
             a_sum = a if a_sum is None else a_sum + a
             b_sum = b if b_sum is None else b_sum + b
         new = _monitored_step(monitor, -1, "subject", st.subject[0], a_sum, b_sum,
                               steps=config.inner_steps)
         st.subject = [new for _ in xs]
         st.consensus = new
+        return mttkrps
 
     traces = _run_outer_loop(xs, config, lambdas, state, mus, sweep, False, monitor)
     return _solution(xs, state, lambdas, traces, False)
@@ -568,21 +601,11 @@ def m2e_ts_fit(views: Sequence, config: M2eConfig, monitor: Monitor | None = Non
     state, mus = _init_state(xs, config, lambdas)
 
     def sweep(st: M2eState, penalties):
+        mttkrps = []
         for v, x in enumerate(xs):
-            mu = penalties[v]
-            st.node[v] = _monitored_step(
-                monitor, v, "node", st.node[v],
-                *node_system(x, st.node_aux[v], st.subject[v], st.dual[v], mu),
-                steps=config.inner_steps)
-            st.node_aux[v] = _monitored_step(
-                monitor, v, "aux", st.node_aux[v],
-                *aux_system(x, st.node[v], st.subject[v], st.dual[v], mu),
-                steps=config.inner_steps)
-            st.dual[v] = update_dual(st.dual[v], st.node[v], st.node_aux[v], mu)
-            st.subject[v] = _monitored_step(
-                monitor, v, "subject", st.subject[v],
-                *subject_system(x, st.node[v], st.node_aux[v], None, 0.0),
-                steps=config.inner_steps)
+            _node_steps(monitor, config.inner_steps, st, v, x, penalties[v])
+            mttkrps.append(_subject_step(monitor, config.inner_steps, st, v, x, None, 0.0))
+        return mttkrps
 
     traces = _run_outer_loop(xs, config, lambdas, state, mus, sweep, False, monitor)
     state.consensus = update_consensus(state.subject, lambdas)

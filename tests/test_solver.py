@@ -8,7 +8,7 @@ from m2e.solver import (M2eConfig, M2eState, SolverNumericsError, _ensure_finite
                         m2e_fit, m2e_ts_fit, node_system, objective_value,
                         proximal_step, quadratic_objective, subject_system,
                         update_consensus, update_dual, update_subject_factor)
-from m2e.tensors import matricize
+from m2e.tensors import GraphViewTensor, matricize, mode3_mttkrp, partial_mttkrp
 
 
 def shared_factor_views(seed, n_views=2, nodes=20, subjects=30, rank=3):
@@ -74,7 +74,7 @@ def test_node_step_pinned_scalar_case():
     p = np.ones((1, 1))
     f = np.ones((1, 1))
     u = np.zeros((1, 1))
-    a, b = node_system(x, p, f, u, mu=2.0)
+    a, b = node_system(partial_mttkrp(x, f), p, f, u, mu=2.0)
     assert a[0, 0] == pytest.approx(2.0)
     assert b[0, 0] == pytest.approx(6.0)
     assert lipschitz_constant(a) == pytest.approx(4.0)
@@ -87,7 +87,7 @@ def test_subject_step_pinned_scalar_case():
     h = np.ones((1, 1))
     p = np.ones((1, 1))
     consensus = np.ones((1, 1))
-    a, b = subject_system(x, h, p, consensus, lam=1.0)
+    a, b = subject_system(mode3_mttkrp(x, h, p), h, p, consensus, lam=1.0)
     assert a[0, 0] == pytest.approx(2.0)
     assert b[0, 0] == pytest.approx(6.0)
     f = proximal_step(np.zeros((1, 1)), a, b)
@@ -126,8 +126,9 @@ def test_aux_system_mirrors_node_system_on_symmetric_input():
     f = rng.standard_normal((4, 2))
     u = rng.standard_normal((5, 2))
     mu = 3.0
-    a_node, b_node = node_system(x, h, f, u, mu)
-    a_aux, b_aux = aux_system(x, h, f, u, mu)
+    y = partial_mttkrp(x, f)
+    a_node, b_node = node_system(y, h, f, u, mu)
+    a_aux, b_aux = aux_system(y, h, f, u, mu)
     np.testing.assert_allclose(a_node, a_aux, atol=1e-12)
     np.testing.assert_allclose(b_node + u, b_aux - u, atol=1e-12)
 
@@ -249,8 +250,9 @@ def test_loop_objective_matches_definitional_form():
     state = random_state(rng, nodes=8, subjects=9, rank=3)
     views = [rng.standard_normal((8, 8, 9)) for _ in range(2)]
     energies = [float(np.vdot(x, x)) for x in views]
+    mttkrps = [mode3_mttkrp(x, h, p) for x, h, p in zip(views, state.node, state.node_aux)]
     lambdas = (1.5, 0.5)
-    fast = _loop_objective(views, energies, state, lambdas, True)
+    fast = _loop_objective(energies, mttkrps, state, lambdas, True)
     direct = objective_value(views, state, lambdas)
     assert fast == pytest.approx(direct, rel=1e-9)
 
@@ -360,6 +362,46 @@ def test_block_steps_never_increase_subobjective_over_run():
     assert events, "monitor should observe block steps"
     for e in events:
         assert e["after"] <= e["before"] + 1e-9
+
+
+@pytest.mark.parametrize("fitter", (m2e_fit, m2e_ds_fit, m2e_ts_fit))
+def test_each_outer_iteration_reads_each_view_twice(fitter, monkeypatch):
+    import m2e.solver as solver
+    views, _ = shared_factor_views(14, nodes=9)
+    views[1] = views[1][:7, :7]  # views of different sizes are told apart
+    passes = {x.shape[0]: 0 for x in views}
+    per_iteration = []
+
+    def counted(kernel):
+        def wrapper(x, *args):
+            passes[x.shape[0]] += 1
+            return kernel(x, *args)
+        return wrapper
+
+    def monitor(event, info):
+        if event == "iteration":
+            per_iteration.append(dict(passes))
+            passes.update(dict.fromkeys(passes, 0))
+
+    monkeypatch.setattr(solver, "partial_mttkrp", counted(partial_mttkrp))
+    monkeypatch.setattr(solver, "mode3_mttkrp", counted(mode3_mttkrp))
+    fitter(views, M2eConfig(rank=3, lambdas=(1.0, 1.0), seed=14, max_outer_iters=5),
+           monitor=monitor)
+    # the first entry also counts the spectral start's subject solve
+    assert per_iteration[0] == {9: 3, 7: 3}
+    assert per_iteration[1:] == [{9: 2, 7: 2}] * 4
+
+
+def test_non_contiguous_views_fit_like_contiguous_copies():
+    views, _ = shared_factor_views(15, nodes=8, subjects=10)
+    cfg = M2eConfig(rank=3, lambdas=(1.0, 1.0), seed=15, max_outer_iters=30)
+    ref = m2e_fit(views, cfg)
+    fortran = [np.asfortranarray(views[0]), views[1].transpose(1, 0, 2)]
+    assert not any(x.flags.c_contiguous for x in fortran)
+    for inputs in (fortran, [GraphViewTensor(x) for x in fortran]):
+        sol = m2e_fit(inputs, cfg)
+        np.testing.assert_array_equal(sol.consensus, ref.consensus)
+        np.testing.assert_array_equal(sol.objective_trace, ref.objective_trace)
 
 
 def test_views_may_differ_in_node_count():

@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from m2e.tensors import (GraphViewTensor, check_partial_symmetry, cp_reconstruct,
-                         frobenius_norm, hadamard, khatri_rao, matricize, refold,
+from m2e.tensors import (GraphViewTensor, _unfold3, check_partial_symmetry, cp_reconstruct,
+                         frobenius_norm, hadamard, khatri_rao, matricize, mode3_mttkrp,
+                         mttkrp, mttkrp_from_partial, partial_mttkrp, refold,
                          symmetrize_slices)
 
 
@@ -121,6 +123,54 @@ def test_cp_reconstruct_matches_mode3_identity():
 def test_cp_reconstruct_rejects_rank_mismatch():
     with pytest.raises(ValueError):
         cp_reconstruct((np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2))))
+
+
+def mttkrp_oracle(t, factors, mode):
+    """matricize(T, mode) @ khatri_rao of the other factors, larger mode first."""
+    small, big = (factors[m] for m in range(3) if m != mode - 1)
+    return matricize(t, mode) @ khatri_rao(big, small)
+
+
+@pytest.mark.parametrize("rank", (1, 3))
+@pytest.mark.parametrize("mode", (1, 2, 3))
+def test_mttkrp_matches_matricized_oracle(mode, rank):
+    rng = np.random.default_rng(7 + rank)
+    t = rng.standard_normal((5, 4, 6))  # I != J, slices not symmetric
+    factors = [rng.standard_normal((d, rank)) for d in t.shape]
+    expected = mttkrp_oracle(t, factors, mode)
+    scale = np.abs(expected).max()
+    got = mttkrp(t, factors, mode)
+    assert got.shape == (t.shape[mode - 1], rank)
+    assert np.abs(got - expected).max() <= 1e-12 * scale
+    if mode < 3:  # from a pass-1 product shared by modes 1 and 2
+        got = mttkrp(t, factors, mode, partial_mttkrp(t, factors[2]))
+        assert np.abs(got - expected).max() <= 1e-12 * scale
+
+
+def test_mttkrp_rejects_bad_mode():
+    t = np.zeros((2, 2, 2))
+    factors = [np.zeros((2, 1))] * 3
+    with pytest.raises(ValueError):
+        mttkrp(t, factors, 0)
+    with pytest.raises(ValueError):
+        mttkrp_from_partial(partial_mttkrp(t, factors[2]), factors[0], 3)
+
+
+def test_mttkrp_kernel_does_not_copy_the_tensor():
+    rng = np.random.default_rng(9)
+    t = rng.standard_normal((60, 50, 40))
+    a, b, c = (rng.standard_normal((d, 2)) for d in t.shape)
+    assert np.shares_memory(_unfold3(t), t)
+    tracemalloc.start()
+    try:
+        y = partial_mttkrp(t, c)
+        mttkrp_from_partial(y, b, 1)
+        mttkrp_from_partial(y, a, 2)
+        mode3_mttkrp(t, a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < t.nbytes / 4
 
 
 def test_frobenius_norm():
