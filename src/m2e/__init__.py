@@ -2,7 +2,9 @@
 
 Stacks each view's symmetric affinity matrices into a partially symmetric
 tensor, factors all views jointly with a consensus-regularized rank-R
-model, and clusters the shared subject embedding.
+model, and clusters the shared subject embedding. Block-level solver
+helpers (proximal steps, block systems, the spectral start) are importable
+from :mod:`m2e.solver`.
 """
 
 from .cluster import (BinaryMetrics, ClusteringReport, KmeansResult, LabelMatch,
@@ -13,14 +15,9 @@ from .dataio import Dataset, DatasetError, load_dataset, load_matrix, save_datas
 from .runner import (GridSpec, RunConfig, run_cluster, run_cp, run_evaluate,
                      run_fit, run_gridsearch)
 from .solver import (M2eConfig, M2eSolution, M2eState, SolverNumericsError,
-                     balanced_penalty, coupling_residual, lipschitz_constant,
-                     m2e_ds_fit, m2e_fit, m2e_ts_fit, objective_value,
-                     proximal_step, quadratic_objective, spectral_start,
-                     update_consensus, update_dual, update_node_factor,
-                     update_aux_factor, update_subject_factor)
+                     m2e_ds_fit, m2e_fit, m2e_ts_fit, objective_value)
 from .tensors import (GraphViewTensor, check_partial_symmetry, cp_reconstruct,
-                      frobenius_norm, hadamard, khatri_rao, matricize, refold,
-                      symmetrize_slices)
+                      frobenius_norm, khatri_rao, matricize, refold, symmetrize_slices)
 
 __version__ = "0.1.0"
 
@@ -28,16 +25,11 @@ __all__ = [
     "AlsOptions", "BinaryMetrics", "ClusteringReport", "CpFactors", "CpFit",
     "Dataset", "DatasetError", "GraphViewTensor", "GridSpec", "KmeansResult",
     "LabelMatch", "M2eConfig", "M2eSolution", "M2eState", "RunConfig",
-    "SolverNumericsError", "SyntheticSpec", "balanced_penalty", "binary_metrics",
-    "bp_shape_preset",
-    "check_partial_symmetry", "cluster_and_score", "coupling_residual",
-    "cp_als_fit", "cp_reconstruct", "cp_relative_error", "frobenius_norm",
-    "generate", "hadamard", "hiv_shape_preset", "khatri_rao", "kmeans",
-    "lipschitz_constant", "lloyd", "load_dataset", "load_matrix", "m2e_ds_fit",
+    "SolverNumericsError", "SyntheticSpec", "binary_metrics", "bp_shape_preset",
+    "check_partial_symmetry", "cluster_and_score", "cp_als_fit", "cp_reconstruct",
+    "cp_relative_error", "frobenius_norm", "generate", "hiv_shape_preset",
+    "khatri_rao", "kmeans", "lloyd", "load_dataset", "load_matrix", "m2e_ds_fit",
     "m2e_fit", "m2e_ts_fit", "match_labels", "matricize", "objective_value",
-    "proximal_step", "quadratic_objective", "refold", "run_cluster", "run_cp",
-    "spectral_start",
-    "run_evaluate", "run_fit", "run_gridsearch", "save_dataset", "save_matrix",
-    "symmetrize_slices", "update_aux_factor", "update_consensus", "update_dual",
-    "update_node_factor", "update_subject_factor",
+    "refold", "run_cluster", "run_cp", "run_evaluate", "run_fit", "run_gridsearch",
+    "save_dataset", "save_matrix", "symmetrize_slices",
 ]

@@ -103,6 +103,11 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 20, max_iters: int = 100,
         raise ValueError(f"k={k} exceeds the number of points ({n})")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise ValueError(f"embedding has {bad.size} non-finite rows (first: row {bad[0]})")
     inertias = np.empty(restarts)
     best_labels = None
     best = np.inf

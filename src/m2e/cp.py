@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import cp_reconstruct, frobenius_norm, hadamard, mttkrp, partial_mttkrp
+from .tensors import cp_reconstruct, frobenius_norm, mttkrp, partial_mttkrp
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def als_update(tensor: np.ndarray, factors: list[np.ndarray], mode: int, ridge: 
     """
     others = [factors[m] for m in range(3) if m != mode - 1]
     small, big = others  # ascending mode order; big is the larger mode index
-    gram = hadamard(big.T @ big, small.T @ small)
+    gram = (big.T @ big) * (small.T @ small)
     gram = gram + ridge * np.eye(gram.shape[0])
     rhs = mttkrp(tensor, factors, mode, partial)
     # gram is symmetric: solve gram @ X.T = rhs.T

@@ -90,16 +90,21 @@ def _read_view_file(path: Path, name: str, nodes: int, subjects: int) -> GraphVi
     return GraphViewTensor(data)
 
 
+def _check_unique_names(names: list[str]) -> None:
+    duplicates = sorted({n for n in names if names.count(n) > 1})
+    if duplicates:
+        raise DatasetError(f"duplicate view names: {', '.join(duplicates)}")
+
+
 def save_dataset(path: Path | str, views: list[GraphViewTensor],
                  labels: np.ndarray | None = None,
                  view_names: list[str] | None = None,
                  metadata: dict | None = None) -> Path:
     """Write a dataset directory; returns the manifest path."""
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
     names = view_names or [f"view{v + 1}" for v in range(len(views))]
     if len(names) != len(views):
         raise DatasetError("one name per view required")
+    _check_unique_names(names)
     subjects = {v.subject_count for v in views}
     if len(subjects) != 1:
         raise DatasetError(f"views disagree on subject count: {sorted(subjects)}")
@@ -109,6 +114,8 @@ def save_dataset(path: Path | str, views: list[GraphViewTensor],
         "views": [],
         "metadata": metadata or {},
     }
+    root = Path(path)
+    root.mkdir(parents=True, exist_ok=True)
     for name, view in zip(names, views):
         fname = f"{name}.txt"
         _write_view_file(root / fname, view)
@@ -145,22 +152,21 @@ def load_dataset(path: Path | str) -> Dataset:
     if subjects < 1 or not entries:
         raise DatasetError("manifest needs a positive subject_count and views")
 
-    declared = {e.get("name", f"view{i + 1}"): int(e.get("subject_count", subjects))
-                for i, e in enumerate(entries)}
+    names = [e.get("name", f"view{i + 1}") for i, e in enumerate(entries)]
+    _check_unique_names(names)
+    declared = {n: int(e.get("subject_count", subjects)) for n, e in zip(names, entries)}
     if len(set(declared.values())) > 1:
         pairs = ", ".join(f"{n}={s}" for n, s in declared.items())
         raise DatasetError(f"views disagree on subject count: {pairs}")
 
-    views, names = [], []
-    for i, entry in enumerate(entries):
-        name = entry.get("name", f"view{i + 1}")
+    views = []
+    for name, entry in zip(names, entries):
         nodes = int(entry.get("node_count", 0))
         if nodes < 1:
             raise DatasetError(f"view '{name}': node_count must be positive")
         if "matrix_file" not in entry:
             raise DatasetError(f"view '{name}': manifest entry lacks a matrix_file")
         views.append(_read_view_file(root / entry["matrix_file"], name, nodes, subjects))
-        names.append(name)
 
     labels = None
     if manifest.get("labels_file"):

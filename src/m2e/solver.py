@@ -8,10 +8,13 @@ factors are softly pulled toward a shared consensus embedding. Blocks are
 updated by proximal gradient steps whose step size comes from the exact
 Lipschitz constant of each quadratic subproblem.
 
-Three fitting modes are exposed: the joint model (:func:`m2e_fit`), a
-variant that shares one subject factor across all views
-(:func:`m2e_ds_fit`), and a two-step baseline that factors each view
-independently and averages afterwards (:func:`m2e_ts_fit`).
+The joint model (:func:`m2e_fit`) and its two ablations run one outer loop
+and differ only in how the subject factors move: "joint" pulls each view's
+factor toward the consensus and re-averages the consensus every iteration;
+"shared" (:func:`m2e_ds_fit`) steps one subject factor on all views at
+once; "independent" (:func:`m2e_ts_fit`) fits each view on its own and
+averages once at the end. One Gram-based routine evaluates the objective
+for the per-iteration trace, the final objective and :func:`objective_value`.
 """
 from __future__ import annotations
 
@@ -20,8 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensors import (GraphViewTensor, check_partial_symmetry, mode3_mttkrp,
-                      mttkrp_from_partial, partial_mttkrp)
+from .tensors import GraphViewTensor, mode3_mttkrp, mttkrp_from_partial, partial_mttkrp
 
 # Monitor callbacks receive (event, info-dict); see m2e_fit.
 Monitor = Callable[[str, dict], None]
@@ -207,24 +209,9 @@ def subject_system(g: np.ndarray, h: np.ndarray, p: np.ndarray,
     return a, b
 
 
-def update_node_factor(x, h, p, f, u, mu, inner_steps: int = 1) -> np.ndarray:
-    a, b = node_system(partial_mttkrp(x, f), p, f, u, mu)
-    return proximal_step(h, a, b, inner_steps)
-
-
-def update_aux_factor(x, h, p, f, u, mu, inner_steps: int = 1) -> np.ndarray:
-    a, b = aux_system(partial_mttkrp(x, f), h, f, u, mu)
-    return proximal_step(p, a, b, inner_steps)
-
-
 def update_dual(u, h, p, mu) -> np.ndarray:
     """Multiplier ascent u <- u + mu (h - p)."""
     return u + mu * (h - p)
-
-
-def update_subject_factor(x, h, p, f, consensus, lam, inner_steps: int = 1) -> np.ndarray:
-    a, b = subject_system(mode3_mttkrp(x, h, p), h, p, consensus, lam)
-    return proximal_step(f, a, b, inner_steps)
 
 
 def update_consensus(subject_factors: Sequence[np.ndarray],
@@ -247,32 +234,33 @@ def update_consensus(subject_factors: Sequence[np.ndarray],
 # objective and residual
 
 
-def _model(h: np.ndarray, p: np.ndarray, f: np.ndarray) -> np.ndarray:
-    return np.einsum("ir,jr,kr->ijk", h, p, f, optimize=True)
+def _objective(energies, mttkrps, nodes, auxes, subjects, consensus, pulls) -> float:
+    """Sum over views of ||X - [[h, p, f]]||^2 + pull ||f - consensus||^2.
 
-
-def _squared_error(x_energy: float, g: np.ndarray, h, p, f) -> float:
-    """||X - model||_F^2 via <X,X> - 2<X,model> + <model,model>.
-
-    `g` is mode3_mttkrp(X, h, p), so the cross term <X,model> is <g, f>.
-    The model Gram collapses to factor Grams, so no M x M x N temporary is
-    formed; clamped at zero against cancellation noise near exact fits.
+    `energies[v]` is ||X_v||^2 and `mttkrps[v]` is mode3_mttkrp(X_v, h_v, p_v),
+    so the Gram identity ||X||^2 - 2<G, f> + sum((h^T h) * (p^T p) * (f^T f))
+    gives each squared error without a pass over X or an M x M x N model.
+    Each error is clamped at zero against cancellation noise near exact
+    fits; a zero pull drops the view's consensus term.
     """
-    cross = float(np.vdot(g, f))
-    gram = (h.T @ h) * (p.T @ p) * (f.T @ f)
-    return max(x_energy - 2.0 * cross + float(gram.sum()), 0.0)
+    total = 0.0
+    for energy, g, h, p, f, lam in zip(energies, mttkrps, nodes, auxes, subjects, pulls):
+        gram = (h.T @ h) * (p.T @ p) * (f.T @ f)
+        total += max(energy - 2.0 * float(np.vdot(g, f)) + float(gram.sum()), 0.0)
+        if lam:
+            diff = f - consensus
+            total += float(lam) * float(np.vdot(diff, diff))
+    return total
 
 
 def objective_value(views: Sequence[np.ndarray], state: M2eState,
                     lambdas: Sequence[float]) -> float:
     """Sum of squared reconstruction errors plus the weighted consensus pull."""
-    total = 0.0
-    for x, h, p, f, lam in zip(views, state.node, state.node_aux, state.subject, lambdas):
-        resid = x - _model(h, p, f)
-        total += float(np.vdot(resid, resid))
-        diff = f - state.consensus
-        total += float(lam) * float(np.vdot(diff, diff))
-    return total
+    lambdas = _resolve_lambdas(lambdas, len(views))
+    xs = [np.asarray(x, dtype=float) for x in views]
+    mttkrps = [mode3_mttkrp(x, h, p) for x, h, p in zip(xs, state.node, state.node_aux)]
+    return _objective([float(np.vdot(x, x)) for x in xs], mttkrps, state.node,
+                      state.node_aux, state.subject, state.consensus, lambdas)
 
 
 def coupling_residual(state: M2eState) -> float:
@@ -353,25 +341,19 @@ def _init_state(views: Sequence[np.ndarray], config: M2eConfig,
 
 
 # ---------------------------------------------------------------------------
-# fitting loops
+# fitting loop
 
 
 def _as_view_arrays(views: Sequence) -> list[np.ndarray]:
     """Validated, C-contiguous view arrays (contiguity keeps the kernel copy-free)."""
     arrays = []
     for i, v in enumerate(views):
-        if isinstance(v, GraphViewTensor):
-            arrays.append(np.ascontiguousarray(v.data))
-            continue
-        t = np.asarray(v, dtype=float)
-        if t.ndim != 3 or t.shape[0] != t.shape[1]:
-            raise ValueError(f"view {i}: expected shape (M, M, N), got {t.shape}")
-        if not np.isfinite(t).all():
-            raise ValueError(f"view {i}: entries must be finite")
-        ok, asym = check_partial_symmetry(t)
-        if not ok:
-            raise ValueError(f"view {i}: slices asymmetric by {asym:.3g}")
-        arrays.append(np.ascontiguousarray(t))
+        if not isinstance(v, GraphViewTensor):
+            try:
+                v = GraphViewTensor(v)
+            except ValueError as exc:
+                raise ValueError(f"view {i}: {exc}") from exc
+        arrays.append(np.ascontiguousarray(v.data))
     if not arrays:
         raise ValueError("need at least one view")
     subjects = {a.shape[2] for a in arrays}
@@ -380,14 +362,12 @@ def _as_view_arrays(views: Sequence) -> list[np.ndarray]:
     return arrays
 
 
-def _resolve_lambdas(config: M2eConfig, n_views: int) -> tuple[float, ...]:
-    if config.lambdas is None:
+def _resolve_lambdas(lambdas: Sequence[float] | None, n_views: int) -> tuple[float, ...]:
+    if lambdas is None:
         return (1.0,) * n_views
-    if len(config.lambdas) != n_views:
-        raise ValueError(
-            f"got {len(config.lambdas)} view weights for {n_views} views"
-        )
-    return config.lambdas
+    if len(lambdas) != n_views:
+        raise ValueError(f"got {len(lambdas)} view weights for {n_views} views")
+    return tuple(lambdas)
 
 
 def _ensure_finite(state: M2eState, objective: float, iteration: int):
@@ -410,35 +390,6 @@ def _monitored_step(monitor, view, block, m, a, b, steps):
     return out
 
 
-def _loop_objective(energies, mttkrps, state, lambdas, consensus_term: bool) -> float:
-    """Trace objective from each view's energy and last subject MTTKRP.
-
-    `mttkrps[v]` is mode3_mttkrp(X_v, node[v], node_aux[v]) at the current
-    node factors, as the sweep's subject step computed it, so the objective
-    takes no pass over the views.
-    """
-    total = 0.0
-    for energy, g, h, p, f, lam in zip(energies, mttkrps, state.node, state.node_aux,
-                                       state.subject, lambdas):
-        total += _squared_error(energy, g, h, p, f)
-        if consensus_term:
-            diff = f - state.consensus
-            total += float(lam) * float(np.vdot(diff, diff))
-    return total
-
-
-def _symmetrized_objective(views, state, lambdas, consensus_term: bool) -> float:
-    total = 0.0
-    for x, h, p, f, lam in zip(views, state.node, state.node_aux, state.subject, lambdas):
-        hs = (h + p) / 2.0
-        resid = x - _model(hs, hs, f)
-        total += float(np.vdot(resid, resid))
-        if consensus_term:
-            diff = f - state.consensus
-            total += float(lam) * float(np.vdot(diff, diff))
-    return total
-
-
 def _grow(mus: list[float], config: M2eConfig) -> list[float]:
     if config.mu_growth == 1.0:
         return mus
@@ -446,27 +397,63 @@ def _grow(mus: list[float], config: M2eConfig) -> list[float]:
     return [min(m * config.mu_growth, max(config.mu_max, m)) for m in mus]
 
 
-def _run_outer_loop(views, config, lambdas, state, mus, sweep, consensus_term, monitor):
-    """Shared outer loop: sweep blocks, trace, check the dual stopping rule.
+def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
+         subjects: str) -> M2eSolution:
+    """The outer loop of all three fitters.
 
-    `sweep(state, mus)` updates every block and returns each view's last
-    subject MTTKRP, from which the objective is traced.
+    `subjects` is "joint", "shared" or "independent" (see the module
+    docstring). Each iteration visits the views in order: pass 1 over X_v
+    feeds the node, aux and dual updates; pass 2 feeds view v's subject step
+    (except under "shared", which steps once after the views on the summed
+    systems) and the traced objective. The loop stops when the coupling
+    residual and the relative objective change are both below tolerance.
     """
-    energies = [float(np.vdot(x, x)) for x in views]
+    xs = _as_view_arrays(views)
+    lambdas = _resolve_lambdas(config.lambdas, len(xs))
+    st, mus = _init_state(xs, config, lambdas)
+    if subjects == "shared":  # every view holds view 0's start
+        st.subject = [st.subject[0]] * len(xs)
+        st.consensus = st.subject[0]
+    pulls = lambdas if subjects == "joint" else (0.0,) * len(xs)
+    energies = [float(np.vdot(x, x)) for x in xs]
+    steps = config.inner_steps
     obj_trace: list[float] = []
     res_trace: list[float] = []
     converged = False
     for it in range(config.max_outer_iters):
-        mttkrps = sweep(state, mus)
-        obj = _loop_objective(energies, mttkrps, state, lambdas, consensus_term)
-        res = coupling_residual(state)
-        _ensure_finite(state, obj, it)
+        mttkrps = []
+        for v, x in enumerate(xs):
+            y = partial_mttkrp(x, st.subject[v])
+            st.node[v] = _monitored_step(
+                monitor, v, "node", st.node[v],
+                *node_system(y, st.node_aux[v], st.subject[v], st.dual[v], mus[v]), steps)
+            st.node_aux[v] = _monitored_step(
+                monitor, v, "aux", st.node_aux[v],
+                *aux_system(y, st.node[v], st.subject[v], st.dual[v], mus[v]), steps)
+            st.dual[v] = update_dual(st.dual[v], st.node[v], st.node_aux[v], mus[v])
+            mttkrps.append(mode3_mttkrp(x, st.node[v], st.node_aux[v]))
+            if subjects != "shared":
+                st.subject[v] = _monitored_step(
+                    monitor, v, "subject", st.subject[v],
+                    *subject_system(mttkrps[v], st.node[v], st.node_aux[v],
+                                    st.consensus, pulls[v]), steps)
+        if subjects == "shared":
+            a, b = map(sum, zip(*(subject_system(g, h, p, None, 0.0) for g, h, p
+                                  in zip(mttkrps, st.node, st.node_aux))))
+            st.consensus = _monitored_step(monitor, -1, "subject", st.consensus, a, b, steps)
+            st.subject = [st.consensus] * len(xs)
+        elif subjects == "joint":
+            st.consensus = update_consensus(st.subject, lambdas)
+        obj = _objective(energies, mttkrps, st.node, st.node_aux, st.subject,
+                         st.consensus, pulls)
+        res = coupling_residual(st)
+        _ensure_finite(st, obj, it)
         obj_trace.append(obj)
         res_trace.append(res)
-        state.iteration = it + 1
+        st.iteration = it + 1
         if monitor is not None:
             monitor("iteration", {"iteration": it, "objective": obj,
-                                  "residual": res, "state": state})
+                                  "residual": res, "state": st})
         mus = _grow(mus, config)
         if it >= 1 and res <= config.residual_tol:
             prev = obj_trace[-2]
@@ -474,41 +461,17 @@ def _run_outer_loop(views, config, lambdas, state, mus, sweep, consensus_term, m
             if rel < config.obj_rel_tol:
                 converged = True
                 break
-    return np.asarray(obj_trace), np.asarray(res_trace), converged
-
-
-def _node_steps(monitor, steps, st: M2eState, v: int, x: np.ndarray, mu: float):
-    """Node, aux and dual updates of view v, sharing one pass over x."""
-    y = partial_mttkrp(x, st.subject[v])
-    st.node[v] = _monitored_step(
-        monitor, v, "node", st.node[v],
-        *node_system(y, st.node_aux[v], st.subject[v], st.dual[v], mu), steps=steps)
-    st.node_aux[v] = _monitored_step(
-        monitor, v, "aux", st.node_aux[v],
-        *aux_system(y, st.node[v], st.subject[v], st.dual[v], mu), steps=steps)
-    st.dual[v] = update_dual(st.dual[v], st.node[v], st.node_aux[v], mu)
-
-
-def _subject_step(monitor, steps, st: M2eState, v: int, x: np.ndarray,
-                  consensus: np.ndarray | None, lam: float) -> np.ndarray:
-    """Subject update of view v; returns its MTTKRP, the second pass over x."""
-    g = mode3_mttkrp(x, st.node[v], st.node_aux[v])
-    st.subject[v] = _monitored_step(
-        monitor, v, "subject", st.subject[v],
-        *subject_system(g, st.node[v], st.node_aux[v], consensus, lam), steps=steps)
-    return g
-
-
-def _solution(views, state, lambdas, traces, consensus_term: bool) -> M2eSolution:
-    obj_trace, res_trace, converged = traces
-    node_factors = [(h + p) / 2.0 for h, p in zip(state.node, state.node_aux)]
-    final = _symmetrized_objective(views, state, lambdas, consensus_term)
+    if subjects == "independent":
+        st.consensus = update_consensus(st.subject, lambdas)
+    node_factors = [(h + p) / 2.0 for h, p in zip(st.node, st.node_aux)]
+    final = _objective(energies, [mode3_mttkrp(x, h, h) for x, h in zip(xs, node_factors)],
+                       node_factors, node_factors, st.subject, st.consensus, pulls)
     return M2eSolution(
-        consensus=state.consensus,
+        consensus=st.consensus,
         node_factors=node_factors,
-        subject_factors=list(state.subject),
-        objective_trace=obj_trace,
-        residual_trace=res_trace,
+        subject_factors=list(st.subject),
+        objective_trace=np.asarray(obj_trace),
+        residual_trace=np.asarray(res_trace),
         converged=converged,
         iterations=len(obj_trace),
         final_objective=final,
@@ -537,21 +500,7 @@ def m2e_fit(views: Sequence, config: M2eConfig, monitor: Monitor | None = None) 
         Deterministic for a fixed config; views are updated sequentially
         but depend on each other only through the consensus step.
     """
-    xs = _as_view_arrays(views)
-    lambdas = _resolve_lambdas(config, len(xs))
-    state, mus = _init_state(xs, config, lambdas)
-
-    def sweep(st: M2eState, penalties):
-        mttkrps = []
-        for v, x in enumerate(xs):
-            _node_steps(monitor, config.inner_steps, st, v, x, penalties[v])
-            mttkrps.append(_subject_step(monitor, config.inner_steps, st, v, x,
-                                         st.consensus, lambdas[v]))
-        st.consensus = update_consensus(st.subject, lambdas)
-        return mttkrps
-
-    traces = _run_outer_loop(xs, config, lambdas, state, mus, sweep, True, monitor)
-    return _solution(xs, state, lambdas, traces, True)
+    return _fit(views, config, monitor, "joint")
 
 
 def m2e_ds_fit(views: Sequence, config: M2eConfig, monitor: Monitor | None = None) -> M2eSolution:
@@ -562,31 +511,7 @@ def m2e_ds_fit(views: Sequence, config: M2eConfig, monitor: Monitor | None = Non
     returned solution reports the shared factor as both the consensus and
     each view's subject factor.
     """
-    xs = _as_view_arrays(views)
-    lambdas = _resolve_lambdas(config, len(xs))
-    state, mus = _init_state(xs, config, lambdas)
-    # collapse the per-view subject factors onto view 0's start
-    shared = state.subject[0]
-    state.subject = [shared for _ in xs]
-    state.consensus = shared
-
-    def sweep(st: M2eState, penalties):
-        for v, x in enumerate(xs):
-            _node_steps(monitor, config.inner_steps, st, v, x, penalties[v])
-        mttkrps = [mode3_mttkrp(x, st.node[v], st.node_aux[v]) for v, x in enumerate(xs)]
-        a_sum, b_sum = None, None
-        for v, g in enumerate(mttkrps):
-            a, b = subject_system(g, st.node[v], st.node_aux[v], None, 0.0)
-            a_sum = a if a_sum is None else a_sum + a
-            b_sum = b if b_sum is None else b_sum + b
-        new = _monitored_step(monitor, -1, "subject", st.subject[0], a_sum, b_sum,
-                              steps=config.inner_steps)
-        st.subject = [new for _ in xs]
-        st.consensus = new
-        return mttkrps
-
-    traces = _run_outer_loop(xs, config, lambdas, state, mus, sweep, False, monitor)
-    return _solution(xs, state, lambdas, traces, False)
+    return _fit(views, config, monitor, "shared")
 
 
 def m2e_ts_fit(views: Sequence, config: M2eConfig, monitor: Monitor | None = None) -> M2eSolution:
@@ -596,17 +521,4 @@ def m2e_ts_fit(views: Sequence, config: M2eConfig, monitor: Monitor | None = Non
     (views advance in lockstep; their updates never interact). Step two
     sets the consensus to the weight-averaged per-view subject factors.
     """
-    xs = _as_view_arrays(views)
-    lambdas = _resolve_lambdas(config, len(xs))
-    state, mus = _init_state(xs, config, lambdas)
-
-    def sweep(st: M2eState, penalties):
-        mttkrps = []
-        for v, x in enumerate(xs):
-            _node_steps(monitor, config.inner_steps, st, v, x, penalties[v])
-            mttkrps.append(_subject_step(monitor, config.inner_steps, st, v, x, None, 0.0))
-        return mttkrps
-
-    traces = _run_outer_loop(xs, config, lambdas, state, mus, sweep, False, monitor)
-    state.consensus = update_consensus(state.subject, lambdas)
-    return _solution(xs, state, lambdas, traces, False)
+    return _fit(views, config, monitor, "independent")

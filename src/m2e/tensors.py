@@ -136,15 +136,6 @@ def mttkrp(tensor: np.ndarray, factors: Sequence[np.ndarray], mode: int,
     return mttkrp_from_partial(partial, factors[2 - mode], mode)
 
 
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise product of two equally shaped matrices."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
 def cp_reconstruct(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Sum of R rank-one outer products from three factor matrices."""
     mats = [np.asarray(f, dtype=float) for f in factors]

@@ -65,6 +65,18 @@ def test_kmeans_rejects_bad_k():
         kmeans(pts, 4)
 
 
+def test_kmeans_rejects_non_finite_rows():
+    pts = np.zeros((5, 2))
+    pts[3, 1] = np.nan
+    with pytest.raises(ValueError, match="1 non-finite rows .*row 3"):
+        kmeans(pts, 2)
+
+
+def test_kmeans_rejects_zero_max_iters():
+    with pytest.raises(ValueError, match="max_iters must be >= 1"):
+        kmeans(np.arange(8.0).reshape(4, 2), 2, max_iters=0)
+
+
 def test_kmeans_best_restart_is_minimum():
     rng = np.random.default_rng(43)
     pts = rng.standard_normal((30, 2))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from m2e.cp import AlsOptions, CpFactors, als_update, cp_als_fit, cp_relative_error
-from m2e.tensors import cp_reconstruct, hadamard, khatri_rao, matricize
+from m2e.tensors import cp_reconstruct, khatri_rao, matricize
 
 
 def rank_r_tensor(rng, dims, rank, scale=1.0):
@@ -53,7 +53,7 @@ def test_als_update_satisfies_normal_equations():
         new = als_update(t, factors, mode, ridge)
         others = [factors[m] for m in range(3) if m != mode - 1]
         kr = khatri_rao(others[1], others[0])
-        gram = hadamard(others[1].T @ others[1], others[0].T @ others[0])
+        gram = (others[1].T @ others[1]) * (others[0].T @ others[0])
         lhs = matricize(t, mode) @ kr
         rhs = new @ (gram + ridge * np.eye(2))
         scale = max(1.0, np.linalg.norm(lhs))

@@ -45,6 +45,22 @@ def test_mismatched_subject_counts_name_views(small_dataset):
     assert "view1" in str(err.value) and "view2" in str(err.value)
 
 
+def test_save_rejects_duplicate_view_names(small_dataset, tmp_path):
+    _, views, _ = small_dataset
+    with pytest.raises(DatasetError, match="duplicate view names: a"):
+        save_dataset(tmp_path / "dup", views, view_names=["a", "a"])
+    assert not (tmp_path / "dup").exists()
+
+
+def test_load_rejects_duplicate_view_names(small_dataset):
+    path, _, _ = small_dataset
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["views"][1]["name"] = "view1"
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError, match="duplicate view names: view1"):
+        load_dataset(path)
+
+
 def test_block_count_mismatch_detected(small_dataset):
     path, _, _ = small_dataset
     text = (path / "view1.txt").read_text()

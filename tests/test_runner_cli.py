@@ -290,6 +290,20 @@ def test_cli_evaluate_without_labels_fails_with_document(tmp_path):
     assert "labels" in error["message"]
 
 
+def test_cli_evaluate_nan_embedding_fails_with_document(tmp_path):
+    emb = np.ones((6, 2))
+    emb[4, 0] = np.nan
+    np.savetxt(tmp_path / "emb.txt", emb)
+    (tmp_path / "labels.txt").write_text("1\n1\n1\n2\n2\n2\n")
+    out = tmp_path / "eval"
+    code = main(["evaluate", "--embedding", str(tmp_path / "emb.txt"),
+                 "--labels", str(tmp_path / "labels.txt"), "--out", str(out)])
+    assert code == 1
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "ValueError"
+    assert "non-finite rows" in error["message"] and "row 4" in error["message"]
+
+
 def test_cli_fit_reruns_byte_identical(tmp_path):
     ds = tmp_path / "ds"
     views, labels = generate(SMALL)

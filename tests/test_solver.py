@@ -4,10 +4,10 @@ import pytest
 from m2e.cluster import cluster_and_score
 from m2e.datagen import SyntheticSpec, generate
 from m2e.solver import (M2eConfig, M2eState, SolverNumericsError, _ensure_finite,
-                        aux_system, lipschitz_constant, m2e_ds_fit,
+                        _objective, aux_system, lipschitz_constant, m2e_ds_fit,
                         m2e_fit, m2e_ts_fit, node_system, objective_value,
                         proximal_step, quadratic_objective, subject_system,
-                        update_consensus, update_dual, update_subject_factor)
+                        update_consensus, update_dual)
 from m2e.tensors import GraphViewTensor, matricize, mode3_mttkrp, partial_mttkrp
 
 
@@ -152,7 +152,8 @@ def test_subject_update_keeps_exact_consensus_stationary():
     f_star = rng.standard_normal((7, 2))
     x = np.einsum("ir,jr,kr->ijk", h, p, f_star)
     for lam in (1e-6, 1.0, 1e6):
-        out = update_subject_factor(x, h, p, f_star.copy(), f_star, lam)
+        a, b = subject_system(mode3_mttkrp(x, h, p), h, p, f_star, lam)
+        out = proximal_step(f_star.copy(), a, b)
         np.testing.assert_allclose(out, f_star, atol=1e-9 * max(1.0, lam))
 
 
@@ -228,6 +229,8 @@ def test_objective_zero_factors_gives_data_energy():
     )
     energy = sum(float(np.vdot(x, x)) for x in views)
     assert objective_value(views, state, (3.0, 0.5)) == pytest.approx(energy)
+    with pytest.raises(ValueError, match="1 view weights for 2 views"):
+        objective_value(views, state, (3.0,))
 
 
 def test_objective_agrees_with_matricized_evaluation():
@@ -244,16 +247,26 @@ def test_objective_agrees_with_matricized_evaluation():
     assert direct == pytest.approx(via_mode3, rel=1e-10)
 
 
+def einsum_objective(views, nodes, auxes, subjects, consensus, pulls):
+    """Definitional objective: the full M x M x N model of every view."""
+    total = 0.0
+    for x, h, p, f, lam in zip(views, nodes, auxes, subjects, pulls):
+        resid = x - np.einsum("ir,jr,kr->ijk", h, p, f)
+        total += np.sum(resid**2) + lam * np.sum((f - consensus) ** 2)
+    return total
+
+
 def test_loop_objective_matches_definitional_form():
-    from m2e.solver import _loop_objective
     rng = np.random.default_rng(34)
     state = random_state(rng, nodes=8, subjects=9, rank=3)
     views = [rng.standard_normal((8, 8, 9)) for _ in range(2)]
     energies = [float(np.vdot(x, x)) for x in views]
     mttkrps = [mode3_mttkrp(x, h, p) for x, h, p in zip(views, state.node, state.node_aux)]
     lambdas = (1.5, 0.5)
-    fast = _loop_objective(energies, mttkrps, state, lambdas, True)
-    direct = objective_value(views, state, lambdas)
+    fast = _objective(energies, mttkrps, state.node, state.node_aux, state.subject,
+                      state.consensus, lambdas)
+    direct = einsum_objective(views, state.node, state.node_aux, state.subject,
+                              state.consensus, lambdas)
     assert fast == pytest.approx(direct, rel=1e-9)
 
 
@@ -390,6 +403,39 @@ def test_each_outer_iteration_reads_each_view_twice(fitter, monkeypatch):
     # the first entry also counts the spectral start's subject solve
     assert per_iteration[0] == {9: 3, 7: 3}
     assert per_iteration[1:] == [{9: 2, 7: 2}] * 4
+
+
+@pytest.mark.parametrize("fitter, order", (
+    (m2e_fit, [(0, "node"), (0, "aux"), (0, "subject"), (1, "node"), (1, "aux"), (1, "subject")]),
+    (m2e_ts_fit, [(0, "node"), (0, "aux"), (0, "subject"), (1, "node"), (1, "aux"), (1, "subject")]),
+    (m2e_ds_fit, [(0, "node"), (0, "aux"), (1, "node"), (1, "aux"), (-1, "subject")]),
+))
+def test_block_step_order_per_iteration(fitter, order):
+    views, _ = shared_factor_views(16, nodes=6, subjects=8)
+    iterations = [[]]
+
+    def monitor(event, info):
+        if event == "block_step":
+            iterations[-1].append((info["view"], info["block"]))
+        else:
+            iterations.append([])
+
+    fitter(views, M2eConfig(rank=2, lambdas=(1.0, 1.0), seed=16, max_outer_iters=3),
+           monitor=monitor)
+    assert iterations == [order] * 3 + [[]]
+
+
+@pytest.mark.parametrize("fitter", (m2e_fit, m2e_ds_fit, m2e_ts_fit))
+def test_final_objective_matches_definitional_form(fitter):
+    views, _ = shared_factor_views(17, nodes=7, subjects=9)
+    views = [x + 0.1 * (w + w.transpose(1, 0, 2)) for x, w in
+             zip(views, np.random.default_rng(17).standard_normal((2, 7, 7, 9)))]
+    lambdas = (1.5, 0.5)
+    sol = fitter(views, M2eConfig(rank=2, lambdas=lambdas, seed=17, max_outer_iters=30))
+    pulls = lambdas if fitter is m2e_fit else (0.0, 0.0)
+    direct = einsum_objective(views, sol.node_factors, sol.node_factors,
+                              sol.subject_factors, sol.consensus, pulls)
+    assert sol.final_objective == pytest.approx(direct, rel=1e-9)
 
 
 def test_non_contiguous_views_fit_like_contiguous_copies():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from m2e.tensors import (GraphViewTensor, _unfold3, check_partial_symmetry, cp_reconstruct,
-                         frobenius_norm, hadamard, khatri_rao, matricize, mode3_mttkrp,
+                         frobenius_norm, khatri_rao, matricize, mode3_mttkrp,
                          mttkrp, mttkrp_from_partial, partial_mttkrp, refold,
                          symmetrize_slices)
 
@@ -86,16 +86,6 @@ def test_khatri_rao_gram_identity():
 def test_khatri_rao_rejects_column_mismatch():
     with pytest.raises(ValueError):
         khatri_rao(np.zeros((2, 2)), np.zeros((2, 3)))
-
-
-def test_hadamard():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(hadamard(a, np.ones_like(a)), a)
-    np.testing.assert_array_equal(hadamard(a, np.zeros_like(a)), np.zeros_like(a))
-    b = np.array([[5.0, 6.0], [7.0, 8.0]])
-    np.testing.assert_array_equal(hadamard(a, b), [[5, 12], [21, 32]])
-    with pytest.raises(ValueError):
-        hadamard(a, np.zeros((3, 2)))
 
 
 def test_cp_reconstruct_rank_one():
