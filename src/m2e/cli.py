@@ -30,9 +30,12 @@ def _parse_lambda(items: list[str] | None) -> tuple[float, ...] | None:
     for item in items:
         try:
             key, value = item.split("=", 1)
-            pairs[int(key)] = float(value)
+            view, weight = int(key), float(value)
         except ValueError as exc:
             raise ValueError(f"--lambda expects v=x (e.g. 1=0.01), got {item!r}") from exc
+        if view in pairs:
+            raise ValueError(f"--lambda gives view {view} more than once")
+        pairs[view] = weight
     if sorted(pairs) != list(range(1, len(pairs) + 1)):
         raise ValueError(f"--lambda views must be 1..V, got {sorted(pairs)}")
     return tuple(pairs[v] for v in sorted(pairs))
@@ -71,9 +74,6 @@ def _build_run_config(args) -> RunConfig:
     override(solver_cfg, "max_outer_iters", getattr(args, "max_iters", None))
     override(solver_cfg, "obj_rel_tol", getattr(args, "tol", None))
     override(solver_cfg, "residual_tol", getattr(args, "residual_tol", None))
-    override(solver_cfg, "mu", getattr(args, "mu", None))
-    override(solver_cfg, "mu_growth", getattr(args, "mu_growth", None))
-    override(solver_cfg, "inner_steps", getattr(args, "inner_steps", None))
 
     top = {k: v for k, v in file_cfg.items() if k != "solver"}
     override(top, "method", getattr(args, "method", None))
@@ -99,9 +99,6 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--tol", type=float, default=None,
                    help="relative objective-change tolerance")
     p.add_argument("--residual-tol", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--mu-growth", type=float, default=None)
-    p.add_argument("--inner-steps", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

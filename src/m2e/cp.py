@@ -7,6 +7,9 @@ import numpy as np
 
 from .tensors import cp_reconstruct, frobenius_norm, mttkrp, partial_mttkrp
 
+# added to the R x R Gram before each least-squares solve
+RIDGE = 1e-10
+
 
 @dataclass(frozen=True)
 class CpFactors:
@@ -41,15 +44,13 @@ class AlsOptions:
     """Knobs for :func:`cp_als_fit`.
 
     `rel_tol` stops the sweep loop once the relative fit improves by less
-    than this between iterations; `ridge` is added to the R x R Gram before
-    each least-squares solve.
+    than this between iterations.
     """
 
     rank: int
     max_iters: int = 500
     rel_tol: float = 1e-8
     seed: int = 0
-    ridge: float = 1e-10
 
     def __post_init__(self):
         if self.rank < 1:
@@ -58,8 +59,6 @@ class AlsOptions:
             raise ValueError("max_iters must be >= 1")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
-        if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ def cp_relative_error(tensor: np.ndarray, factors: CpFactors) -> float:
     return resid / scale if scale > 0 else resid
 
 
-def als_update(tensor: np.ndarray, factors: list[np.ndarray], mode: int, ridge: float,
+def als_update(tensor: np.ndarray, factors: list[np.ndarray], mode: int,
                partial: np.ndarray | None = None) -> np.ndarray:
     """Exact least-squares update of one factor with the others fixed.
 
@@ -93,7 +92,7 @@ def als_update(tensor: np.ndarray, factors: list[np.ndarray], mode: int, ridge: 
     others = [factors[m] for m in range(3) if m != mode - 1]
     small, big = others  # ascending mode order; big is the larger mode index
     gram = (big.T @ big) * (small.T @ small)
-    gram = gram + ridge * np.eye(gram.shape[0])
+    gram = gram + RIDGE * np.eye(gram.shape[0])
     rhs = mttkrp(tensor, factors, mode, partial)
     # gram is symmetric: solve gram @ X.T = rhs.T
     return np.linalg.solve(gram, rhs.T).T
@@ -108,7 +107,7 @@ def cp_als_fit(tensor: np.ndarray, opts: AlsOptions) -> CpFit:
         Dense real tensor; entries must be finite. It is made C-contiguous
         once, so each sweep reads it in two passes without copying.
     opts : AlsOptions
-        Rank, iteration cap, stopping tolerance, seed and ridge.
+        Rank, iteration cap, stopping tolerance and seed.
 
     Returns
     -------
@@ -137,7 +136,7 @@ def cp_als_fit(tensor: np.ndarray, opts: AlsOptions) -> CpFit:
     for it in range(opts.max_iters):
         partial = partial_mttkrp(t, factors[2])  # modes 1 and 2 leave factors[2] fixed
         for mode in (1, 2, 3):
-            factors[mode - 1] = als_update(t, factors, mode, opts.ridge, partial)
+            factors[mode - 1] = als_update(t, factors, mode, partial)
         err = frobenius_norm(t - cp_reconstruct(factors)) / scale
         trace.append(err)
         if it >= 1 and abs(trace[-2] - err) < opts.rel_tol:

@@ -9,10 +9,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,8 +22,6 @@ from .dataio import Dataset, load_dataset, save_matrix
 from .solver import M2eConfig, M2eSolution, m2e_ds_fit, m2e_fit, m2e_ts_fit
 
 METHODS = ("m2e", "m2e-ds", "m2e-ts", "cp")
-# cap on concurrent grid-search cells; unset or <=1 means sequential
-WORKERS_ENV = "M2E_MAX_WORKERS"
 _GRID_CELL_LIMIT = 10_000
 
 
@@ -213,9 +209,6 @@ def run_gridsearch(grid: GridSpec, dataset: Dataset | str | Path, config: RunCon
 
     Writes the ranked table plus two sensitivity slices: accuracy versus
     rank at the best weights, and accuracy versus weights at the best rank.
-    Cells are independent; set the environment variable named by
-    ``WORKERS_ENV`` to evaluate them concurrently (output order is sorted
-    and therefore scheduling-independent).
     """
     ds = _as_dataset(dataset)
     if ds.labels is None:
@@ -226,12 +219,7 @@ def run_gridsearch(grid: GridSpec, dataset: Dataset | str | Path, config: RunCon
             f"grid has {len(cells)} cells (> {_GRID_CELL_LIMIT}); "
             "pass allow_large / --force-large-grid to proceed"
         )
-    workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda c: _evaluate_cell(c, config, ds), cells))
-    else:
-        rows = [_evaluate_cell(c, config, ds) for c in cells]
+    rows = [_evaluate_cell(c, config, ds) for c in cells]
 
     order = sorted(range(len(rows)),
                    key=lambda i: (-rows[i]["mean_accuracy"], i))

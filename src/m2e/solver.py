@@ -28,8 +28,6 @@ from .tensors import GraphViewTensor, mode3_mttkrp, mttkrp_from_partial, partial
 # Monitor callbacks receive (event, info-dict); see m2e_fit.
 Monitor = Callable[[str, dict], None]
 
-INIT_MODES = ("spectral", "random")
-
 
 class SolverNumericsError(RuntimeError):
     """Non-finite values or vanishing curvature encountered mid-run."""
@@ -44,29 +42,18 @@ class M2eConfig:
     """Solver configuration.
 
     `lambdas` holds one positive view weight per view; None means equal
-    weights (1.0 each). `mu` is the coupling penalty: None picks, per view,
-    a value matched to the data-term curvature at the balanced-factor
-    scale, 2 (||X||_F^2 / R)^(2/3), which keeps the splitting stable across
-    data magnitudes; an explicit number is used as given. The penalty can
-    grow geometrically by `mu_growth` per outer iteration up to `mu_max`.
-    `inner_steps` is the number of proximal steps per block per outer
-    iteration. Convergence requires both the relative objective change to
-    drop below `obj_rel_tol` and the coupling residual below
-    `residual_tol`. `init` selects the deterministic data-driven start
-    ("spectral") or seeded standard-normal factors ("random").
+    weights (1.0 each). Convergence requires both the relative objective
+    change to drop below `obj_rel_tol` and the coupling residual below
+    `residual_tol`. `seed` seeds the noise columns the spectral start adds
+    when `rank` exceeds the node count.
     """
 
     rank: int = 2
     lambdas: tuple[float, ...] | None = None
-    mu: float | None = None
-    mu_growth: float = 1.0
-    mu_max: float = 1e6
-    inner_steps: int = 1
     max_outer_iters: int = 500
     obj_rel_tol: float = 1e-6
     residual_tol: float = 1e-3
     seed: int = 0
-    init: str = "spectral"
 
     def __post_init__(self):
         if self.rank < 1:
@@ -76,18 +63,10 @@ class M2eConfig:
             if not lam or any(x <= 0 for x in lam):
                 raise ValueError("view weights must be positive")
             object.__setattr__(self, "lambdas", lam)
-        if self.mu is not None and self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if self.mu_growth < 1:
-            raise ValueError("mu_growth must be >= 1")
-        if self.inner_steps < 1:
-            raise ValueError("inner_steps must be >= 1")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
         if self.obj_rel_tol <= 0 or self.residual_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.init not in INIT_MODES:
-            raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
 
 
 @dataclass
@@ -155,14 +134,12 @@ def lipschitz_constant(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(a + a.T)[-1])
 
 
-def proximal_step(m: np.ndarray, a: np.ndarray, b: np.ndarray, steps: int = 1) -> np.ndarray:
-    """`steps` gradient steps m <- m - (2 m a - b) / L with L = lam_max(2a)."""
+def proximal_step(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One gradient step m <- m - (2 m a - b) / L with L = lam_max(2a)."""
     lip = lipschitz_constant(a)
     if lip <= 0:
         raise SolverNumericsError("subproblem has no curvature (L <= 0)")
-    for _ in range(steps):
-        m = m - (2.0 * (m @ a) - b) / lip
-    return m
+    return m - (2.0 * (m @ a) - b) / lip
 
 
 def quadratic_objective(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -255,9 +232,18 @@ def _objective(energies, mttkrps, nodes, auxes, subjects, consensus, pulls) -> f
 
 def objective_value(views: Sequence[np.ndarray], state: M2eState,
                     lambdas: Sequence[float]) -> float:
-    """Sum of squared reconstruction errors plus the weighted consensus pull."""
-    lambdas = _resolve_lambdas(lambdas, len(views))
-    xs = [np.asarray(x, dtype=float) for x in views]
+    """Sum of squared reconstruction errors plus the weighted consensus pull.
+
+    Views may be arrays or GraphViewTensor; the split-factor model is
+    defined for any (M, M, N) tensor, so symmetry is not required here.
+    """
+    xs = [np.asarray(v.data if isinstance(v, GraphViewTensor) else v, dtype=float)
+          for v in views]
+    lambdas = _resolve_lambdas(lambdas, len(xs))
+    for name in ("node", "node_aux", "subject"):
+        if len(getattr(state, name)) != len(xs):
+            raise ValueError(f"got {len(xs)} views but state.{name} holds "
+                             f"{len(getattr(state, name))}")
     mttkrps = [mode3_mttkrp(x, h, p) for x, h, p in zip(xs, state.node, state.node_aux)]
     return _objective([float(np.vdot(x, x)) for x in xs], mttkrps, state.node,
                       state.node_aux, state.subject, state.consensus, lambdas)
@@ -319,25 +305,17 @@ def spectral_start(x: np.ndarray, rank: int, rng: np.random.Generator):
 
 
 def _init_state(views: Sequence[np.ndarray], config: M2eConfig,
-                lambdas: Sequence[float]) -> tuple[M2eState, list[float]]:
+                lambdas: Sequence[float]) -> M2eState:
     # Every view restarts the generator from the same seed, so equally
     # shaped views start from identical factors and runs are reproducible.
-    node, aux, dual, subject, mus = [], [], [], [], []
+    node, aux, dual, subject = [], [], [], []
     for x in views:
-        rng = np.random.default_rng(config.seed)
-        if config.init == "spectral":
-            h, f = spectral_start(x, config.rank, rng)
-        else:
-            h = rng.standard_normal((x.shape[0], config.rank))
-            f = rng.standard_normal((x.shape[2], config.rank))
+        h, f = spectral_start(x, config.rank, np.random.default_rng(config.seed))
         node.append(h)
         aux.append(h.copy())  # zero initial coupling residual
         dual.append(np.zeros_like(h))
         subject.append(f)
-        mus.append(config.mu if config.mu is not None
-                   else balanced_penalty(x, config.rank))
-    consensus = update_consensus(subject, lambdas)
-    return M2eState(node, aux, dual, subject, consensus), mus
+    return M2eState(node, aux, dual, subject, update_consensus(subject, lambdas))
 
 
 # ---------------------------------------------------------------------------
@@ -378,23 +356,21 @@ def _ensure_finite(state: M2eState, objective: float, iteration: int):
         )
 
 
-def _monitored_step(monitor, view, block, m, a, b, steps):
-    if monitor is None:
-        return proximal_step(m, a, b, steps)
-    before = quadratic_objective(m, a, b)
-    out = proximal_step(m, a, b, steps)
-    monitor("block_step", {
-        "view": view, "block": block,
-        "before": before, "after": quadratic_objective(out, a, b),
-    })
+def _monitored_step(monitor, iteration, view, block, m, a, b):
+    before = None if monitor is None else quadratic_objective(m, a, b)
+    try:
+        out = proximal_step(m, a, b)
+    except SolverNumericsError as exc:
+        where = "shared" if view < 0 else f"view {view}"
+        raise SolverNumericsError(
+            f"outer iteration {iteration}, {where} {block} step: {exc}", iteration
+        ) from exc
+    if monitor is not None:
+        monitor("block_step", {
+            "view": view, "block": block,
+            "before": before, "after": quadratic_objective(out, a, b),
+        })
     return out
-
-
-def _grow(mus: list[float], config: M2eConfig) -> list[float]:
-    if config.mu_growth == 1.0:
-        return mus
-    # growth caps at mu_max but never reduces a penalty already above it
-    return [min(m * config.mu_growth, max(config.mu_max, m)) for m in mus]
 
 
 def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
@@ -410,13 +386,13 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
     """
     xs = _as_view_arrays(views)
     lambdas = _resolve_lambdas(config.lambdas, len(xs))
-    st, mus = _init_state(xs, config, lambdas)
+    st = _init_state(xs, config, lambdas)
+    mus = [balanced_penalty(x, config.rank) for x in xs]
     if subjects == "shared":  # every view holds view 0's start
         st.subject = [st.subject[0]] * len(xs)
         st.consensus = st.subject[0]
     pulls = lambdas if subjects == "joint" else (0.0,) * len(xs)
     energies = [float(np.vdot(x, x)) for x in xs]
-    steps = config.inner_steps
     obj_trace: list[float] = []
     res_trace: list[float] = []
     converged = False
@@ -425,22 +401,23 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
         for v, x in enumerate(xs):
             y = partial_mttkrp(x, st.subject[v])
             st.node[v] = _monitored_step(
-                monitor, v, "node", st.node[v],
-                *node_system(y, st.node_aux[v], st.subject[v], st.dual[v], mus[v]), steps)
+                monitor, it, v, "node", st.node[v],
+                *node_system(y, st.node_aux[v], st.subject[v], st.dual[v], mus[v]))
             st.node_aux[v] = _monitored_step(
-                monitor, v, "aux", st.node_aux[v],
-                *aux_system(y, st.node[v], st.subject[v], st.dual[v], mus[v]), steps)
+                monitor, it, v, "aux", st.node_aux[v],
+                *aux_system(y, st.node[v], st.subject[v], st.dual[v], mus[v]))
             st.dual[v] = update_dual(st.dual[v], st.node[v], st.node_aux[v], mus[v])
             mttkrps.append(mode3_mttkrp(x, st.node[v], st.node_aux[v]))
             if subjects != "shared":
                 st.subject[v] = _monitored_step(
-                    monitor, v, "subject", st.subject[v],
+                    monitor, it, v, "subject", st.subject[v],
                     *subject_system(mttkrps[v], st.node[v], st.node_aux[v],
-                                    st.consensus, pulls[v]), steps)
+                                    st.consensus, pulls[v]))
         if subjects == "shared":
             a, b = map(sum, zip(*(subject_system(g, h, p, None, 0.0) for g, h, p
                                   in zip(mttkrps, st.node, st.node_aux))))
-            st.consensus = _monitored_step(monitor, -1, "subject", st.consensus, a, b, steps)
+            st.consensus = _monitored_step(monitor, it, -1, "subject", st.consensus,
+                                           a, b)
             st.subject = [st.consensus] * len(xs)
         elif subjects == "joint":
             st.consensus = update_consensus(st.subject, lambdas)
@@ -454,7 +431,6 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
         if monitor is not None:
             monitor("iteration", {"iteration": it, "objective": obj,
                                   "residual": res, "state": st})
-        mus = _grow(mus, config)
         if it >= 1 and res <= config.residual_tol:
             prev = obj_trace[-2]
             rel = abs(prev - obj) / max(abs(prev), np.finfo(float).tiny)
@@ -487,7 +463,7 @@ def m2e_fit(views: Sequence, config: M2eConfig, monitor: Monitor | None = None) 
         Stacks of symmetric affinity matrices; subject counts must agree
         across views, node counts may differ.
     config : M2eConfig
-        Rank, view weights, penalty schedule, tolerances and seed.
+        Rank, view weights, tolerances and seed.
     monitor : callable, optional
         Called as ``monitor(event, info)`` with event ``"block_step"``
         (before/after subproblem values) and ``"iteration"`` (objective and

@@ -50,7 +50,7 @@ def test_als_update_satisfies_normal_equations():
     factors = [rng.standard_normal((d, 2)) for d in t.shape]
     ridge = 1e-10
     for mode in (1, 2, 3):
-        new = als_update(t, factors, mode, ridge)
+        new = als_update(t, factors, mode)
         others = [factors[m] for m in range(3) if m != mode - 1]
         kr = khatri_rao(others[1], others[0])
         gram = (others[1].T @ others[1]) * (others[0].T @ others[0])

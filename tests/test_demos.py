@@ -1,5 +1,7 @@
 """The demos run end to end, and every public name resolves."""
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +9,22 @@ from pathlib import Path
 import pytest
 
 import m2e
+from m2e.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_readme_commands_parse():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("m2e ")]
+    assert len(commands) >= 6
+    parser = build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])  # argparse exits on a bad flag
 
 
 def test_every_exported_name_resolves():

@@ -57,9 +57,8 @@ def test_run_fit_summary_contains_full_config(dataset_dir, tmp_path):
     cfg = summary["config"]
     assert set(cfg) == {"method", "solver", "kmeans_k", "kmeans_restarts",
                         "kmeans_max_iters", "eval_repeats", "positive_class"}
-    assert set(cfg["solver"]) == {"rank", "lambdas", "mu", "mu_growth", "mu_max",
-                                  "inner_steps", "max_outer_iters", "obj_rel_tol",
-                                  "residual_tol", "seed", "init"}
+    assert set(cfg["solver"]) == {"rank", "lambdas", "max_outer_iters", "obj_rel_tol",
+                                  "residual_tol", "seed"}
 
 
 def test_run_fit_rerun_byte_identical(dataset_dir, tmp_path):
@@ -187,14 +186,6 @@ def test_gridsearch_guards_large_grids(dataset_dir, tmp_path):
                     rank_grid=(1,))
     with pytest.raises(ValueError, match="cells"):
         run_gridsearch(grid, dataset_dir, quick_config(), tmp_path / "gs")
-
-
-def test_gridsearch_parallel_matches_sequential(dataset_dir, tmp_path, monkeypatch):
-    grid = GridSpec(lambda_grid=(1e-2, 1.0), rank_grid=(2,))
-    seq = run_gridsearch(grid, dataset_dir, quick_config(), tmp_path / "seq")
-    monkeypatch.setenv("M2E_MAX_WORKERS", "4")
-    par = run_gridsearch(grid, dataset_dir, quick_config(), tmp_path / "par")
-    assert seq == par
 
 
 # --------------------------------------------------------------------------
@@ -352,6 +343,26 @@ def test_cli_bad_lambda_flag(tmp_path, dataset_dir):
                  "--lambda", "oops"])
     assert code == 1
     assert (out / "error.json").exists()
+
+
+def test_cli_repeated_lambda_view_fails_with_document(tmp_path, dataset_dir):
+    out = tmp_path / "fit"
+    code = main(["fit", "--dataset", str(dataset_dir), "--out", str(out),
+                 "--lambda", "1=0.1", "--lambda", "1=5"])
+    assert code == 1
+    error = json.loads((out / "error.json").read_text())
+    assert "view 1 more than once" in error["message"]
+
+
+def test_cli_config_file_with_removed_field_fails(tmp_path, dataset_dir):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"solver": {"mu_growth": 1.05}}))
+    out = tmp_path / "fit"
+    code = main(["fit", "--dataset", str(dataset_dir), "--config", str(cfg_file),
+                 "--out", str(out)])
+    assert code == 1
+    error = json.loads((out / "error.json").read_text())
+    assert "mu_growth" in error["message"]
 
 
 def test_cli_lambda_count_must_match_views(tmp_path, dataset_dir):
