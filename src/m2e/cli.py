@@ -1,9 +1,10 @@
 """Command-line driver.
 
 Subcommands: generate, fit, cluster, evaluate, gridsearch, cp. Settings
-come from defaults, then an optional JSON config file, then flags (flags
-win). On failure an error document is written to the output directory and
-the exit status is nonzero.
+come from defaults, then an optional JSON config file (fit, cluster,
+evaluate, gridsearch), then flags (flags win). A flag's dest is the name of
+the config field it sets. On failure an error document is written to the
+output directory and the exit status is nonzero.
 """
 from __future__ import annotations
 
@@ -13,11 +14,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .dataio import load_dataset, load_matrix, save_dataset
+from .dataio import load_dataset, load_labels, load_matrix, save_dataset
 from .datagen import SyntheticSpec, bp_shape_preset, generate, hiv_shape_preset
-from .runner import (GridSpec, RunConfig, run_cluster, run_cp, run_evaluate,
+from .runner import (METHODS, GridSpec, RunConfig, run_cluster, run_cp, run_evaluate,
                      run_fit, run_gridsearch)
 from .solver import M2eConfig
 
@@ -56,47 +55,37 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
+def _flags(args, cls) -> dict:
+    """The given flags whose dest names a field of the dataclass `cls`."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {k: v for k, v in vars(args).items() if k in names and v is not None}
+
+
 def _build_run_config(args) -> RunConfig:
-    file_cfg: dict = {}
-    if getattr(args, "config", None):
-        file_cfg = json.loads(Path(args.config).read_text())
-    solver_cfg = dict(file_cfg.get("solver", {}))
+    top = json.loads(Path(args.config).read_text()) if args.config else {}
+    solver_cfg = dict(top.pop("solver", {}))
     if solver_cfg.get("lambdas") is not None:
         solver_cfg["lambdas"] = tuple(solver_cfg["lambdas"])
-
-    def override(target: dict, key: str, value):
-        if value is not None:
-            target[key] = value
-
-    override(solver_cfg, "rank", getattr(args, "rank", None))
-    override(solver_cfg, "lambdas", _parse_lambda(getattr(args, "lam", None)))
-    override(solver_cfg, "seed", getattr(args, "seed", None))
-    override(solver_cfg, "max_outer_iters", getattr(args, "max_iters", None))
-    override(solver_cfg, "obj_rel_tol", getattr(args, "tol", None))
-    override(solver_cfg, "residual_tol", getattr(args, "residual_tol", None))
-
-    top = {k: v for k, v in file_cfg.items() if k != "solver"}
-    override(top, "method", getattr(args, "method", None))
-    override(top, "kmeans_k", getattr(args, "k", None))
-    override(top, "kmeans_restarts", getattr(args, "restarts", None))
-    override(top, "eval_repeats", getattr(args, "repeats", None))
-    override(top, "positive_class", getattr(args, "positive_class", None))
+    solver_cfg.update(_flags(args, M2eConfig))
+    lambdas = _parse_lambda(getattr(args, "lam", None))
+    if lambdas is not None:
+        solver_cfg["lambdas"] = lambdas
+    top.update(_flags(args, RunConfig))
     return RunConfig(solver=M2eConfig(**solver_cfg), **top)
 
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", help="JSON config file; flags override its values")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser):
-    p.add_argument("--method", choices=("m2e", "m2e-ds", "m2e-ts"), default=None)
+    p.add_argument("--method", choices=METHODS, default=None)
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--lambda", dest="lam", action="append", metavar="V=X",
                    help="per-view weight, repeatable (e.g. --lambda 1=0.01)")
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--max-iters", dest="max_outer_iters", type=int, default=None)
+    p.add_argument("--tol", dest="obj_rel_tol", type=float, default=None,
                    help="relative objective-change tolerance")
     p.add_argument("--residual-tol", type=float, default=None)
 
@@ -118,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N1,N2,...")
     g.add_argument("--latent-rank", type=int, default=None)
     g.add_argument("--separation", type=float, default=None)
-    g.add_argument("--noise", type=float, default=None)
+    g.add_argument("--noise", dest="noise_sigma", type=float, default=None)
     g.add_argument("--jitter", type=float, default=None)
 
     f = sub.add_parser("fit", help="fit an embedding to a dataset")
@@ -129,17 +118,17 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("cluster", help="k-means on an embedding file")
     _add_common(c)
     c.add_argument("--embedding", required=True)
-    c.add_argument("--k", type=int, default=None)
-    c.add_argument("--restarts", type=int, default=None)
+    c.add_argument("--k", dest="kmeans_k", type=int, default=None)
+    c.add_argument("--restarts", dest="kmeans_restarts", type=int, default=None)
 
     e = sub.add_parser("evaluate", help="score an embedding against labels")
     _add_common(e)
     e.add_argument("--embedding", required=True)
     e.add_argument("--labels", help="labels file (one integer per line)")
     e.add_argument("--dataset", help="dataset directory providing the labels")
-    e.add_argument("--k", type=int, default=None)
-    e.add_argument("--restarts", type=int, default=None)
-    e.add_argument("--repeats", type=int, default=None)
+    e.add_argument("--k", dest="kmeans_k", type=int, default=None)
+    e.add_argument("--restarts", dest="kmeans_restarts", type=int, default=None)
+    e.add_argument("--repeats", dest="eval_repeats", type=int, default=None)
     e.add_argument("--positive-class", type=int, default=None)
 
     gs = sub.add_parser("gridsearch", help="search view weights and rank")
@@ -150,10 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--rank-grid", type=_parse_rank_grid, default=None,
                     metavar="LO:HI|R1,R2,...")
     gs.add_argument("--force-large-grid", action="store_true")
-    gs.add_argument("--restarts", type=int, default=None)
-    gs.add_argument("--repeats", type=int, default=None)
-    gs.add_argument("--method", choices=("m2e", "m2e-ds", "m2e-ts"), default=None)
-    gs.add_argument("--max-iters", type=int, default=None)
+    gs.add_argument("--restarts", dest="kmeans_restarts", type=int, default=None)
+    gs.add_argument("--repeats", dest="eval_repeats", type=int, default=None)
+    gs.add_argument("--method", choices=METHODS, default=None)
+    gs.add_argument("--max-iters", dest="max_outer_iters", type=int, default=None)
+    for p in (f, c, e, gs):
+        p.add_argument("--config", help="JSON config file; flags override its values")
 
     cp = sub.add_parser("cp", help="plain CP factorization of one view")
     _add_common(cp)
@@ -171,15 +162,7 @@ def _cmd_generate(args) -> None:
         spec = hiv_shape_preset() if args.preset == "hiv" else bp_shape_preset()
     else:
         spec = SyntheticSpec()
-    updates = {}
-    for flag, fld in (("views", "views"), ("nodes", "nodes"), ("subjects", "subjects"),
-                      ("cluster_sizes", "cluster_sizes"), ("latent_rank", "latent_rank"),
-                      ("separation", "separation"), ("noise", "noise_sigma"),
-                      ("jitter", "jitter"), ("seed", "seed")):
-        value = getattr(args, flag)
-        if value is not None:
-            updates[fld] = value
-    spec = dataclasses.replace(spec, **updates)
+    spec = dataclasses.replace(spec, **_flags(args, SyntheticSpec))
     views, labels = generate(spec)
     save_dataset(args.out, views, labels,
                  metadata={"generator": dataclasses.asdict(spec)})
@@ -195,8 +178,7 @@ def _cmd_cluster(args) -> None:
 
 def _cmd_evaluate(args) -> None:
     if args.labels:
-        raw = [x for x in Path(args.labels).read_text().split() if x]
-        labels = np.array([int(v) for v in raw])
+        labels = load_labels(args.labels)
     elif args.dataset:
         ds = load_dataset(args.dataset)
         if ds.labels is None:
@@ -211,12 +193,7 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_gridsearch(args) -> None:
-    grid_kwargs = {}
-    if args.lambda_grid is not None:
-        grid_kwargs["lambda_grid"] = args.lambda_grid
-    if args.rank_grid is not None:
-        grid_kwargs["rank_grid"] = args.rank_grid
-    run_gridsearch(GridSpec(**grid_kwargs), load_dataset(args.dataset),
+    run_gridsearch(GridSpec(**_flags(args, GridSpec)), load_dataset(args.dataset),
                    _build_run_config(args), args.out,
                    allow_large=args.force_large_grid)
 

@@ -5,6 +5,10 @@ Each matrix file holds N blocks (one per subject) of M whitespace-separated
 rows, with a blank line between blocks. Numbers are written with 17
 significant digits so that every emitted value re-parses bit-exactly.
 Labels, when present, are one integer (1..K) per line.
+
+Numbers are written by `np.savetxt` and matrices parsed by `np.loadtxt`.
+View blocks are parsed with `comments=None`: a view file holds numbers
+only, and numpy would otherwise drop any `# ...` text without a word.
 """
 from __future__ import annotations
 
@@ -34,10 +38,6 @@ class Dataset:
     view_names: list[str]
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def subject_count(self) -> int:
-        return self.views[0].subject_count
-
 
 def save_matrix(path: Path | str, matrix: np.ndarray, comment: str = "") -> None:
     """Write a 2-D array as delimited text with a dimension header."""
@@ -51,12 +51,31 @@ def load_matrix(path: Path | str) -> np.ndarray:
     return m
 
 
+def save_labels(path: Path | str, labels: np.ndarray) -> None:
+    """Write class labels, one integer per line."""
+    np.savetxt(path, np.asarray(labels, dtype=int), fmt="%d")
+
+
+def load_labels(path: Path | str) -> np.ndarray:
+    """Read a labels file: one integer class id (1..K) per line."""
+    path = Path(path)
+    if not path.exists():
+        raise DatasetError(f"labels file {path} is missing")
+    try:
+        labels = np.array([int(x) for x in path.read_text().split()], dtype=int)
+    except ValueError as exc:
+        raise DatasetError(f"labels file {path}: labels must be integers: {exc}") from exc
+    if (labels < 1).any():
+        raise DatasetError(f"labels file {path}: labels must be positive integers (1..K)")
+    return labels
+
+
 def _write_view_file(path: Path, view: GraphViewTensor) -> None:
-    blocks = []
-    for n in range(view.subject_count):
-        rows = [" ".join(_FLOAT_FMT % x for x in row) for row in view.data[:, :, n]]
-        blocks.append("\n".join(rows))
-    path.write_text("\n\n".join(blocks) + "\n")
+    with open(path, "w") as fh:
+        for n in range(view.subject_count):
+            if n:
+                fh.write("\n")
+            np.savetxt(fh, view.data[:, :, n], fmt=_FLOAT_FMT)
 
 
 def _read_view_file(path: Path, name: str, nodes: int, subjects: int) -> GraphViewTensor:
@@ -70,8 +89,7 @@ def _read_view_file(path: Path, name: str, nodes: int, subjects: int) -> GraphVi
     slices = []
     for n, chunk in enumerate(chunks):
         try:
-            block = np.array([[float(x) for x in line.split()]
-                              for line in chunk.strip().splitlines()])
+            block = np.loadtxt(chunk.strip().splitlines(), ndmin=2, comments=None)
         except ValueError as exc:
             raise DatasetError(f"view '{name}': unparsable block {n}: {exc}") from exc
         if block.shape != (nodes, nodes):
@@ -129,7 +147,7 @@ def save_dataset(path: Path | str, views: list[GraphViewTensor],
         labels = np.asarray(labels, dtype=int)
         if labels.shape != (views[0].subject_count,):
             raise DatasetError("labels must hold one integer per subject")
-        (root / "labels.txt").write_text("\n".join(str(x) for x in labels) + "\n")
+        save_labels(root / "labels.txt", labels)
         manifest["labels_file"] = "labels.txt"
     manifest_path = root / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
@@ -170,18 +188,9 @@ def load_dataset(path: Path | str) -> Dataset:
 
     labels = None
     if manifest.get("labels_file"):
-        label_path = root / manifest["labels_file"]
-        if not label_path.exists():
-            raise DatasetError(f"labels file {label_path} is missing")
-        raw = [line for line in label_path.read_text().split() if line]
-        try:
-            labels = np.array([int(x) for x in raw])
-        except ValueError as exc:
-            raise DatasetError(f"labels must be integers: {exc}") from exc
+        labels = load_labels(root / manifest["labels_file"])
         if labels.shape != (subjects,):
             raise DatasetError(
                 f"labels file holds {labels.size} entries, manifest says {subjects}"
             )
-        if labels.min() < 1:
-            raise DatasetError("labels must be positive integers (1..K)")
     return Dataset(views, labels, names, manifest.get("metadata", {}))

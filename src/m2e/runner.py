@@ -18,10 +18,13 @@ import numpy as np
 
 from .cluster import cluster_and_score, kmeans
 from .cp import AlsOptions, cp_als_fit, cp_relative_error
-from .dataio import Dataset, load_dataset, save_matrix
+from .dataio import Dataset, load_dataset, save_labels, save_matrix
 from .solver import M2eConfig, M2eSolution, m2e_ds_fit, m2e_fit, m2e_ts_fit
 
-METHODS = ("m2e", "m2e-ds", "m2e-ts", "cp")
+# method name -> fitter, named so that `_fit` finds the fitter bound in this
+# module when it is called (a profiler or a test may rebind it)
+_FITTERS = {"m2e": "m2e_fit", "m2e-ds": "m2e_ds_fit", "m2e-ts": "m2e_ts_fit"}
+METHODS = tuple(_FITTERS)
 _GRID_CELL_LIMIT = 10_000
 
 
@@ -33,7 +36,6 @@ class RunConfig:
     solver: M2eConfig = field(default_factory=M2eConfig)
     kmeans_k: int = 2
     kmeans_restarts: int = 20
-    kmeans_max_iters: int = 100
     eval_repeats: int = 20
     positive_class: int = 1
 
@@ -77,10 +79,7 @@ def _as_dataset(dataset: Dataset | str | Path) -> Dataset:
 
 
 def _fit(config: RunConfig, dataset: Dataset) -> M2eSolution:
-    fitters = {"m2e": m2e_fit, "m2e-ds": m2e_ds_fit, "m2e-ts": m2e_ts_fit}
-    if config.method not in fitters:
-        raise ValueError(f"method {config.method!r} does not produce an embedding fit")
-    return fitters[config.method](dataset.views, config.solver)
+    return globals()[_FITTERS[config.method]](dataset.views, config.solver)
 
 
 def run_fit(config: RunConfig, dataset: Dataset | str | Path,
@@ -119,8 +118,8 @@ def run_cluster(embedding: np.ndarray, config: RunConfig, out_dir: str | Path) -
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = kmeans(embedding, config.kmeans_k, restarts=config.kmeans_restarts,
-                    max_iters=config.kmeans_max_iters, seed=config.solver.seed)
-    (out / "labels.txt").write_text("\n".join(str(x) for x in result.labels) + "\n")
+                    seed=config.solver.seed)
+    save_labels(out / "labels.txt", result.labels)
     save_matrix(out / "inertias.txt", result.inertias.reshape(-1, 1),
                 "inertia per restart")
     doc = {
@@ -135,8 +134,7 @@ def run_cluster(embedding: np.ndarray, config: RunConfig, out_dir: str | Path) -
 def _single_evaluation(embedding, labels, config: RunConfig, rep: int) -> dict:
     report = cluster_and_score(
         embedding, labels, k=config.kmeans_k, restarts=config.kmeans_restarts,
-        max_iters=config.kmeans_max_iters, seed=int(config.solver.seed + rep),
-        positive_class=config.positive_class)
+        seed=int(config.solver.seed + rep), positive_class=config.positive_class)
     return {
         "accuracy": report.accuracy,
         "precision": report.precision,

@@ -8,6 +8,13 @@ from m2e.dataio import (DatasetError, load_dataset, load_matrix, save_dataset,
                         save_matrix)
 
 
+def _view_text(data):
+    """A view file in the documented format: blocks of "%.17g" rows, blank line between."""
+    blocks = ["\n".join(" ".join("%.17g" % x for x in row) for row in data[:, :, n])
+              for n in range(data.shape[2])]
+    return "\n\n".join(blocks) + "\n"
+
+
 @pytest.fixture
 def small_dataset(tmp_path):
     views, labels = generate(SyntheticSpec(views=2, nodes=6, subjects=8,
@@ -74,11 +81,7 @@ def test_asymmetric_slice_rejected_with_index(small_dataset):
     path, views, _ = small_dataset
     data = views[0].data.copy()
     data[0, 1, 3] += 1.0  # break symmetry of block 3 only
-    lines = []
-    for n in range(data.shape[2]):
-        lines.append("\n".join(" ".join("%.17g" % x for x in row)
-                               for row in data[:, :, n]))
-    (path / "view1.txt").write_text("\n\n".join(lines) + "\n")
+    (path / "view1.txt").write_text(_view_text(data))
     with pytest.raises(DatasetError, match="slice 3"):
         load_dataset(path)
 
@@ -87,13 +90,48 @@ def test_small_asymmetry_is_symmetrized(small_dataset):
     path, views, _ = small_dataset
     data = views[0].data.copy()
     data[0, 1, 0] += 1e-8
-    lines = []
-    for n in range(data.shape[2]):
-        lines.append("\n".join(" ".join("%.17g" % x for x in row)
-                               for row in data[:, :, n]))
-    (path / "view1.txt").write_text("\n\n".join(lines) + "\n")
+    (path / "view1.txt").write_text(_view_text(data))
     ds = load_dataset(path)
     assert (ds.views[0].data == ds.views[0].data.transpose(1, 0, 2)).all()
+
+
+def test_view_file_bytes_follow_documented_format(small_dataset):
+    path, views, _ = small_dataset
+    assert (path / "view1.txt").read_bytes() == _view_text(views[0].data).encode()
+
+
+def test_labels_file_bytes_are_one_integer_per_line(small_dataset):
+    path, _, labels = small_dataset
+    assert (path / "labels.txt").read_bytes() == "".join(f"{x}\n" for x in labels).encode()
+
+
+def test_ragged_row_rejected_with_view_and_block(small_dataset):
+    path, _, _ = small_dataset
+    blocks = (path / "view1.txt").read_text().split("\n\n")
+    rows = blocks[2].split("\n")
+    rows[1] = rows[1].rsplit(" ", 1)[0]  # drop the last number of one row
+    blocks[2] = "\n".join(rows)
+    (path / "view1.txt").write_text("\n\n".join(blocks))
+    with pytest.raises(DatasetError, match="view 'view1': unparsable block 2"):
+        load_dataset(path)
+
+
+def test_comment_text_in_view_file_rejected(small_dataset):
+    path, _, _ = small_dataset
+    text = (path / "view1.txt").read_text()
+    (path / "view1.txt").write_text(text.replace("\n", " # note\n", 1))
+    with pytest.raises(DatasetError, match="view 'view1': unparsable block 0"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("bad", ["0", "1.5"])
+def test_label_out_of_range_or_non_integer_names_file(small_dataset, bad):
+    path, _, _ = small_dataset
+    labels = (path / "labels.txt").read_text().split("\n")
+    labels[1] = bad
+    (path / "labels.txt").write_text("\n".join(labels))
+    with pytest.raises(DatasetError, match="labels.txt"):
+        load_dataset(path)
 
 
 def test_non_finite_entries_rejected(small_dataset):

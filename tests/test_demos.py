@@ -27,6 +27,16 @@ def test_readme_commands_parse():
         parser.parse_args(shlex.split(line)[1:])  # argparse exits on a bad flag
 
 
+def test_readme_library_snippet_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in m2e.__all__ if not hasattr(m2e, name)]
     assert missing == []

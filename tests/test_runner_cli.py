@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from m2e.cli import main
+from m2e.cli import build_parser, main
+from m2e.cluster import kmeans
 from m2e.dataio import load_dataset, load_matrix, save_dataset
 from m2e.datagen import SyntheticSpec, generate
-from m2e.runner import (GridSpec, RunConfig, run_cp, run_evaluate, run_fit,
-                        run_gridsearch)
+from m2e.runner import (METHODS, GridSpec, RunConfig, run_cluster, run_cp,
+                        run_evaluate, run_fit, run_gridsearch)
 from m2e.solver import M2eConfig
 
 
@@ -56,7 +57,7 @@ def test_run_fit_summary_contains_full_config(dataset_dir, tmp_path):
     summary = json.loads((tmp_path / "fit" / "summary.json").read_text())
     cfg = summary["config"]
     assert set(cfg) == {"method", "solver", "kmeans_k", "kmeans_restarts",
-                        "kmeans_max_iters", "eval_repeats", "positive_class"}
+                        "eval_repeats", "positive_class"}
     assert set(cfg["solver"]) == {"rank", "lambdas", "max_outer_iters", "obj_rel_tol",
                                   "residual_tol", "seed"}
 
@@ -91,6 +92,21 @@ def test_run_fit_cohort_preset_rank7(tmp_path):
     t = solution.objective_trace
     for i in range(3, len(t) - 1):
         assert t[i + 1] <= t[i] * (1 + 1e-6)
+
+
+def test_run_config_rejects_method_without_fitter():
+    assert METHODS == ("m2e", "m2e-ds", "m2e-ts")
+    with pytest.raises(ValueError, match="method"):
+        RunConfig(method="cp")
+
+
+def test_run_cluster_labels_file_is_one_integer_per_line(tmp_path):
+    emb = np.repeat([[0.0, 0.0], [10.0, 10.0]], 3, axis=0)
+    config = quick_config()
+    run_cluster(emb, config, tmp_path)
+    expected = kmeans(emb, 2, restarts=config.kmeans_restarts, seed=0).labels
+    assert (tmp_path / "labels.txt").read_bytes() == \
+        "".join(f"{x}\n" for x in expected).encode()
 
 
 def test_grid_defaults_follow_protocol():
@@ -295,6 +311,25 @@ def test_cli_evaluate_nan_embedding_fails_with_document(tmp_path):
     assert "non-finite rows" in error["message"] and "row 4" in error["message"]
 
 
+@pytest.mark.parametrize("bad", ["0", "1.5"])
+def test_cli_evaluate_bad_labels_file_fails_naming_it(tmp_path, bad):
+    np.savetxt(tmp_path / "emb.txt", np.zeros((4, 2)))
+    (tmp_path / "truth.txt").write_text(f"1\n{bad}\n2\n2\n")
+    out = tmp_path / "eval"
+    code = main(["evaluate", "--embedding", str(tmp_path / "emb.txt"),
+                 "--labels", str(tmp_path / "truth.txt"), "--out", str(out)])
+    assert code == 1
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "DatasetError"
+    assert "truth.txt" in error["message"]
+
+
+@pytest.mark.parametrize("command", [["generate"], ["cp", "--dataset", "d", "--rank", "2"]])
+def test_cli_config_only_on_commands_that_read_it(command):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([*command, "--out", "o", "--config", "f.json"])
+
+
 def test_cli_fit_reruns_byte_identical(tmp_path):
     ds = tmp_path / "ds"
     views, labels = generate(SMALL)
@@ -356,13 +391,15 @@ def test_cli_repeated_lambda_view_fails_with_document(tmp_path, dataset_dir):
 
 def test_cli_config_file_with_removed_field_fails(tmp_path, dataset_dir):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"solver": {"mu_growth": 1.05}}))
-    out = tmp_path / "fit"
-    code = main(["fit", "--dataset", str(dataset_dir), "--config", str(cfg_file),
-                 "--out", str(out)])
-    assert code == 1
-    error = json.loads((out / "error.json").read_text())
-    assert "mu_growth" in error["message"]
+    for removed, cfg in (("mu_growth", {"solver": {"mu_growth": 1.05}}),
+                         ("kmeans_max_iters", {"kmeans_max_iters": 100})):
+        cfg_file.write_text(json.dumps(cfg))
+        out = tmp_path / removed
+        code = main(["fit", "--dataset", str(dataset_dir), "--config", str(cfg_file),
+                     "--out", str(out)])
+        assert code == 1
+        error = json.loads((out / "error.json").read_text())
+        assert removed in error["message"]
 
 
 def test_cli_lambda_count_must_match_views(tmp_path, dataset_dir):
