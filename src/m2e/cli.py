@@ -14,7 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-from .dataio import load_dataset, load_labels, load_matrix, save_dataset
+from .cp import AlsOptions
+from .dataio import load_dataset, load_dataset_labels, load_labels, load_matrix, save_dataset
 from .datagen import SyntheticSpec, bp_shape_preset, generate, hiv_shape_preset
 from .runner import (METHODS, GridSpec, RunConfig, run_cluster, run_cp, run_evaluate,
                      run_fit, run_gridsearch)
@@ -151,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--dataset", required=True)
     cp.add_argument("--view", default="0", help="view name or 0-based index")
     cp.add_argument("--rank", type=int, required=True)
-    cp.add_argument("--max-iters", type=int, default=500)
-    cp.add_argument("--tol", type=float, default=1e-8)
+    cp.add_argument("--max-iters", dest="max_iters", type=int, default=None)
+    cp.add_argument("--tol", dest="rel_tol", type=float, default=None)
 
     return parser
 
@@ -180,13 +181,12 @@ def _cmd_evaluate(args) -> None:
     if args.labels:
         labels = load_labels(args.labels)
     elif args.dataset:
-        ds = load_dataset(args.dataset)
-        if ds.labels is None:
+        labels = load_dataset_labels(args.dataset)
+        if labels is None:
             raise ValueError(
                 f"dataset {args.dataset} has no labels file; evaluation needs "
                 "ground truth (pass --labels or add labels to the manifest)"
             )
-        labels = ds.labels
     else:
         raise ValueError("evaluate needs --labels or --dataset to supply ground truth")
     run_evaluate(load_matrix(args.embedding), labels, _build_run_config(args), args.out)
@@ -200,8 +200,8 @@ def _cmd_gridsearch(args) -> None:
 
 def _cmd_cp(args) -> None:
     view = int(args.view) if args.view.isdigit() else args.view
-    run_cp(load_dataset(args.dataset), view, args.rank, args.out,
-           max_iters=args.max_iters, rel_tol=args.tol, seed=args.seed or 0)
+    run_cp(load_dataset(args.dataset), view, AlsOptions(**_flags(args, AlsOptions)),
+           args.out)
 
 
 _COMMANDS = {

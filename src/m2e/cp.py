@@ -1,14 +1,22 @@
-"""Rank-R CP factorization of a third-order tensor by alternating least squares."""
+"""Rank-R CP factorization of a third-order tensor by alternating least squares.
+
+Sweeps run on the M2E solver's core: the two-pass MTTKRP kernel, ridge R x R
+solves and the objective's Gram error routine (:func:`cp_squared_error`).
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import cp_reconstruct, frobenius_norm, mttkrp, partial_mttkrp
+from .tensors import (cp_reconstruct, cp_squared_error, frobenius_norm, mode3_mttkrp,
+                      mttkrp_from_partial, partial_mttkrp)
 
 # added to the R x R Gram before each least-squares solve
 RIDGE = 1e-10
+# Below this share of ||X||^2 (relative error < 1e-3) the Gram error has lost
+# half its digits, so a sweep measures its error against the dense model.
+DENSE_ERROR_BELOW = 1e-6
 
 
 @dataclass(frozen=True)
@@ -29,10 +37,6 @@ class CpFactors:
 
     def __iter__(self):
         return iter(self.factors)
-
-    @property
-    def rank(self) -> int:
-        return self.factors[0].shape[1]
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -71,7 +75,7 @@ class CpFit:
 
 
 def cp_relative_error(tensor: np.ndarray, factors: CpFactors) -> float:
-    """||T - reconstruction||_F / ||T||_F (absolute norm for a zero tensor)."""
+    """||T - reconstruction||_F / ||T||_F (absolute norm for a zero tensor); dense."""
     t = np.asarray(tensor, dtype=float)
     if t.shape != factors.dims:
         raise ValueError(f"shape mismatch: tensor {t.shape} vs factors {factors.dims}")
@@ -80,22 +84,15 @@ def cp_relative_error(tensor: np.ndarray, factors: CpFactors) -> float:
     return resid / scale if scale > 0 else resid
 
 
-def als_update(tensor: np.ndarray, factors: list[np.ndarray], mode: int,
-               partial: np.ndarray | None = None) -> np.ndarray:
-    """Exact least-squares update of one factor with the others fixed.
+def als_update(mttkrp: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Exact least-squares update of one factor with the other two fixed.
 
-    Solves the ridge-regularized normal equations using the Gram identity
-    (A.T A) * (B.T B) = (A kr B).T (A kr B), so only R x R systems appear.
-    For modes 1 and 2, `partial` may carry partial_mttkrp(tensor, factors[2])
-    so that the two updates share one pass over the tensor.
+    Solves factor (gram + RIDGE I) = mttkrp, where `mttkrp` is the factor's
+    MTTKRP and `gram` the Hadamard product of the other two factors' Grams.
     """
-    others = [factors[m] for m in range(3) if m != mode - 1]
-    small, big = others  # ascending mode order; big is the larger mode index
-    gram = (big.T @ big) * (small.T @ small)
     gram = gram + RIDGE * np.eye(gram.shape[0])
-    rhs = mttkrp(tensor, factors, mode, partial)
-    # gram is symmetric: solve gram @ X.T = rhs.T
-    return np.linalg.solve(gram, rhs.T).T
+    # gram is symmetric: solve gram @ X.T = mttkrp.T
+    return np.linalg.solve(gram, mttkrp.T).T
 
 
 def cp_als_fit(tensor: np.ndarray, opts: AlsOptions) -> CpFit:
@@ -127,26 +124,27 @@ def cp_als_fit(tensor: np.ndarray, opts: AlsOptions) -> CpFit:
     if scale == 0.0:
         zeros = CpFactors(tuple(np.zeros((d, r)) for d in t.shape))
         return CpFit(zeros, np.zeros(1), iterations=0, converged=True, degenerate=True)
+    energy = float(np.vdot(t, t))
 
     rng = np.random.default_rng(opts.seed)
-    factors = [rng.standard_normal((d, r)) for d in t.shape]
+    a, b, c = (rng.standard_normal((d, r)) for d in t.shape)
 
     trace = []
     converged = False
     for it in range(opts.max_iters):
-        partial = partial_mttkrp(t, factors[2])  # modes 1 and 2 leave factors[2] fixed
-        for mode in (1, 2, 3):
-            factors[mode - 1] = als_update(t, factors, mode, partial)
-        err = frobenius_norm(t - cp_reconstruct(factors)) / scale
+        y = partial_mttkrp(t, c)  # modes 1 and 2 leave c fixed
+        a = als_update(mttkrp_from_partial(y, b, 1), (c.T @ c) * (b.T @ b))
+        b = als_update(mttkrp_from_partial(y, a, 2), (c.T @ c) * (a.T @ a))
+        g = mode3_mttkrp(t, a, b)
+        c = als_update(g, (b.T @ b) * (a.T @ a))
+        sq = cp_squared_error(energy, g, a, b, c)
+        err = np.sqrt(sq) / scale
+        if sq < DENSE_ERROR_BELOW * energy:
+            err = frobenius_norm(t - cp_reconstruct((a, b, c))) / scale
         trace.append(err)
         if it >= 1 and abs(trace[-2] - err) < opts.rel_tol:
             converged = True
             break
 
-    return CpFit(
-        CpFactors(tuple(factors)),
-        np.asarray(trace),
-        iterations=len(trace),
-        converged=converged,
-        degenerate=False,
-    )
+    return CpFit(CpFactors((a, b, c)), np.asarray(trace), iterations=len(trace),
+                 converged=converged, degenerate=False)

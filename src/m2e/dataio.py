@@ -154,8 +154,8 @@ def save_dataset(path: Path | str, views: list[GraphViewTensor],
     return manifest_path
 
 
-def load_dataset(path: Path | str) -> Dataset:
-    """Load and validate a dataset directory (or its manifest file)."""
+def _read_manifest(path: Path | str):
+    """Check a manifest and read its labels: (root, manifest, subjects, names, labels)."""
     p = Path(path)
     manifest_path = p / "manifest.json" if p.is_dir() else p
     root = manifest_path.parent
@@ -177,15 +177,6 @@ def load_dataset(path: Path | str) -> Dataset:
         pairs = ", ".join(f"{n}={s}" for n, s in declared.items())
         raise DatasetError(f"views disagree on subject count: {pairs}")
 
-    views = []
-    for name, entry in zip(names, entries):
-        nodes = int(entry.get("node_count", 0))
-        if nodes < 1:
-            raise DatasetError(f"view '{name}': node_count must be positive")
-        if "matrix_file" not in entry:
-            raise DatasetError(f"view '{name}': manifest entry lacks a matrix_file")
-        views.append(_read_view_file(root / entry["matrix_file"], name, nodes, subjects))
-
     labels = None
     if manifest.get("labels_file"):
         labels = load_labels(root / manifest["labels_file"])
@@ -193,4 +184,23 @@ def load_dataset(path: Path | str) -> Dataset:
             raise DatasetError(
                 f"labels file holds {labels.size} entries, manifest says {subjects}"
             )
+    return root, manifest, subjects, names, labels
+
+
+def load_dataset_labels(path: Path | str) -> np.ndarray | None:
+    """A dataset's labels (or None), checked as :func:`load_dataset` does; reads no view."""
+    return _read_manifest(path)[-1]
+
+
+def load_dataset(path: Path | str) -> Dataset:
+    """Load and validate a dataset directory (or its manifest file)."""
+    root, manifest, subjects, names, labels = _read_manifest(path)
+    views = []
+    for name, entry in zip(names, manifest["views"]):
+        nodes = int(entry.get("node_count", 0))
+        if nodes < 1:
+            raise DatasetError(f"view '{name}': node_count must be positive")
+        if "matrix_file" not in entry:
+            raise DatasetError(f"view '{name}': manifest entry lacks a matrix_file")
+        views.append(_read_view_file(root / entry["matrix_file"], name, nodes, subjects))
     return Dataset(views, labels, names, manifest.get("metadata", {}))

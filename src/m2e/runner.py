@@ -250,9 +250,8 @@ def run_gridsearch(grid: GridSpec, dataset: Dataset | str | Path, config: RunCon
     return ranked
 
 
-def run_cp(dataset: Dataset | str | Path, view: str | int, rank: int,
-           out_dir: str | Path, max_iters: int = 500, rel_tol: float = 1e-8,
-           seed: int = 0) -> dict:
+def run_cp(dataset: Dataset | str | Path, view: str | int, opts: AlsOptions,
+           out_dir: str | Path) -> dict:
     """Plain CP factorization of a single view; writes factors and the trace."""
     ds = _as_dataset(dataset)
     if isinstance(view, str):
@@ -264,8 +263,7 @@ def run_cp(dataset: Dataset | str | Path, view: str | int, rank: int,
         if not 0 <= idx < len(ds.views):
             raise ValueError(f"view index {idx} out of range")
     tensor = ds.views[idx].data
-    fit = cp_als_fit(tensor, AlsOptions(rank=rank, max_iters=max_iters,
-                                        rel_tol=rel_tol, seed=seed))
+    fit = cp_als_fit(tensor, opts)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for mode, factor in enumerate(fit.factors, start=1):
@@ -274,7 +272,7 @@ def run_cp(dataset: Dataset | str | Path, view: str | int, rank: int,
                 "relative error per iteration")
     doc = {
         "view": ds.view_names[idx],
-        "rank": rank,
+        "rank": opts.rank,
         "iterations": fit.iterations,
         "converged": fit.converged,
         "degenerate": fit.degenerate,

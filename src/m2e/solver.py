@@ -23,7 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensors import GraphViewTensor, mode3_mttkrp, mttkrp_from_partial, partial_mttkrp
+from .tensors import (GraphViewTensor, cp_squared_error, mode3_mttkrp, mttkrp_from_partial,
+                      partial_mttkrp)
 
 # Monitor callbacks receive (event, info-dict); see m2e_fit.
 Monitor = Callable[[str, dict], None]
@@ -215,15 +216,12 @@ def _objective(energies, mttkrps, nodes, auxes, subjects, consensus, pulls) -> f
     """Sum over views of ||X - [[h, p, f]]||^2 + pull ||f - consensus||^2.
 
     `energies[v]` is ||X_v||^2 and `mttkrps[v]` is mode3_mttkrp(X_v, h_v, p_v),
-    so the Gram identity ||X||^2 - 2<G, f> + sum((h^T h) * (p^T p) * (f^T f))
-    gives each squared error without a pass over X or an M x M x N model.
-    Each error is clamped at zero against cancellation noise near exact
-    fits; a zero pull drops the view's consensus term.
+    so cp_squared_error gives each squared error without a pass over X or an
+    M x M x N model. A zero pull drops the view's consensus term.
     """
     total = 0.0
     for energy, g, h, p, f, lam in zip(energies, mttkrps, nodes, auxes, subjects, pulls):
-        gram = (h.T @ h) * (p.T @ p) * (f.T @ f)
-        total += max(energy - 2.0 * float(np.vdot(g, f)) + float(gram.sum()), 0.0)
+        total += cp_squared_error(energy, g, h, p, f)
         if lam:
             diff = f - consensus
             total += float(lam) * float(np.vdot(diff, diff))

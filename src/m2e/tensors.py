@@ -12,9 +12,9 @@ A (I1 x R), B (I2 x R), C (I3 x R) satisfies
 MTTKRP kernel. The matricized-tensor times Khatri-Rao product of mode n
 contracts a tensor with the factor matrices of the other two modes,
 
-    mttkrp(T, (A, B, C), 1) = matricize(T, 1) @ khatri_rao(C, B)
-    mttkrp(T, (A, B, C), 2) = matricize(T, 2) @ khatri_rao(C, A)
-    mttkrp(T, (A, B, C), 3) = matricize(T, 3) @ khatri_rao(B, A)
+    G1 = matricize(T, 1) @ khatri_rao(C, B)
+    G2 = matricize(T, 2) @ khatri_rao(C, A)
+    G3 = matricize(T, 3) @ khatri_rao(B, A)
 
 and is where CP-ALS and every M2E fit spend nearly all their time. The
 kernel reads a C-contiguous (I, J, K) tensor X only through its
@@ -27,9 +27,9 @@ Cichocki, IEEE TSP 2013):
   over i, at O(IJR) (:func:`mttkrp_from_partial`); C must stay fixed
   between the two, as it does in an ALS sweep and in the M2E node and aux
   steps.
-* pass 2, :func:`mode3_mttkrp`: G = (A kr B)^T X_flat, returned as the
-  (K, R) matrix G^T. The model cross term <X, [[A, B, C]]> is then
-  <G^T, C>, which costs O(KR) and no further pass.
+* pass 2, :func:`mode3_mttkrp`: G3 = ((A kr B)^T X_flat)^T, shape (K, R).
+  The model cross term <X, [[A, B, C]]> is then <G3, C>, at O(KR) and no
+  further pass; :func:`cp_squared_error` turns it into the model error.
 
 Cost model: two GEMMs over X per sweep, O(IJKR) flops and one read of X
 each, plus O(IJR) for the rest. Both GEMMs put the R-row operand on the
@@ -119,21 +119,16 @@ def mode3_mttkrp(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (khatri_rao(a, b).T @ _unfold3(x)).T
 
 
-def mttkrp(tensor: np.ndarray, factors: Sequence[np.ndarray], mode: int,
-           partial: np.ndarray | None = None) -> np.ndarray:
-    """MTTKRP of `mode` with the other two of the three factor matrices.
+def cp_squared_error(energy: float, g: np.ndarray, a: np.ndarray, b: np.ndarray,
+                     c: np.ndarray) -> float:
+    """||X - [[a, b, c]]||^2 from ||X||^2 and G3 = mode3_mttkrp(X, a, b).
 
-    factors[mode - 1] is not read. Modes 1 and 2 contract `partial`, the
-    pass-1 product partial_mttkrp(tensor, factors[2]), computing it when it
-    is not given; pass it to share one pass over the tensor between them.
+    Uses the Gram identity ||X||^2 - 2<G3, c> + sum((a^T a) * (b^T b) * (c^T c))
+    (Kolda and Bader, SIAM Review 2009): no pass over X, no dense model. Near
+    an exact fit the terms cancel to rounding noise, so it is clamped at 0.
     """
-    if mode == 3:
-        return mode3_mttkrp(tensor, factors[0], factors[1])
-    if mode not in (1, 2):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    if partial is None:
-        partial = partial_mttkrp(tensor, factors[2])
-    return mttkrp_from_partial(partial, factors[2 - mode], mode)
+    gram = (a.T @ a) * (b.T @ b) * (c.T @ c)
+    return max(energy - 2.0 * float(np.vdot(g, c)) + float(gram.sum()), 0.0)
 
 
 def cp_reconstruct(factors: Sequence[np.ndarray]) -> np.ndarray:

@@ -50,15 +50,43 @@ def test_als_update_satisfies_normal_equations():
     factors = [rng.standard_normal((d, 2)) for d in t.shape]
     ridge = 1e-10
     for mode in (1, 2, 3):
-        new = als_update(t, factors, mode)
         others = [factors[m] for m in range(3) if m != mode - 1]
         kr = khatri_rao(others[1], others[0])
         gram = (others[1].T @ others[1]) * (others[0].T @ others[0])
         lhs = matricize(t, mode) @ kr
+        new = als_update(lhs, gram)
         rhs = new @ (gram + ridge * np.eye(2))
         scale = max(1.0, np.linalg.norm(lhs))
         assert np.linalg.norm(lhs - rhs) / scale < 1e-8
         factors[mode - 1] = new
+
+
+def test_als_sweep_reads_the_tensor_twice_and_builds_no_model(monkeypatch):
+    import m2e.cp as cp
+    rng = np.random.default_rng(16)
+    t, _ = rank_r_tensor(rng, (6, 5, 7), 2)
+    t = t + 0.1 * rng.standard_normal(t.shape)
+    calls = dict.fromkeys(("partial_mttkrp", "mode3_mttkrp", "cp_reconstruct"), 0)
+
+    def counted(name, kernel):
+        def wrapper(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cp, name, counted(name, getattr(cp, name)))
+    cp_als_fit(t, AlsOptions(rank=2, max_iters=1, seed=0))
+    assert calls == {"partial_mttkrp": 1, "mode3_mttkrp": 1, "cp_reconstruct": 0}
+
+
+@pytest.mark.parametrize("noise", (0.0, 1e-4, 0.1))
+def test_last_trace_entry_matches_relative_error(noise):
+    rng = np.random.default_rng(17)
+    t, _ = rank_r_tensor(rng, (6, 7, 5), 2)
+    t = t + noise * rng.standard_normal(t.shape)
+    fit = cp_als_fit(t, AlsOptions(rank=2, seed=3))
+    assert abs(fit.fit_trace[-1] - cp_relative_error(t, fit.factors)) <= 1e-11
 
 
 def test_relative_error_basics():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from m2e.datagen import SyntheticSpec, generate
-from m2e.dataio import (DatasetError, load_dataset, load_matrix, save_dataset,
-                        save_matrix)
+from m2e.dataio import (DatasetError, load_dataset, load_dataset_labels, load_matrix,
+                        save_dataset, save_matrix)
 
 
 def _view_text(data):
@@ -30,6 +30,7 @@ def test_round_trip_exact(small_dataset):
     assert ds.view_names == ["view1", "view2"]
     assert ds.metadata == {"origin": "test"}
     np.testing.assert_array_equal(ds.labels, labels)
+    np.testing.assert_array_equal(load_dataset_labels(path), labels)
     for loaded, original in zip(ds.views, views):
         np.testing.assert_allclose(loaded.data, original.data, atol=1e-12)
 
@@ -40,6 +41,7 @@ def test_round_trip_without_labels(tmp_path):
     save_dataset(tmp_path / "ds", views)
     ds = load_dataset(tmp_path / "ds")
     assert ds.labels is None
+    assert load_dataset_labels(tmp_path / "ds") is None
 
 
 def test_mismatched_subject_counts_name_views(small_dataset):
@@ -47,9 +49,10 @@ def test_mismatched_subject_counts_name_views(small_dataset):
     manifest = json.loads((path / "manifest.json").read_text())
     manifest["views"][1]["subject_count"] = 5
     (path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(DatasetError) as err:
-        load_dataset(path)
-    assert "view1" in str(err.value) and "view2" in str(err.value)
+    for load in (load_dataset, load_dataset_labels):
+        with pytest.raises(DatasetError) as err:
+            load(path)
+        assert "view1" in str(err.value) and "view2" in str(err.value)
 
 
 def test_save_rejects_duplicate_view_names(small_dataset, tmp_path):
@@ -130,8 +133,9 @@ def test_label_out_of_range_or_non_integer_names_file(small_dataset, bad):
     labels = (path / "labels.txt").read_text().split("\n")
     labels[1] = bad
     (path / "labels.txt").write_text("\n".join(labels))
-    with pytest.raises(DatasetError, match="labels.txt"):
-        load_dataset(path)
+    for load in (load_dataset, load_dataset_labels):
+        with pytest.raises(DatasetError, match="labels.txt"):
+            load(path)
 
 
 def test_non_finite_entries_rejected(small_dataset):
@@ -151,8 +155,9 @@ def test_missing_matrix_file(small_dataset):
 
 
 def test_missing_manifest(tmp_path):
-    with pytest.raises(DatasetError, match="manifest"):
-        load_dataset(tmp_path / "nope")
+    for load in (load_dataset, load_dataset_labels):
+        with pytest.raises(DatasetError, match="manifest"):
+            load(tmp_path / "nope")
 
 
 def test_manifest_entry_without_matrix_file(small_dataset):
@@ -175,8 +180,9 @@ def test_manifest_without_views(tmp_path):
 def test_label_count_mismatch(small_dataset):
     path, _, _ = small_dataset
     (path / "labels.txt").write_text("1\n2\n")
-    with pytest.raises(DatasetError, match="labels"):
-        load_dataset(path)
+    for load in (load_dataset, load_dataset_labels):
+        with pytest.raises(DatasetError, match="labels file holds 2 entries"):
+            load(path)
 
 
 def test_save_matrix_round_trip_full_precision(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from m2e.cli import build_parser, main
 from m2e.cluster import kmeans
+from m2e.cp import AlsOptions
 from m2e.dataio import load_dataset, load_matrix, save_dataset
 from m2e.datagen import SyntheticSpec, generate
 from m2e.runner import (METHODS, GridSpec, RunConfig, run_cluster, run_cp,
@@ -214,7 +215,7 @@ def test_run_cp_recovers_noiseless_view(tmp_path):
                                            noise_sigma=0.0, jitter=0.3, seed=3))
     path = tmp_path / "ds"
     save_dataset(path, views, labels)
-    doc = run_cp(path, 0, rank=2, out_dir=tmp_path / "cp", seed=1)
+    doc = run_cp(path, 0, AlsOptions(rank=2, seed=1), tmp_path / "cp")
     assert doc["relative_error"] < 1e-3
     trace = load_matrix(tmp_path / "cp" / "error_trace.txt")
     assert (np.diff(trace[:, 0]) <= 1e-10).all()
@@ -224,12 +225,12 @@ def test_run_cp_recovers_noiseless_view(tmp_path):
 
 def test_run_cp_rejects_zero_rank(dataset_dir, tmp_path):
     with pytest.raises(ValueError):
-        run_cp(dataset_dir, 0, rank=0, out_dir=tmp_path / "cp")
+        run_cp(dataset_dir, 0, AlsOptions(rank=0), tmp_path / "cp")
 
 
 def test_run_cp_rejects_unknown_view(dataset_dir, tmp_path):
     with pytest.raises(ValueError, match="unknown view"):
-        run_cp(dataset_dir, "fmri", rank=2, out_dir=tmp_path / "cp")
+        run_cp(dataset_dir, "fmri", AlsOptions(rank=2), tmp_path / "cp")
 
 
 # --------------------------------------------------------------------------
@@ -295,6 +296,17 @@ def test_cli_evaluate_without_labels_fails_with_document(tmp_path):
     assert code == 1
     error = json.loads((out / "error.json").read_text())
     assert "labels" in error["message"]
+
+
+def test_cli_evaluate_dataset_reads_no_view_file(tmp_path, dataset_dir):
+    (dataset_dir / "view1.txt").write_text("not a matrix\n")
+    emb = tmp_path / "emb.txt"
+    np.savetxt(emb, np.arange(24.0).reshape(12, 2))
+    out = tmp_path / "eval"
+    code = main(["evaluate", "--embedding", str(emb), "--dataset", str(dataset_dir),
+                 "--out", str(out), "--repeats", "1"])
+    assert code == 0
+    assert (out / "metrics.json").exists()
 
 
 def test_cli_evaluate_nan_embedding_fails_with_document(tmp_path):
@@ -370,6 +382,10 @@ def test_cli_gridsearch_and_cp(tmp_path, dataset_dir):
                  "--rank", "2", "--out", str(cp_out), "--seed", "0"])
     assert code == 0
     assert (cp_out / "summary.json").exists()
+    code = main(["cp", "--dataset", str(dataset_dir), "--rank", "2", "--out", str(cp_out),
+                 "--max-iters", "3", "--tol", "1e-300"])
+    assert code == 0
+    assert json.loads((cp_out / "summary.json").read_text())["iterations"] == 3
 
 
 def test_cli_bad_lambda_flag(tmp_path, dataset_dir):

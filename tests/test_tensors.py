@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from m2e.tensors import (GraphViewTensor, _unfold3, check_partial_symmetry, cp_reconstruct,
-                         frobenius_norm, khatri_rao, matricize, mode3_mttkrp,
-                         mttkrp, mttkrp_from_partial, partial_mttkrp, refold,
+                         cp_squared_error, frobenius_norm, khatri_rao, matricize,
+                         mode3_mttkrp, mttkrp_from_partial, partial_mttkrp, refold,
                          symmetrize_slices)
 
 
@@ -129,21 +129,48 @@ def test_mttkrp_matches_matricized_oracle(mode, rank):
     factors = [rng.standard_normal((d, rank)) for d in t.shape]
     expected = mttkrp_oracle(t, factors, mode)
     scale = np.abs(expected).max()
-    got = mttkrp(t, factors, mode)
+    if mode == 3:
+        got = mode3_mttkrp(t, factors[0], factors[1])
+    else:  # from a pass-1 product shared by modes 1 and 2
+        got = mttkrp_from_partial(partial_mttkrp(t, factors[2]), factors[2 - mode], mode)
     assert got.shape == (t.shape[mode - 1], rank)
     assert np.abs(got - expected).max() <= 1e-12 * scale
-    if mode < 3:  # from a pass-1 product shared by modes 1 and 2
-        got = mttkrp(t, factors, mode, partial_mttkrp(t, factors[2]))
-        assert np.abs(got - expected).max() <= 1e-12 * scale
 
 
 def test_mttkrp_rejects_bad_mode():
     t = np.zeros((2, 2, 2))
     factors = [np.zeros((2, 1))] * 3
-    with pytest.raises(ValueError):
-        mttkrp(t, factors, 0)
-    with pytest.raises(ValueError):
-        mttkrp_from_partial(partial_mttkrp(t, factors[2]), factors[0], 3)
+    for mode in (0, 3):
+        with pytest.raises(ValueError):
+            mttkrp_from_partial(partial_mttkrp(t, factors[2]), factors[0], mode)
+
+
+@pytest.mark.parametrize("noise", (0.1, 1.0))
+def test_cp_squared_error_matches_dense_residual(noise):
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        a, b, c = (rng.standard_normal((d, 3)) for d in (6, 5, 7))
+        x = cp_reconstruct((a, b, c)) + noise * rng.standard_normal((6, 5, 7))
+        a, b, c = (f + noise * rng.standard_normal(f.shape) for f in (a, b, c))
+        dense = float(np.sum((x - cp_reconstruct((a, b, c))) ** 2))
+        got = cp_squared_error(float(np.vdot(x, x)), mode3_mttkrp(x, a, b), a, b, c)
+        assert got == pytest.approx(dense, rel=1e-10)
+
+
+def test_cp_squared_error_is_clamped_at_an_exact_fit():
+    rng = np.random.default_rng(20)
+    clamped = 0
+    for _ in range(20):
+        a, b, c = (rng.standard_normal((d, 3)) for d in (6, 5, 7))
+        x = cp_reconstruct((a, b, c))
+        energy, g = float(np.vdot(x, x)), mode3_mttkrp(x, a, b)
+        raw = energy - 2.0 * np.vdot(g, c) + ((a.T @ a) * (b.T @ b) * (c.T @ c)).sum()
+        got = cp_squared_error(energy, g, a, b, c)
+        assert 0.0 <= got <= 1e-12 * energy
+        if raw < 0:
+            assert got == 0.0
+            clamped += 1
+    assert clamped  # rounding drove the identity below zero at least once
 
 
 def test_mttkrp_kernel_does_not_copy_the_tensor():
