@@ -3,8 +3,9 @@
 Stacks each view's symmetric affinity matrices into a partially symmetric
 tensor, factors all views jointly with a consensus-regularized rank-R
 model, and clusters the shared subject embedding. Block-level solver
-helpers (proximal steps, block systems, the spectral start) are importable
-from :mod:`m2e.solver`.
+helpers (block systems, the spectral start) are importable from
+:mod:`m2e.solver`; the ridge least-squares solve that every block update and
+CP-ALS share is :func:`m2e.tensors.ridge_solve`.
 """
 
 from .cluster import (BinaryMetrics, ClusteringReport, KmeansResult, LabelMatch,

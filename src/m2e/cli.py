@@ -200,8 +200,7 @@ def _cmd_gridsearch(args) -> None:
 
 def _cmd_cp(args) -> None:
     view = int(args.view) if args.view.isdigit() else args.view
-    run_cp(load_dataset(args.dataset), view, AlsOptions(**_flags(args, AlsOptions)),
-           args.out)
+    run_cp(args.dataset, view, AlsOptions(**_flags(args, AlsOptions)), args.out)
 
 
 _COMMANDS = {

@@ -1,7 +1,8 @@
 """Rank-R CP factorization of a third-order tensor by alternating least squares.
 
-Sweeps run on the M2E solver's core: the two-pass MTTKRP kernel, ridge R x R
-solves and the objective's Gram error routine (:func:`cp_squared_error`).
+Sweeps run on the M2E solver's core: the two-pass MTTKRP kernel, the ridge
+R x R solve (:func:`ridge_solve`) and the objective's Gram error routine
+(:func:`cp_squared_error`).
 """
 from __future__ import annotations
 
@@ -10,10 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensors import (cp_reconstruct, cp_squared_error, frobenius_norm, mode3_mttkrp,
-                      mttkrp_from_partial, partial_mttkrp)
+                      mttkrp_from_partial, partial_mttkrp, ridge_solve)
 
-# added to the R x R Gram before each least-squares solve
-RIDGE = 1e-10
 # Below this share of ||X||^2 (relative error < 1e-3) the Gram error has lost
 # half its digits, so a sweep measures its error against the dense model.
 DENSE_ERROR_BELOW = 1e-6
@@ -84,17 +83,6 @@ def cp_relative_error(tensor: np.ndarray, factors: CpFactors) -> float:
     return resid / scale if scale > 0 else resid
 
 
-def als_update(mttkrp: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Exact least-squares update of one factor with the other two fixed.
-
-    Solves factor (gram + RIDGE I) = mttkrp, where `mttkrp` is the factor's
-    MTTKRP and `gram` the Hadamard product of the other two factors' Grams.
-    """
-    gram = gram + RIDGE * np.eye(gram.shape[0])
-    # gram is symmetric: solve gram @ X.T = mttkrp.T
-    return np.linalg.solve(gram, mttkrp.T).T
-
-
 def cp_als_fit(tensor: np.ndarray, opts: AlsOptions) -> CpFit:
     """Fit a rank-R CP model by alternating least squares.
 
@@ -133,10 +121,10 @@ def cp_als_fit(tensor: np.ndarray, opts: AlsOptions) -> CpFit:
     converged = False
     for it in range(opts.max_iters):
         y = partial_mttkrp(t, c)  # modes 1 and 2 leave c fixed
-        a = als_update(mttkrp_from_partial(y, b, 1), (c.T @ c) * (b.T @ b))
-        b = als_update(mttkrp_from_partial(y, a, 2), (c.T @ c) * (a.T @ a))
+        a = ridge_solve((c.T @ c) * (b.T @ b), mttkrp_from_partial(y, b, 1))
+        b = ridge_solve((c.T @ c) * (a.T @ a), mttkrp_from_partial(y, a, 2))
         g = mode3_mttkrp(t, a, b)
-        c = als_update(g, (b.T @ b) * (a.T @ a))
+        c = ridge_solve((b.T @ b) * (a.T @ a), g)
         sq = cp_squared_error(energy, g, a, b, c)
         err = np.sqrt(sq) / scale
         if sq < DENSE_ERROR_BELOW * energy:

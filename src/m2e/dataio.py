@@ -192,15 +192,37 @@ def load_dataset_labels(path: Path | str) -> np.ndarray | None:
     return _read_manifest(path)[-1]
 
 
+def _read_view(root: Path, entry: dict, name: str, subjects: int) -> GraphViewTensor:
+    nodes = int(entry.get("node_count", 0))
+    if nodes < 1:
+        raise DatasetError(f"view '{name}': node_count must be positive")
+    if "matrix_file" not in entry:
+        raise DatasetError(f"view '{name}': manifest entry lacks a matrix_file")
+    return _read_view_file(root / entry["matrix_file"], name, nodes, subjects)
+
+
+def view_index(names: list[str], view: str | int) -> int:
+    """Position of `view`, a view name or a 0-based index, among `names`."""
+    if isinstance(view, str):
+        if view not in names:
+            raise ValueError(f"unknown view {view!r}; have {names}")
+        return names.index(view)
+    idx = int(view)
+    if not 0 <= idx < len(names):
+        raise ValueError(f"view index {idx} out of range")
+    return idx
+
+
 def load_dataset(path: Path | str) -> Dataset:
     """Load and validate a dataset directory (or its manifest file)."""
     root, manifest, subjects, names, labels = _read_manifest(path)
-    views = []
-    for name, entry in zip(names, manifest["views"]):
-        nodes = int(entry.get("node_count", 0))
-        if nodes < 1:
-            raise DatasetError(f"view '{name}': node_count must be positive")
-        if "matrix_file" not in entry:
-            raise DatasetError(f"view '{name}': manifest entry lacks a matrix_file")
-        views.append(_read_view_file(root / entry["matrix_file"], name, nodes, subjects))
+    views = [_read_view(root, entry, name, subjects)
+             for name, entry in zip(names, manifest["views"])]
     return Dataset(views, labels, names, manifest.get("metadata", {}))
+
+
+def load_dataset_view(path: Path | str, view: str | int) -> tuple[str, GraphViewTensor]:
+    """One view's (name, tensor), checked as :func:`load_dataset` does; reads no other view."""
+    root, manifest, subjects, names, _ = _read_manifest(path)
+    idx = view_index(names, view)
+    return names[idx], _read_view(root, manifest["views"][idx], names[idx], subjects)

@@ -18,7 +18,8 @@ import numpy as np
 
 from .cluster import cluster_and_score, kmeans
 from .cp import AlsOptions, cp_als_fit, cp_relative_error
-from .dataio import Dataset, load_dataset, save_labels, save_matrix
+from .dataio import (Dataset, load_dataset, load_dataset_view, save_labels, save_matrix,
+                     view_index)
 from .solver import M2eConfig, M2eSolution, m2e_ds_fit, m2e_fit, m2e_ts_fit
 
 # method name -> fitter, named so that `_fit` finds the fitter bound in this
@@ -252,17 +253,16 @@ def run_gridsearch(grid: GridSpec, dataset: Dataset | str | Path, config: RunCon
 
 def run_cp(dataset: Dataset | str | Path, view: str | int, opts: AlsOptions,
            out_dir: str | Path) -> dict:
-    """Plain CP factorization of a single view; writes factors and the trace."""
-    ds = _as_dataset(dataset)
-    if isinstance(view, str):
-        if view not in ds.view_names:
-            raise ValueError(f"unknown view {view!r}; have {ds.view_names}")
-        idx = ds.view_names.index(view)
+    """CP factorization of one view (a name or 0-based index); writes factors and trace.
+
+    Given a path, only that view's file is read.
+    """
+    if isinstance(dataset, Dataset):
+        idx = view_index(dataset.view_names, view)
+        name, graph = dataset.view_names[idx], dataset.views[idx]
     else:
-        idx = int(view)
-        if not 0 <= idx < len(ds.views):
-            raise ValueError(f"view index {idx} out of range")
-    tensor = ds.views[idx].data
+        name, graph = load_dataset_view(dataset, view)
+    tensor = graph.data
     fit = cp_als_fit(tensor, opts)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -271,7 +271,7 @@ def run_cp(dataset: Dataset | str | Path, view: str | int, opts: AlsOptions,
     save_matrix(out / "error_trace.txt", fit.fit_trace.reshape(-1, 1),
                 "relative error per iteration")
     doc = {
-        "view": ds.view_names[idx],
+        "view": name,
         "rank": opts.rank,
         "iterations": fit.iterations,
         "converged": fit.converged,

@@ -4,15 +4,15 @@ Each view is an (M_v, M_v, N) stack of symmetric affinity matrices. The
 solver factors every view as a partially symmetric rank-R model whose
 first two factors are constrained equal through an auxiliary copy and
 Lagrange multipliers (an ADMM splitting), while the per-view subject
-factors are softly pulled toward a shared consensus embedding. Blocks are
-updated by proximal gradient steps whose step size comes from the exact
-Lipschitz constant of each quadratic subproblem.
+factors are softly pulled toward a shared consensus embedding. Every block
+update is the exact minimiser of its quadratic subproblem, found by the same
+ridge R x R solve that CP-ALS sweeps with (:func:`m2e.tensors.ridge_solve`).
 
 The joint model (:func:`m2e_fit`) and its two ablations run one outer loop
 and differ only in how the subject factors move: "joint" pulls each view's
 factor toward the consensus and re-averages the consensus every iteration;
-"shared" (:func:`m2e_ds_fit`) steps one subject factor on all views at
-once; "independent" (:func:`m2e_ts_fit`) fits each view on its own and
+"shared" (:func:`m2e_ds_fit`) solves for one subject factor on all views
+at once; "independent" (:func:`m2e_ts_fit`) fits each view on its own and
 averages once at the end. One Gram-based routine evaluates the objective
 for the per-iteration trace, the final objective and :func:`objective_value`.
 """
@@ -24,14 +24,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .tensors import (GraphViewTensor, cp_squared_error, mode3_mttkrp, mttkrp_from_partial,
-                      partial_mttkrp)
+                      partial_mttkrp, ridge_solve)
 
 # Monitor callbacks receive (event, info-dict); see m2e_fit.
 Monitor = Callable[[str, dict], None]
 
 
 class SolverNumericsError(RuntimeError):
-    """Non-finite values or vanishing curvature encountered mid-run."""
+    """Non-finite values encountered mid-run, at the iteration and block named."""
 
     def __init__(self, message: str, iteration: int | None = None):
         super().__init__(message)
@@ -111,41 +111,18 @@ class M2eSolution:
 # ---------------------------------------------------------------------------
 # block subproblems
 #
-# Every block update minimizes a quadratic  tr(M A M^T) - tr(B^T M)  in its
-# matrix M; the gradient is 2 M A - B and its Lipschitz constant is the top
-# eigenvalue of 2 A. The systems take the view's MTTKRPs from the two-pass
-# kernel in m2e.tensors, so each outer iteration reads a view twice: pass 1,
-# partial_mttkrp(X, F), serves the node and aux systems, since F is fixed
-# during both; pass 2, mode3_mttkrp(X, H, P), serves the subject system and
-# the objective's cross term.
-
-
-def lipschitz_constant(a: np.ndarray) -> float:
-    """Largest eigenvalue of 2 A for a symmetric matrix A.
-
-    A must be symmetric to 1e-8 relative to its largest entry.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got {a.shape}")
-    if a.size:
-        scale = max(1.0, float(np.abs(a).max()))
-        if float(np.abs(a - a.T).max()) > 1e-8 * scale:
-            raise ValueError("matrix is not symmetric within 1e-8")
-    return float(np.linalg.eigvalsh(a + a.T)[-1])
-
-
-def proximal_step(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One gradient step m <- m - (2 m a - b) / L with L = lam_max(2a)."""
-    lip = lipschitz_constant(a)
-    if lip <= 0:
-        raise SolverNumericsError("subproblem has no curvature (L <= 0)")
-    return m - (2.0 * (m @ a) - b) / lip
+# Every block update minimizes a quadratic  tr(M A M^T) - 2 tr(B^T M)  in its
+# matrix M; the gradient is 2 M A - 2 B, so the minimiser solves the normal
+# equations M A = B and is ridge_solve(A, B). The systems take the view's
+# MTTKRPs from the two-pass kernel in m2e.tensors, so each outer iteration
+# reads a view twice: pass 1, partial_mttkrp(X, F), serves the node and aux
+# systems, since F is fixed during both; pass 2, mode3_mttkrp(X, H, P), serves
+# the subject system and the objective's cross term.
 
 
 def quadratic_objective(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Value tr(M A M^T) - tr(B^T M) of a block subproblem (constants dropped)."""
-    return float(np.einsum("ij,jk,ik->", m, a, m) - np.einsum("ij,ij->", b, m))
+    """Value tr(M A M^T) - 2 tr(B^T M) of a block subproblem (constants dropped)."""
+    return float(np.einsum("ij,jk,ik->", m, a, m) - 2.0 * np.einsum("ij,ij->", b, m))
 
 
 def node_system(y: np.ndarray, p: np.ndarray, f: np.ndarray, u: np.ndarray, mu: float):
@@ -155,7 +132,7 @@ def node_system(y: np.ndarray, p: np.ndarray, f: np.ndarray, u: np.ndarray, mu: 
     """
     r = p.shape[1]
     a = (f.T @ f) * (p.T @ p) + 0.5 * mu * np.eye(r)
-    b = 2.0 * mttkrp_from_partial(y, p, 1) + mu * p - u
+    b = mttkrp_from_partial(y, p, 1) + 0.5 * (mu * p - u)
     return a, b
 
 
@@ -166,7 +143,7 @@ def aux_system(y: np.ndarray, h: np.ndarray, f: np.ndarray, u: np.ndarray, mu: f
     """
     r = h.shape[1]
     a = (f.T @ f) * (h.T @ h) + 0.5 * mu * np.eye(r)
-    b = 2.0 * mttkrp_from_partial(y, h, 2) + mu * h + u
+    b = mttkrp_from_partial(y, h, 2) + 0.5 * (mu * h + u)
     return a, b
 
 
@@ -178,12 +155,12 @@ def subject_system(g: np.ndarray, h: np.ndarray, p: np.ndarray,
     """
     r = h.shape[1]
     a = (p.T @ p) * (h.T @ h)
-    b = 2.0 * g
+    b = g
     if lam > 0:
         if consensus is None:
             raise ValueError("a consensus matrix is required when lam > 0")
         a = a + lam * np.eye(r)
-        b = b + 2.0 * lam * consensus
+        b = b + lam * consensus
     return a, b
 
 
@@ -296,10 +273,7 @@ def spectral_start(x: np.ndarray, rank: int, rng: np.random.Generator):
     if h.shape[1] < rank:
         extra = rng.standard_normal((m, rank - h.shape[1]))
         h = np.hstack([h, extra * col_scale / np.sqrt(m)])
-    a = (h.T @ h) * (h.T @ h) + 1e-8 * np.eye(rank)
-    b = mode3_mttkrp(x, h, h)
-    f = np.linalg.solve(a, b.T).T
-    return h, f
+    return h, ridge_solve((h.T @ h) * (h.T @ h), mode3_mttkrp(x, h, h))
 
 
 def _init_state(views: Sequence[np.ndarray], config: M2eConfig,
@@ -347,26 +321,23 @@ def _resolve_lambdas(lambdas: Sequence[float] | None, n_views: int) -> tuple[flo
 
 
 def _ensure_finite(state: M2eState, objective: float, iteration: int):
-    blocks = state.node + state.node_aux + state.dual + state.subject + [state.consensus]
-    if not np.isfinite(objective) or any(not np.isfinite(b).all() for b in blocks):
-        raise SolverNumericsError(
-            f"non-finite values at outer iteration {iteration}", iteration
-        )
+    """Raise naming the first non-finite block, in update order, or the objective."""
+    blocks = [(f"view {v} {name}", m) for v, ms in
+              enumerate(zip(state.node, state.node_aux, state.dual, state.subject))
+              for name, m in zip(("node", "aux", "dual", "subject"), ms)]
+    for where, m in blocks + [("consensus", state.consensus), ("objective", objective)]:
+        if not np.isfinite(m).all():
+            raise SolverNumericsError(
+                f"non-finite values at outer iteration {iteration}, {where}", iteration)
 
 
-def _monitored_step(monitor, iteration, view, block, m, a, b):
-    before = None if monitor is None else quadratic_objective(m, a, b)
-    try:
-        out = proximal_step(m, a, b)
-    except SolverNumericsError as exc:
-        where = "shared" if view < 0 else f"view {view}"
-        raise SolverNumericsError(
-            f"outer iteration {iteration}, {where} {block} step: {exc}", iteration
-        ) from exc
+def _block_solve(monitor, view, block, m, a, b):
+    """The block's exact minimiser ridge_solve(a, b); `m` is its current value."""
+    out = ridge_solve(a, b)
     if monitor is not None:
         monitor("block_step", {
             "view": view, "block": block,
-            "before": before, "after": quadratic_objective(out, a, b),
+            "before": quadratic_objective(m, a, b), "after": quadratic_objective(out, a, b),
         })
     return out
 
@@ -377,8 +348,8 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
 
     `subjects` is "joint", "shared" or "independent" (see the module
     docstring). Each iteration visits the views in order: pass 1 over X_v
-    feeds the node, aux and dual updates; pass 2 feeds view v's subject step
-    (except under "shared", which steps once after the views on the summed
+    feeds the node, aux and dual updates; pass 2 feeds view v's subject solve
+    (except under "shared", which solves once after the views on the summed
     systems) and the traced objective. The loop stops when the coupling
     residual and the relative objective change are both below tolerance.
     """
@@ -398,24 +369,23 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
         mttkrps = []
         for v, x in enumerate(xs):
             y = partial_mttkrp(x, st.subject[v])
-            st.node[v] = _monitored_step(
-                monitor, it, v, "node", st.node[v],
+            st.node[v] = _block_solve(
+                monitor, v, "node", st.node[v],
                 *node_system(y, st.node_aux[v], st.subject[v], st.dual[v], mus[v]))
-            st.node_aux[v] = _monitored_step(
-                monitor, it, v, "aux", st.node_aux[v],
+            st.node_aux[v] = _block_solve(
+                monitor, v, "aux", st.node_aux[v],
                 *aux_system(y, st.node[v], st.subject[v], st.dual[v], mus[v]))
             st.dual[v] = update_dual(st.dual[v], st.node[v], st.node_aux[v], mus[v])
             mttkrps.append(mode3_mttkrp(x, st.node[v], st.node_aux[v]))
             if subjects != "shared":
-                st.subject[v] = _monitored_step(
-                    monitor, it, v, "subject", st.subject[v],
+                st.subject[v] = _block_solve(
+                    monitor, v, "subject", st.subject[v],
                     *subject_system(mttkrps[v], st.node[v], st.node_aux[v],
                                     st.consensus, pulls[v]))
         if subjects == "shared":
             a, b = map(sum, zip(*(subject_system(g, h, p, None, 0.0) for g, h, p
                                   in zip(mttkrps, st.node, st.node_aux))))
-            st.consensus = _monitored_step(monitor, it, -1, "subject", st.consensus,
-                                           a, b)
+            st.consensus = _block_solve(monitor, -1, "subject", st.consensus, a, b)
             st.subject = [st.consensus] * len(xs)
         elif subjects == "joint":
             st.consensus = update_consensus(st.subject, lambdas)
@@ -480,8 +450,8 @@ def m2e_fit(views: Sequence, config: M2eConfig, monitor: Monitor | None = None) 
 def m2e_ds_fit(views: Sequence, config: M2eConfig, monitor: Monitor | None = None) -> M2eSolution:
     """Variant with a single subject factor shared by every view.
 
-    The shared factor takes proximal steps on the summed gradient of all
-    views' reconstruction terms; there is no consensus penalty. The
+    The shared factor is solved exactly against the summed normal equations
+    of all views' reconstruction terms; there is no consensus penalty. The
     returned solution reports the shared factor as both the consensus and
     each view's subject factor.
     """

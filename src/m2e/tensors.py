@@ -47,6 +47,8 @@ import numpy as np
 
 # Frontal slices of a stacked graph view must be symmetric to this tolerance.
 SYMMETRY_TOL = 1e-8
+# added to the R x R Gram before each least-squares solve
+RIDGE = 1e-10
 
 
 def matricize(tensor: np.ndarray, mode: int) -> np.ndarray:
@@ -129,6 +131,17 @@ def cp_squared_error(energy: float, g: np.ndarray, a: np.ndarray, b: np.ndarray,
     """
     gram = (a.T @ a) * (b.T @ b) * (c.T @ c)
     return max(energy - 2.0 * float(np.vdot(g, c)) + float(gram.sum()), 0.0)
+
+
+def ridge_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """rhs (gram + RIDGE I)^-1: M solving the normal equations M gram = rhs.
+
+    The least-squares update of one factor with the others fixed (Kolda and
+    Bader, SIAM Review 2009, section 3.4), shared by CP-ALS and every M2E block.
+    """
+    gram = gram + RIDGE * np.eye(gram.shape[0])
+    # gram is symmetric: solve gram @ M.T = rhs.T
+    return np.linalg.solve(gram, rhs.T).T
 
 
 def cp_reconstruct(factors: Sequence[np.ndarray]) -> np.ndarray:

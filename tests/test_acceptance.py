@@ -148,7 +148,7 @@ def test_06_block_step_descent():
     cfg = M2eConfig(rank=4, lambdas=(1.0, 1.0), seed=6, max_outer_iters=100,
                     obj_rel_tol=1e-300, residual_tol=1e-300)  # run all 100
     m2e_fit(views, cfg, monitor=monitor)
-    report(6, "every proximal block step descends its quadratic",
+    report(6, "every exact block solve descends its quadratic",
            count >= 100 * 2 * 3 and worst <= 1e-9,
            f"steps={count}, worst increase={worst:.2e}")
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from m2e.cp import AlsOptions, CpFactors, als_update, cp_als_fit, cp_relative_error
-from m2e.tensors import cp_reconstruct, khatri_rao, matricize
+from m2e.cp import AlsOptions, CpFactors, cp_als_fit, cp_relative_error
+from m2e.tensors import cp_reconstruct, khatri_rao, matricize, ridge_solve
 
 
 def rank_r_tensor(rng, dims, rank, scale=1.0):
@@ -54,7 +54,7 @@ def test_als_update_satisfies_normal_equations():
         kr = khatri_rao(others[1], others[0])
         gram = (others[1].T @ others[1]) * (others[0].T @ others[0])
         lhs = matricize(t, mode) @ kr
-        new = als_update(lhs, gram)
+        new = ridge_solve(gram, lhs)
         rhs = new @ (gram + ridge * np.eye(2))
         scale = max(1.0, np.linalg.norm(lhs))
         assert np.linalg.norm(lhs - rhs) / scale < 1e-8

@@ -309,6 +309,17 @@ def test_cli_evaluate_dataset_reads_no_view_file(tmp_path, dataset_dir):
     assert (out / "metrics.json").exists()
 
 
+def test_cli_cp_reads_only_the_requested_view(tmp_path, dataset_dir):
+    (dataset_dir / "view2.txt").write_text("not a matrix\n")
+    out = tmp_path / "cp"
+    argv = ["cp", "--dataset", str(dataset_dir), "--rank", "2", "--max-iters", "3",
+            "--out", str(out)]
+    assert main(argv + ["--view", "view1"]) == 0
+    assert json.loads((out / "summary.json").read_text())["view"] == "view1"
+    assert main(argv + ["--view", "view2"]) == 1
+    assert "view 'view2'" in json.loads((out / "error.json").read_text())["message"]
+
+
 def test_cli_evaluate_nan_embedding_fails_with_document(tmp_path):
     emb = np.ones((6, 2))
     emb[4, 0] = np.nan

@@ -3,12 +3,13 @@ import pytest
 
 from m2e.cluster import cluster_and_score
 from m2e.datagen import SyntheticSpec, generate
+from m2e.cp import AlsOptions, cp_als_fit
 from m2e.solver import (M2eConfig, M2eState, SolverNumericsError, _ensure_finite,
-                        _objective, aux_system, lipschitz_constant, m2e_ds_fit,
-                        m2e_fit, m2e_ts_fit, node_system, objective_value,
-                        proximal_step, quadratic_objective, subject_system,
-                        update_consensus, update_dual)
-from m2e.tensors import GraphViewTensor, matricize, mode3_mttkrp, partial_mttkrp
+                        _objective, aux_system, m2e_ds_fit, m2e_fit, m2e_ts_fit,
+                        node_system, objective_value, quadratic_objective,
+                        subject_system, update_consensus, update_dual)
+from m2e.tensors import (RIDGE, GraphViewTensor, matricize, mode3_mttkrp, partial_mttkrp,
+                         ridge_solve)
 
 
 def shared_factor_views(seed, n_views=2, nodes=20, subjects=30, rank=3):
@@ -35,37 +36,7 @@ def random_state(rng, n_views=2, nodes=5, subjects=6, rank=2):
 
 
 # --------------------------------------------------------------------------
-# lipschitz constant
-
-
-def test_lipschitz_identity():
-    assert lipschitz_constant(np.eye(3)) == pytest.approx(2.0)
-
-
-def test_lipschitz_diagonal():
-    assert lipschitz_constant(np.diag([1.0, 5.0])) == pytest.approx(10.0)
-
-
-def test_lipschitz_matches_quadratic_formula_oracle():
-    rng = np.random.default_rng(20)
-    for _ in range(20):
-        g = rng.standard_normal((2, 2))
-        a = g.T @ g + np.eye(2)
-        # closed form for the top eigenvalue of a symmetric 2x2 matrix
-        (p, q), (_, s) = a
-        top = (p + s) / 2 + np.sqrt(((p - s) / 2) ** 2 + q**2)
-        got = lipschitz_constant(a)
-        assert got >= 2.0
-        assert got == pytest.approx(2.0 * top, rel=1e-6)
-
-
-def test_lipschitz_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        lipschitz_constant(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-# --------------------------------------------------------------------------
-# block systems and steps
+# block systems and solves
 
 
 def test_node_step_pinned_scalar_case():
@@ -76,9 +47,8 @@ def test_node_step_pinned_scalar_case():
     u = np.zeros((1, 1))
     a, b = node_system(partial_mttkrp(x, f), p, f, u, mu=2.0)
     assert a[0, 0] == pytest.approx(2.0)
-    assert b[0, 0] == pytest.approx(6.0)
-    assert lipschitz_constant(a) == pytest.approx(4.0)
-    h = proximal_step(np.zeros((1, 1)), a, b)
+    assert b[0, 0] == pytest.approx(3.0)
+    h = ridge_solve(a, b)
     assert h[0, 0] == pytest.approx(1.5)
 
 
@@ -89,8 +59,8 @@ def test_subject_step_pinned_scalar_case():
     consensus = np.ones((1, 1))
     a, b = subject_system(mode3_mttkrp(x, h, p), h, p, consensus, lam=1.0)
     assert a[0, 0] == pytest.approx(2.0)
-    assert b[0, 0] == pytest.approx(6.0)
-    f = proximal_step(np.zeros((1, 1)), a, b)
+    assert b[0, 0] == pytest.approx(3.0)
+    f = ridge_solve(a, b)
     assert f[0, 0] == pytest.approx(1.5)
 
 
@@ -99,8 +69,8 @@ def test_stationary_point_is_fixed():
     g = rng.standard_normal((3, 3))
     a = g.T @ g + np.eye(3)
     m = rng.standard_normal((4, 3))
-    b = 2.0 * m @ a  # gradient 2 m a - b vanishes
-    np.testing.assert_allclose(proximal_step(m, a, b), m, atol=1e-12)
+    b = m @ (a + RIDGE * np.eye(3))  # normal equations of the ridged block hold
+    np.testing.assert_allclose(ridge_solve(a, b), m, atol=1e-12)
 
 
 def test_proximal_step_descends_quadratic():
@@ -111,8 +81,90 @@ def test_proximal_step_descends_quadratic():
         b = rng.standard_normal((5, 3))
         m = rng.standard_normal((5, 3))
         before = quadratic_objective(m, a, b)
-        after = quadratic_objective(proximal_step(m, a, b), a, b)
+        after = quadratic_objective(ridge_solve(a, b), a, b)
         assert after <= before + 1e-9
+
+
+def test_block_solves_return_exact_minimisers():
+    # each block's gradient 2 M A - 2 B vanishes at ridge_solve(A, B); the
+    # gradients are taken from the definitional model, not from the systems
+    rng = np.random.default_rng(40)
+    w = rng.standard_normal((6, 6, 7))
+    x = (w + w.transpose(1, 0, 2)) / 2
+    h, p, u = (rng.standard_normal((6, 3)) for _ in range(3))
+    f, consensus = rng.standard_normal((7, 3)), rng.standard_normal((7, 3))
+    mu, lam = 3.0, 1.5
+
+    def resid(h, p, f):
+        return x - np.einsum("ir,jr,kr->ijk", h, p, f)
+
+    def relative(grad, b):
+        return np.linalg.norm(grad) / np.linalg.norm(2.0 * b)
+
+    y = partial_mttkrp(x, f)
+    a, b = node_system(y, p, f, u, mu)
+    h_new = ridge_solve(a, b)
+    grad = (-2.0 * np.einsum("ijk,jr,kr->ir", resid(h_new, p, f), p, f)
+            + u + mu * (h_new - p))
+    assert relative(grad, b) < 1e-10
+
+    a, b = aux_system(y, h, f, u, mu)
+    p_new = ridge_solve(a, b)
+    grad = (-2.0 * np.einsum("ijk,ir,kr->jr", resid(h, p_new, f), h, f)
+            - u - mu * (h - p_new))
+    assert relative(grad, b) < 1e-10
+
+    a, b = subject_system(mode3_mttkrp(x, h, p), h, p, consensus, lam)
+    f_new = ridge_solve(a, b)
+    grad = (-2.0 * np.einsum("ijk,ir,jr->kr", resid(h, p, f_new), h, p)
+            + 2.0 * lam * (f_new - consensus))
+    assert relative(grad, b) < 1e-10
+
+    # the shared subject factor solves all views' summed systems; nothing
+    # moves after it within an iteration, so the state at the iteration
+    # event is its block's minimiser
+    views, _ = shared_factor_views(41, nodes=6, subjects=7)
+    views = [v + 0.1 * noise for v, noise in zip(views, (x, x[::-1, ::-1]))]
+    seen = []
+
+    def monitor(event, info):
+        if event == "iteration":
+            st = info["state"]
+            grad = sum(-2.0 * np.einsum("ijk,ir,jr->kr",
+                                        v - np.einsum("ir,jr,kr->ijk", hv, pv, st.consensus),
+                                        hv, pv)
+                       for v, hv, pv in zip(views, st.node, st.node_aux))
+            b = sum(mode3_mttkrp(v, hv, pv) for v, hv, pv in zip(views, st.node, st.node_aux))
+            seen.append(relative(grad, b))
+
+    m2e_ds_fit(views, M2eConfig(rank=3, seed=41, max_outer_iters=5), monitor=monitor)
+    assert len(seen) == 5 and max(seen) < 1e-10
+
+
+def test_cp_and_every_fitter_solve_through_ridge_solve(monkeypatch):
+    import m2e.cp as cp
+    import m2e.solver as solver
+    calls = {"cp": 0, "solver": 0}
+
+    def counted(module):
+        def wrapper(gram, rhs):
+            calls[module] += 1
+            return ridge_solve(gram, rhs)
+        return wrapper
+
+    monkeypatch.setattr(cp, "ridge_solve", counted("cp"))
+    monkeypatch.setattr(solver, "ridge_solve", counted("solver"))
+    rng = np.random.default_rng(42)
+    cp_als_fit(rng.standard_normal((4, 5, 6)), AlsOptions(rank=2, max_iters=4, rel_tol=1e-300))
+    assert calls == {"cp": 3 * 4, "solver": 0}
+    views, _ = shared_factor_views(42, nodes=6, subjects=7)
+    cfg = M2eConfig(rank=2, seed=42, max_outer_iters=3)
+    # one spectral start per view, then node, aux and subject per view per
+    # iteration; the shared subject is one solve per iteration
+    for fitter, per_iteration in ((m2e_fit, 6), (m2e_ts_fit, 6), (m2e_ds_fit, 5)):
+        calls["solver"] = 0
+        fitter(views, cfg)
+        assert calls == {"cp": 12, "solver": 2 + 3 * per_iteration}, fitter.__name__
 
 
 def test_aux_system_mirrors_node_system_on_symmetric_input():
@@ -129,7 +181,7 @@ def test_aux_system_mirrors_node_system_on_symmetric_input():
     a_node, b_node = node_system(y, h, f, u, mu)
     a_aux, b_aux = aux_system(y, h, f, u, mu)
     np.testing.assert_allclose(a_node, a_aux, atol=1e-12)
-    np.testing.assert_allclose(b_node + u, b_aux - u, atol=1e-12)
+    np.testing.assert_allclose(b_node + u / 2, b_aux - u / 2, atol=1e-12)
 
 
 def test_update_dual():
@@ -152,7 +204,7 @@ def test_subject_update_keeps_exact_consensus_stationary():
     x = np.einsum("ir,jr,kr->ijk", h, p, f_star)
     for lam in (1e-6, 1.0, 1e6):
         a, b = subject_system(mode3_mttkrp(x, h, p), h, p, f_star, lam)
-        out = proximal_step(f_star.copy(), a, b)
+        out = ridge_solve(a, b)
         np.testing.assert_allclose(out, f_star, atol=1e-9 * max(1.0, lam))
 
 
@@ -491,18 +543,39 @@ def test_non_finite_state_reported_with_iteration():
         dual=[np.zeros((2, 2))], subject=[np.zeros((3, 2))],
         consensus=np.zeros((3, 2)),
     )
-    with pytest.raises(SolverNumericsError, match="iteration 7") as err:
+    with pytest.raises(SolverNumericsError, match="iteration 7, view 0 node$") as err:
         _ensure_finite(state, 1.0, 7)
     assert err.value.iteration == 7
+    # the first non-finite block in update order is named
+    state.node = [np.zeros((2, 2)), np.zeros((2, 2))]
+    state.node_aux = state.node_aux * 2
+    state.dual = [np.zeros((2, 2)), np.full((2, 2), np.inf)]
+    state.subject = [np.zeros((3, 2)), np.full((3, 2), np.nan)]
+    with pytest.raises(SolverNumericsError, match="iteration 3, view 1 dual$"):
+        _ensure_finite(state, 1.0, 3)
+    state.dual[1] = np.zeros((2, 2))
+    with pytest.raises(SolverNumericsError, match="iteration 3, view 1 subject$"):
+        _ensure_finite(state, 1.0, 3)
+    state.subject[1] = np.zeros((3, 2))
+    state.consensus = np.full((3, 2), np.nan)
+    with pytest.raises(SolverNumericsError, match="iteration 3, consensus$"):
+        _ensure_finite(state, 1.0, 3)
+    state.consensus = np.zeros((3, 2))
+    with pytest.raises(SolverNumericsError, match="iteration 3, objective$"):
+        _ensure_finite(state, np.nan, 3)
+    _ensure_finite(state, 1.0, 3)
 
 
-@pytest.mark.parametrize("fitter, where", ((m2e_ts_fit, "view 0 subject"),
-                                           (m2e_ds_fit, "shared subject")))
-def test_zero_curvature_names_iteration_view_and_block(fitter, where):
-    # a zero view gives a zero node start, so the subject step has no curvature
-    with pytest.raises(SolverNumericsError, match=f"outer iteration 0, {where} step") as err:
-        fitter([np.zeros((4, 4, 5))], M2eConfig(rank=2))
-    assert err.value.iteration == 0
+@pytest.mark.parametrize("fitter", (m2e_fit, m2e_ds_fit, m2e_ts_fit))
+def test_all_zero_view_fits_finite(fitter):
+    # a zero view has a zero spectral start and a zero data term; its exact
+    # subject solve without a pull is exactly zero
+    views, _ = shared_factor_views(43, n_views=1, nodes=6, subjects=5)
+    sol = fitter([views[0], np.zeros((4, 4, 5))], M2eConfig(rank=2, seed=43))
+    for block in [sol.consensus, *sol.node_factors, *sol.subject_factors]:
+        assert np.isfinite(block).all()
+    if fitter is m2e_ts_fit:
+        np.testing.assert_array_equal(sol.subject_factors[1], 0.0)
 
 
 def test_config_validation():
