@@ -47,5 +47,5 @@ print("sensitivity files:",
       sorted(p.name for p in (work / "grid").iterdir() if p.suffix == ".txt"))
 
 summary = json.loads((work / "fit" / "summary.json").read_text())
-print("summary echoes the full config, e.g. solver.residual_tol =",
-      summary["config"]["solver"]["residual_tol"])
+print("summary echoes the full config, e.g. solver.max_outer_iters =",
+      summary["config"]["solver"]["max_outer_iters"])

@@ -86,9 +86,6 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--lambda", dest="lam", action="append", metavar="V=X",
                    help="per-view weight, repeatable (e.g. --lambda 1=0.01)")
     p.add_argument("--max-iters", dest="max_outer_iters", type=int, default=None)
-    p.add_argument("--tol", dest="obj_rel_tol", type=float, default=None,
-                   help="relative objective-change tolerance")
-    p.add_argument("--residual-tol", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -154,37 +154,50 @@ def save_dataset(path: Path | str, views: list[GraphViewTensor],
     return manifest_path
 
 
+def _manifest_field(manifest_path: Path, field: str, value, kind=int):
+    """kind(value), or a DatasetError naming the manifest and the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise DatasetError(f"manifest {manifest_path}: {field} {value!r} is not "
+                           f"a valid {kind.__name__}") from None
+
+
 def _read_manifest(path: Path | str):
-    """Check a manifest and read its labels: (root, manifest, subjects, names, labels)."""
+    """Check a manifest and read its labels: (manifest_path, manifest, subjects, names, labels)."""
     p = Path(path)
     manifest_path = p / "manifest.json" if p.is_dir() else p
-    root = manifest_path.parent
     if not manifest_path.exists():
         raise DatasetError(f"manifest {manifest_path} is missing")
     try:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise DatasetError(f"manifest does not parse: {exc}") from exc
-    subjects = int(manifest.get("subject_count", 0))
+    subjects = _manifest_field(manifest_path, "subject_count", manifest.get("subject_count", 0))
     entries = manifest.get("views", [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise DatasetError(f"manifest {manifest_path}: views must be a list of objects")
     if subjects < 1 or not entries:
         raise DatasetError("manifest needs a positive subject_count and views")
 
     names = [e.get("name", f"view{i + 1}") for i, e in enumerate(entries)]
     _check_unique_names(names)
-    declared = {n: int(e.get("subject_count", subjects)) for n, e in zip(names, entries)}
+    declared = {n: _manifest_field(manifest_path, f"view '{n}' subject_count",
+                                   e.get("subject_count", subjects))
+                for n, e in zip(names, entries)}
     if len(set(declared.values())) > 1:
         pairs = ", ".join(f"{n}={s}" for n, s in declared.items())
         raise DatasetError(f"views disagree on subject count: {pairs}")
 
     labels = None
     if manifest.get("labels_file"):
-        labels = load_labels(root / manifest["labels_file"])
+        labels = load_labels(manifest_path.parent / _manifest_field(
+            manifest_path, "labels_file", manifest["labels_file"], Path))
         if labels.shape != (subjects,):
             raise DatasetError(
                 f"labels file holds {labels.size} entries, manifest says {subjects}"
             )
-    return root, manifest, subjects, names, labels
+    return manifest_path, manifest, subjects, names, labels
 
 
 def load_dataset_labels(path: Path | str) -> np.ndarray | None:
@@ -192,13 +205,13 @@ def load_dataset_labels(path: Path | str) -> np.ndarray | None:
     return _read_manifest(path)[-1]
 
 
-def _read_view(root: Path, entry: dict, name: str, subjects: int) -> GraphViewTensor:
-    nodes = int(entry.get("node_count", 0))
+def _read_view(manifest_path: Path, entry: dict, name: str, subjects: int) -> GraphViewTensor:
+    nodes = _manifest_field(manifest_path, f"view '{name}' node_count", entry.get("node_count", 0))
     if nodes < 1:
         raise DatasetError(f"view '{name}': node_count must be positive")
     if "matrix_file" not in entry:
         raise DatasetError(f"view '{name}': manifest entry lacks a matrix_file")
-    return _read_view_file(root / entry["matrix_file"], name, nodes, subjects)
+    return _read_view_file(manifest_path.parent / entry["matrix_file"], name, nodes, subjects)
 
 
 def view_index(names: list[str], view: str | int) -> int:
@@ -215,14 +228,14 @@ def view_index(names: list[str], view: str | int) -> int:
 
 def load_dataset(path: Path | str) -> Dataset:
     """Load and validate a dataset directory (or its manifest file)."""
-    root, manifest, subjects, names, labels = _read_manifest(path)
-    views = [_read_view(root, entry, name, subjects)
+    manifest_path, manifest, subjects, names, labels = _read_manifest(path)
+    views = [_read_view(manifest_path, entry, name, subjects)
              for name, entry in zip(names, manifest["views"])]
     return Dataset(views, labels, names, manifest.get("metadata", {}))
 
 
 def load_dataset_view(path: Path | str, view: str | int) -> tuple[str, GraphViewTensor]:
     """One view's (name, tensor), checked as :func:`load_dataset` does; reads no other view."""
-    root, manifest, subjects, names, _ = _read_manifest(path)
+    manifest_path, manifest, subjects, names, _ = _read_manifest(path)
     idx = view_index(names, view)
-    return names[idx], _read_view(root, manifest["views"][idx], names[idx], subjects)
+    return names[idx], _read_view(manifest_path, manifest["views"][idx], names[idx], subjects)

@@ -29,6 +29,10 @@ from .tensors import (GraphViewTensor, cp_squared_error, mode3_mttkrp, mttkrp_fr
 # Monitor callbacks receive (event, info-dict); see m2e_fit.
 Monitor = Callable[[str, dict], None]
 
+# M2eConfig's stopping test, energy-scaled so that it holds as the objective nears 0
+STOP_RESIDUAL = 1e-3
+STOP_OBJ_CHANGE = 1e-9
+
 
 class SolverNumericsError(RuntimeError):
     """Non-finite values encountered mid-run, at the iteration and block named."""
@@ -43,17 +47,15 @@ class M2eConfig:
     """Solver configuration.
 
     `lambdas` holds one positive view weight per view; None means equal
-    weights (1.0 each). Convergence requires both the relative objective
-    change to drop below `obj_rel_tol` and the coupling residual below
-    `residual_tol`. `seed` seeds the noise columns the spectral start adds
-    when `rank` exceeds the node count.
+    weights (1.0 each). A fit stops after `max_outer_iters` iterations, or
+    earlier with `converged` set once the coupling residual is <= STOP_RESIDUAL
+    and |obj_{k-1} - obj_k| <= STOP_OBJ_CHANGE * sum_v ||X_v||^2. `seed` seeds
+    the noise columns the spectral start adds when `rank` exceeds the node count.
     """
 
     rank: int = 2
     lambdas: tuple[float, ...] | None = None
     max_outer_iters: int = 500
-    obj_rel_tol: float = 1e-6
-    residual_tol: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
@@ -66,8 +68,6 @@ class M2eConfig:
             object.__setattr__(self, "lambdas", lam)
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
-        if self.obj_rel_tol <= 0 or self.residual_tol <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass
@@ -95,7 +95,8 @@ class M2eSolution:
     `objective_trace` records the working objective (reconstruction with
     the split node factors, plus the consensus penalty where the model has
     one) once per outer iteration; `final_objective` re-evaluates with the
-    symmetrized node factor in both graph modes.
+    symmetrized node factor in both graph modes. `converged` says whether
+    the last iteration met the stopping test of :class:`M2eConfig`.
     """
 
     consensus: np.ndarray
@@ -350,8 +351,7 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
     docstring). Each iteration visits the views in order: pass 1 over X_v
     feeds the node, aux and dual updates; pass 2 feeds view v's subject solve
     (except under "shared", which solves once after the views on the summed
-    systems) and the traced objective. The loop stops when the coupling
-    residual and the relative objective change are both below tolerance.
+    systems) and the traced objective, until M2eConfig's stopping test holds.
     """
     xs = _as_view_arrays(views)
     lambdas = _resolve_lambdas(config.lambdas, len(xs))
@@ -399,12 +399,10 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
         if monitor is not None:
             monitor("iteration", {"iteration": it, "objective": obj,
                                   "residual": res, "state": st})
-        if it >= 1 and res <= config.residual_tol:
-            prev = obj_trace[-2]
-            rel = abs(prev - obj) / max(abs(prev), np.finfo(float).tiny)
-            if rel < config.obj_rel_tol:
-                converged = True
-                break
+        if (it >= 1 and res <= STOP_RESIDUAL
+                and abs(obj_trace[-2] - obj) <= STOP_OBJ_CHANGE * sum(energies)):
+            converged = True
+            break
     if subjects == "independent":
         st.consensus = update_consensus(st.subject, lambdas)
     node_factors = [(h + p) / 2.0 for h, p in zip(st.node, st.node_aux)]
@@ -431,7 +429,7 @@ def m2e_fit(views: Sequence, config: M2eConfig, monitor: Monitor | None = None) 
         Stacks of symmetric affinity matrices; subject counts must agree
         across views, node counts may differ.
     config : M2eConfig
-        Rank, view weights, tolerances and seed.
+        Rank, view weights, iteration cap and seed.
     monitor : callable, optional
         Called as ``monitor(event, info)`` with event ``"block_step"``
         (before/after subproblem values) and ``"iteration"`` (objective and

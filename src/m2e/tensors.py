@@ -174,6 +174,15 @@ def check_partial_symmetry(tensor: np.ndarray, tol: float = SYMMETRY_TOL) -> tup
     return max_asym <= tol, max_asym
 
 
+def _require_symmetric(t: np.ndarray, tol: float, advice: str = "") -> None:
+    """Raise naming the most asymmetric frontal slice if it is asymmetric beyond `tol`."""
+    ok, asym = check_partial_symmetry(t, tol)
+    if not ok:
+        worst = int(np.argmax(np.abs(t - t.transpose(1, 0, 2)).max(axis=(0, 1))))
+        raise ValueError(f"frontal slice {worst} is asymmetric by {asym:.3g} "
+                         f"(tolerance {tol:.3g}){advice}")
+
+
 def symmetrize_slices(tensor: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     """Replace each frontal slice W by (W + W.T) / 2.
 
@@ -181,13 +190,7 @@ def symmetrize_slices(tensor: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     treated as float-level noise and averaged away.
     """
     t = np.asarray(tensor, dtype=float)
-    ok, asym = check_partial_symmetry(t, tol)
-    if not ok:
-        drift = np.abs(t - t.transpose(1, 0, 2)).max(axis=(0, 1))
-        worst = int(np.argmax(drift))
-        raise ValueError(
-            f"slice {worst} is asymmetric by {asym:.3g} (tolerance {tol:.3g})"
-        )
+    _require_symmetric(t, tol)
     return (t + t.transpose(1, 0, 2)) / 2.0
 
 
@@ -203,16 +206,9 @@ class GraphViewTensor:
 
     def __post_init__(self):
         t = np.asarray(self.data, dtype=float)
-        if t.ndim != 3 or t.shape[0] != t.shape[1]:
-            raise ValueError(f"expected shape (M, M, N), got {t.shape}")
         if not np.isfinite(t).all():
             raise ValueError("affinity entries must be finite")
-        ok, asym = check_partial_symmetry(t, SYMMETRY_TOL)
-        if not ok:
-            raise ValueError(
-                f"frontal slices asymmetric by {asym:.3g} "
-                f"(tolerance {SYMMETRY_TOL:.3g}); symmetrize first"
-            )
+        _require_symmetric(t, SYMMETRY_TOL, "; symmetrize first")  # checks the shape too
         object.__setattr__(self, "data", t)
 
     @property

@@ -13,6 +13,7 @@ from m2e.cp import AlsOptions, cp_als_fit, cp_relative_error
 from m2e.datagen import SyntheticSpec, generate
 from m2e.dataio import save_dataset
 from m2e.runner import RunConfig, run_evaluate, run_fit
+from m2e import solver
 from m2e.solver import (M2eConfig, m2e_ds_fit, m2e_fit, m2e_ts_fit,
                         update_consensus)
 from m2e.tensors import cp_reconstruct, khatri_rao, matricize
@@ -134,7 +135,7 @@ def test_05_consensus_closed_form():
            f"exact={exact}, perturbations increase={increases}")
 
 
-def test_06_block_step_descent():
+def test_06_block_step_descent(monkeypatch):
     views, _ = generate(SyntheticSpec(seed=6))
     worst = -np.inf
     count = 0
@@ -145,8 +146,8 @@ def test_06_block_step_descent():
             worst = max(worst, info["after"] - info["before"])
             count += 1
 
-    cfg = M2eConfig(rank=4, lambdas=(1.0, 1.0), seed=6, max_outer_iters=100,
-                    obj_rel_tol=1e-300, residual_tol=1e-300)  # run all 100
+    monkeypatch.setattr(solver, "STOP_RESIDUAL", -1.0)  # never stop: run all 100
+    cfg = M2eConfig(rank=4, lambdas=(1.0, 1.0), seed=6, max_outer_iters=100)
     m2e_fit(views, cfg, monitor=monitor)
     report(6, "every exact block solve descends its quadratic",
            count >= 100 * 2 * 3 and worst <= 1e-9,
@@ -199,16 +200,16 @@ def test_08_ablation_ordering():
            f"elapsed={elapsed:.0f}s")
 
 
-def test_09_subject_scaling_linear():
+def test_09_subject_scaling_linear(monkeypatch):
     start = time.perf_counter()
+    monkeypatch.setattr(solver, "STOP_RESIDUAL", -1.0)  # never stop: run all 60
 
     def timed_fit(subjects, nodes=30):
         spec = SyntheticSpec(nodes=nodes, subjects=subjects,
                              cluster_sizes=(subjects // 2, subjects - subjects // 2),
                              latent_rank=5, seed=9)
         views, _ = generate(spec)
-        cfg = M2eConfig(rank=5, lambdas=(1.0, 1.0), seed=9, max_outer_iters=60,
-                        obj_rel_tol=1e-300, residual_tol=1e-300)
+        cfg = M2eConfig(rank=5, lambdas=(1.0, 1.0), seed=9, max_outer_iters=60)
         # min over several runs: wall-clock ratios are only meaningful for
         # the least-disturbed run of each size
         best = np.inf

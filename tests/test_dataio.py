@@ -177,6 +177,29 @@ def test_manifest_without_views(tmp_path):
         load_dataset(d)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("subject_count", "four"),
+    ("subject_count", [4]),
+    ("views", {"view1": "view1.txt"}),
+    ("views", ["view1", "view2"]),
+    ("node_count", "x"),
+    ("labels_file", 5),
+], ids=["count-text", "count-list", "views-dict", "views-strings", "nodes-text",
+        "labels-number"])
+def test_malformed_manifest_field_names_manifest_and_field(small_dataset, field, value):
+    path, _, _ = small_dataset
+    manifest = json.loads((path / "manifest.json").read_text())
+    (manifest["views"][0] if field == "node_count" else manifest)[field] = value
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    for load in (load_dataset, load_dataset_labels):
+        if load is load_dataset_labels and field == "node_count":
+            continue  # the labels reader does not read view entries
+        with pytest.raises(DatasetError) as err:
+            load(path)
+        assert str(path / "manifest.json") in str(err.value)
+        assert field in str(err.value)
+
+
 def test_label_count_mismatch(small_dataset):
     path, _, _ = small_dataset
     (path / "labels.txt").write_text("1\n2\n")

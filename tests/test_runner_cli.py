@@ -59,8 +59,7 @@ def test_run_fit_summary_contains_full_config(dataset_dir, tmp_path):
     cfg = summary["config"]
     assert set(cfg) == {"method", "solver", "kmeans_k", "kmeans_restarts",
                         "eval_repeats", "positive_class"}
-    assert set(cfg["solver"]) == {"rank", "lambdas", "max_outer_iters", "obj_rel_tol",
-                                  "residual_tol", "seed"}
+    assert set(cfg["solver"]) == {"rank", "lambdas", "max_outer_iters", "seed"}
 
 
 def test_run_fit_rerun_byte_identical(dataset_dir, tmp_path):
@@ -353,6 +352,12 @@ def test_cli_config_only_on_commands_that_read_it(command):
         build_parser().parse_args([*command, "--out", "o", "--config", "f.json"])
 
 
+@pytest.mark.parametrize("flag", ["--tol", "--residual-tol"])
+def test_cli_fit_has_no_stop_tolerance_flags(flag):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["fit", "--dataset", "d", "--out", "o", flag, "1e-6"])
+
+
 def test_cli_fit_reruns_byte_identical(tmp_path):
     ds = tmp_path / "ds"
     views, labels = generate(SMALL)
@@ -419,6 +424,8 @@ def test_cli_repeated_lambda_view_fails_with_document(tmp_path, dataset_dir):
 def test_cli_config_file_with_removed_field_fails(tmp_path, dataset_dir):
     cfg_file = tmp_path / "cfg.json"
     for removed, cfg in (("mu_growth", {"solver": {"mu_growth": 1.05}}),
+                         ("obj_rel_tol", {"solver": {"obj_rel_tol": 1e-6}}),
+                         ("residual_tol", {"solver": {"residual_tol": 1e-3}}),
                          ("kmeans_max_iters", {"kmeans_max_iters": 100})):
         cfg_file.write_text(json.dumps(cfg))
         out = tmp_path / removed

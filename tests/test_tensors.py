@@ -250,6 +250,17 @@ def test_symmetrize_slices_tolerance():
         symmetrize_slices(bad, tol=1e-6)
 
 
+def test_asymmetry_errors_name_the_worst_slice():
+    t = np.zeros((3, 3, 4))
+    t[0, 1, 0] = 1e-3
+    t[1, 2, 2] = 0.1
+    with pytest.raises(ValueError, match=r"frontal slice 2 is asymmetric by 0\.1 "
+                                         r"\(tolerance 1e-08\); symmetrize first"):
+        GraphViewTensor(t)
+    with pytest.raises(ValueError, match=r"frontal slice 2 is asymmetric by 0\.1 "):
+        symmetrize_slices(t, tol=1e-6)
+
+
 def test_graph_view_tensor_validation():
     rng = np.random.default_rng(6)
     w = rng.standard_normal((4, 4, 2))
