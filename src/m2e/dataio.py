@@ -155,8 +155,13 @@ def save_dataset(path: Path | str, views: list[GraphViewTensor],
 
 
 def _manifest_field(manifest_path: Path, field: str, value, kind=int):
-    """kind(value), or a DatasetError naming the manifest and the field."""
+    """kind(value), or a DatasetError naming the manifest and the field.
+
+    A str field must already be a string, since str() accepts any JSON value.
+    """
     try:
+        if kind is str and not isinstance(value, str):
+            raise TypeError(value)
         return kind(value)
     except (TypeError, ValueError):
         raise DatasetError(f"manifest {manifest_path}: {field} {value!r} is not "
@@ -180,7 +185,8 @@ def _read_manifest(path: Path | str):
     if subjects < 1 or not entries:
         raise DatasetError("manifest needs a positive subject_count and views")
 
-    names = [e.get("name", f"view{i + 1}") for i, e in enumerate(entries)]
+    names = [_manifest_field(manifest_path, f"view {i + 1} name", e.get("name", f"view{i + 1}"),
+                             str) for i, e in enumerate(entries)]
     _check_unique_names(names)
     declared = {n: _manifest_field(manifest_path, f"view '{n}' subject_count",
                                    e.get("subject_count", subjects))
@@ -211,7 +217,9 @@ def _read_view(manifest_path: Path, entry: dict, name: str, subjects: int) -> Gr
         raise DatasetError(f"view '{name}': node_count must be positive")
     if "matrix_file" not in entry:
         raise DatasetError(f"view '{name}': manifest entry lacks a matrix_file")
-    return _read_view_file(manifest_path.parent / entry["matrix_file"], name, nodes, subjects)
+    matrix_file = _manifest_field(manifest_path, f"view '{name}' matrix_file",
+                                  entry["matrix_file"], Path)
+    return _read_view_file(manifest_path.parent / matrix_file, name, nodes, subjects)
 
 
 def view_index(names: list[str], view: str | int) -> int:

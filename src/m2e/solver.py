@@ -24,7 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .tensors import (GraphViewTensor, cp_squared_error, mode3_mttkrp, mttkrp_from_partial,
-                      partial_mttkrp, ridge_solve)
+                      pack_symmetric, packed_mode3_mttkrp, packed_partial_mttkrp,
+                      ridge_solve)
 
 # Monitor callbacks receive (event, info-dict); see m2e_fit.
 Monitor = Callable[[str, dict], None]
@@ -118,7 +119,8 @@ class M2eSolution:
 # MTTKRPs from the two-pass kernel in m2e.tensors, so each outer iteration
 # reads a view twice: pass 1, partial_mttkrp(X, F), serves the node and aux
 # systems, since F is fixed during both; pass 2, mode3_mttkrp(X, H, P), serves
-# the subject system and the objective's cross term.
+# the subject system and the objective's cross term. The fitters run both
+# passes on the view's packed upper triangles (pack_symmetric).
 
 
 def quadratic_objective(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -296,7 +298,7 @@ def _init_state(views: Sequence[np.ndarray], config: M2eConfig,
 
 
 def _as_view_arrays(views: Sequence) -> list[np.ndarray]:
-    """Validated, C-contiguous view arrays (contiguity keeps the kernel copy-free)."""
+    """Validated, C-contiguous view arrays (contiguity keeps the spectral start copy-free)."""
     arrays = []
     for i, v in enumerate(views):
         if not isinstance(v, GraphViewTensor):
@@ -348,10 +350,13 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
     """The outer loop of all three fitters.
 
     `subjects` is "joint", "shared" or "independent" (see the module
-    docstring). Each iteration visits the views in order: pass 1 over X_v
-    feeds the node, aux and dual updates; pass 2 feeds view v's subject solve
-    (except under "shared", which solves once after the views on the summed
-    systems) and the traced objective, until M2eConfig's stopping test holds.
+    docstring). After the spectral start each view is packed once into the
+    upper triangles of its symmetric slices, and every later pass reads only
+    those, half the dense tensor. Each iteration visits the views in order:
+    pass 1 over X_v feeds the node, aux and dual updates; pass 2 feeds view
+    v's subject solve (except under "shared", which solves once after the
+    views on the summed systems) and the traced objective, until M2eConfig's
+    stopping test holds. The final objective takes one more pass 2 per view.
     """
     xs = _as_view_arrays(views)
     lambdas = _resolve_lambdas(config.lambdas, len(xs))
@@ -362,13 +367,14 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
         st.consensus = st.subject[0]
     pulls = lambdas if subjects == "joint" else (0.0,) * len(xs)
     energies = [float(np.vdot(x, x)) for x in xs]
+    packed = [pack_symmetric(x) for x in xs]
     obj_trace: list[float] = []
     res_trace: list[float] = []
     converged = False
     for it in range(config.max_outer_iters):
         mttkrps = []
-        for v, x in enumerate(xs):
-            y = partial_mttkrp(x, st.subject[v])
+        for v, xp in enumerate(packed):
+            y = packed_partial_mttkrp(xp, st.subject[v])
             st.node[v] = _block_solve(
                 monitor, v, "node", st.node[v],
                 *node_system(y, st.node_aux[v], st.subject[v], st.dual[v], mus[v]))
@@ -376,7 +382,7 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
                 monitor, v, "aux", st.node_aux[v],
                 *aux_system(y, st.node[v], st.subject[v], st.dual[v], mus[v]))
             st.dual[v] = update_dual(st.dual[v], st.node[v], st.node_aux[v], mus[v])
-            mttkrps.append(mode3_mttkrp(x, st.node[v], st.node_aux[v]))
+            mttkrps.append(packed_mode3_mttkrp(xp, st.node[v], st.node_aux[v]))
             if subjects != "shared":
                 st.subject[v] = _block_solve(
                     monitor, v, "subject", st.subject[v],
@@ -406,7 +412,8 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
     if subjects == "independent":
         st.consensus = update_consensus(st.subject, lambdas)
     node_factors = [(h + p) / 2.0 for h, p in zip(st.node, st.node_aux)]
-    final = _objective(energies, [mode3_mttkrp(x, h, h) for x, h in zip(xs, node_factors)],
+    final = _objective(energies, [packed_mode3_mttkrp(xp, h, h)
+                                  for xp, h in zip(packed, node_factors)],
                        node_factors, node_factors, st.subject, st.consensus, pulls)
     return M2eSolution(
         consensus=st.consensus,

@@ -184,16 +184,19 @@ def test_manifest_without_views(tmp_path):
     ("views", ["view1", "view2"]),
     ("node_count", "x"),
     ("labels_file", 5),
+    ("matrix_file", 5),
+    ("name", ["x"]),
 ], ids=["count-text", "count-list", "views-dict", "views-strings", "nodes-text",
-        "labels-number"])
+        "labels-number", "matrix-file-number", "name-list"])
 def test_malformed_manifest_field_names_manifest_and_field(small_dataset, field, value):
     path, _, _ = small_dataset
     manifest = json.loads((path / "manifest.json").read_text())
-    (manifest["views"][0] if field == "node_count" else manifest)[field] = value
+    in_view = field in ("node_count", "matrix_file", "name")
+    (manifest["views"][0] if in_view else manifest)[field] = value
     (path / "manifest.json").write_text(json.dumps(manifest))
     for load in (load_dataset, load_dataset_labels):
-        if load is load_dataset_labels and field == "node_count":
-            continue  # the labels reader does not read view entries
+        if load is load_dataset_labels and field in ("node_count", "matrix_file"):
+            continue  # the labels reader does not read view files
         with pytest.raises(DatasetError) as err:
             load(path)
         assert str(path / "manifest.json") in str(err.value)

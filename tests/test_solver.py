@@ -4,13 +4,13 @@ import pytest
 from m2e.cluster import cluster_and_score
 from m2e.datagen import SyntheticSpec, generate
 from m2e.cp import AlsOptions, cp_als_fit
-from m2e import solver
+from m2e import solver, tensors
 from m2e.solver import (M2eConfig, M2eState, SolverNumericsError, _ensure_finite,
                         _objective, aux_system, m2e_ds_fit, m2e_fit, m2e_ts_fit,
                         node_system, objective_value, quadratic_objective,
                         subject_system, update_consensus, update_dual)
-from m2e.tensors import (RIDGE, GraphViewTensor, matricize, mode3_mttkrp, partial_mttkrp,
-                         ridge_solve)
+from m2e.tensors import (RIDGE, GraphViewTensor, matricize, mode3_mttkrp, packed_mode3_mttkrp,
+                         packed_partial_mttkrp, partial_mttkrp, ridge_solve)
 
 
 def shared_factor_views(seed, n_views=2, nodes=20, subjects=30, rank=3):
@@ -450,10 +450,11 @@ def test_each_outer_iteration_reads_each_view_twice(fitter, monkeypatch):
     views[1] = views[1][:7, :7]  # views of different sizes are told apart
     passes = {x.shape[0]: 0 for x in views}
     per_iteration = []
+    dense_pass_1 = []
 
-    def counted(kernel):
+    def counted(kernel, nodes):
         def wrapper(x, *args):
-            passes[x.shape[0]] += 1
+            passes[nodes(x)] += 1
             return kernel(x, *args)
         return wrapper
 
@@ -462,13 +463,23 @@ def test_each_outer_iteration_reads_each_view_twice(fitter, monkeypatch):
             per_iteration.append(dict(passes))
             passes.update(dict.fromkeys(passes, 0))
 
-    monkeypatch.setattr(solver, "partial_mttkrp", counted(partial_mttkrp))
-    monkeypatch.setattr(solver, "mode3_mttkrp", counted(mode3_mttkrp))
+    def dense_pass(x, *args):
+        dense_pass_1.append(x.shape)
+        return partial_mttkrp(x, *args)
+
+    for name, kernel in (("packed_partial_mttkrp", packed_partial_mttkrp),
+                         ("packed_mode3_mttkrp", packed_mode3_mttkrp)):
+        monkeypatch.setattr(solver, name, counted(kernel, lambda xp: xp.node_count))
+    # the spectral start's subject solve still reads the dense view
+    monkeypatch.setattr(solver, "mode3_mttkrp", counted(mode3_mttkrp, lambda x: x.shape[0]))
+    monkeypatch.setattr(solver, "partial_mttkrp", dense_pass, raising=False)
+    monkeypatch.setattr(tensors, "partial_mttkrp", dense_pass)
     fitter(views, M2eConfig(rank=3, lambdas=(1.0, 1.0), seed=14, max_outer_iters=5),
            monitor=monitor)
     # the first entry also counts the spectral start's subject solve
     assert per_iteration[0] == {9: 3, 7: 3}
     assert per_iteration[1:] == [{9: 2, 7: 2}] * 4
+    assert dense_pass_1 == []
 
 
 @pytest.mark.parametrize("fitter, order", (

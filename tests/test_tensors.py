@@ -6,7 +6,8 @@ import pytest
 
 from m2e.tensors import (GraphViewTensor, _unfold3, check_partial_symmetry, cp_reconstruct,
                          cp_squared_error, frobenius_norm, khatri_rao, matricize,
-                         mode3_mttkrp, mttkrp_from_partial, partial_mttkrp, refold,
+                         mode3_mttkrp, mttkrp_from_partial, pack_symmetric,
+                         packed_mode3_mttkrp, packed_partial_mttkrp, partial_mttkrp, refold,
                          symmetrize_slices)
 
 
@@ -188,6 +189,48 @@ def test_mttkrp_kernel_does_not_copy_the_tensor():
     finally:
         tracemalloc.stop()
     assert peak < t.nbytes / 4
+
+
+def random_symmetric(rng, m, n):
+    x = rng.standard_normal((m, m, n))
+    return x + x.transpose(1, 0, 2)
+
+
+def test_pack_symmetric_keeps_the_upper_triangle_with_the_diagonal_halved():
+    x = np.array([[1.0, 2.0], [2.0, 3.0]])[:, :, None]
+    packed = pack_symmetric(x)
+    np.testing.assert_array_equal(packed.data, [[0.5], [2.0], [1.5]])
+    assert packed.node_count == 2
+
+
+@pytest.mark.parametrize("m, n", list(itertools.product((1, 2, 7), (1, 5))))
+def test_packed_kernels_match_dense(m, n):
+    rng = np.random.default_rng([m, n])
+    x = random_symmetric(rng, m, n)
+    packed = pack_symmetric(x)
+    assert packed.data.shape == (m * (m + 1) // 2, n)
+    for r in sorted({1, 3, m + 2}):
+        h, p = rng.standard_normal((2, m, r))
+        c = rng.standard_normal((n, r))
+        for got, want in ((packed_partial_mttkrp(packed, c), partial_mttkrp(x, c)),
+                          (packed_mode3_mttkrp(packed, h, p), mode3_mttkrp(x, h, p))):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shape", ((3, 4, 2), (3, 3), (3, 3, 2, 1)))
+def test_pack_symmetric_rejects_non_square_slices(shape):
+    with pytest.raises(ValueError, match="expected shape"):
+        pack_symmetric(np.zeros(shape))
+
+
+def test_pack_symmetric_of_non_contiguous_input_matches_contiguous_copy():
+    x = random_symmetric(np.random.default_rng(21), 6, 8)
+    strided = np.asfortranarray(x)[:, :, ::2]
+    assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
+    packed = pack_symmetric(strided)
+    np.testing.assert_array_equal(packed.data,
+                                  pack_symmetric(np.ascontiguousarray(strided)).data)
 
 
 def test_frobenius_norm():
