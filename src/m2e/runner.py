@@ -85,7 +85,10 @@ def _fit(config: RunConfig, dataset: Dataset) -> M2eSolution:
 
 def run_fit(config: RunConfig, dataset: Dataset | str | Path,
             out_dir: str | Path) -> M2eSolution:
-    """Fit the configured method and write embedding, factors and traces."""
+    """Fit the configured method and write embedding, factors and traces.
+
+    Warns when the fit stops at `max_outer_iters` without converging.
+    """
     ds = _as_dataset(dataset)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -111,6 +114,9 @@ def run_fit(config: RunConfig, dataset: Dataset | str | Path,
         "final_objective": solution.final_objective,
         "wall_time_seconds": elapsed,
     })
+    if not solution.converged:
+        warnings.warn(f"{config.method} fit did not converge: stopped at the iteration "
+                      f"cap after {solution.iterations} iterations", stacklevel=2)
     return solution
 
 

@@ -172,6 +172,23 @@ def update_dual(u, h, p, mu) -> np.ndarray:
     return u + mu * (h - p)
 
 
+def balance_columns(h, p, u, f, g, norm: float):
+    """Rescale a view's blocks so that every column of h has norm `norm`.
+
+    Column r of the node factor h, its aux copy p and multipliers u is
+    multiplied by s_r = norm / ||h_r|| and column r of the subject factor f is
+    divided by s_r^2, which leaves the model [[h, p, f]] unchanged (the CP
+    column normalisation of Kolda & Bader, SIAM Review 2009, sec. 3). The
+    pass-2 product g = mode3_mttkrp(X, h, p) is bilinear in h and p, so it
+    is multiplied by s_r^2. Zero columns, and all columns when `norm` is 0,
+    keep their scale.
+    """
+    norms = np.linalg.norm(h, axis=0)
+    s = np.divide(norm, norms, out=np.ones_like(norms), where=(norms > 0) & (norm > 0))
+    s2 = s * s
+    return h * s, p * s, u * s, f / s2, g * s2
+
+
 def update_consensus(subject_factors: Sequence[np.ndarray],
                      lambdas: Sequence[float]) -> np.ndarray:
     """Closed-form consensus: the weight-averaged subject factor."""
@@ -241,16 +258,25 @@ def coupling_residual(state: M2eState) -> float:
 # initialization
 
 
-def balanced_penalty(x: np.ndarray, rank: int) -> float:
-    """Coupling penalty matched to the data-term curvature, 2 (||X||^2/R)^(2/3).
+def balanced_column_norm(energy: float, rank: int, power: int = 1) -> float:
+    """t**power for t = (||X||^2/R)^(1/6), the balanced column norm.
 
-    At a norm-balanced rank-R factorization each factor column has squared
-    norm about (||X||^2/R)^(1/3), so the node-block Gram has eigenvalues of
-    order (||X||^2/R)^(2/3); matching mu to that scale keeps the equality
+    A rank-R factorization of a tensor of energy ||X||^2 whose three factors
+    share every column's scale has column norms about t. The power is taken
+    as one pow of ||X||^2/R, so t**4 reads exactly (||X||^2/R)^(2/3).
+    """
+    return (energy / rank) ** (power / 6.0)
+
+
+def balanced_penalty(x: np.ndarray, rank: int) -> float:
+    """Coupling penalty matched to the data-term curvature, 2 t^4.
+
+    At a norm-balanced rank-R factorization each factor column has norm
+    about t (:func:`balanced_column_norm`), so the node-block Gram has
+    eigenvalues of order t^4; matching mu to that scale keeps the equality
     constraint active without freezing the data fit.
     """
-    energy = float(np.vdot(x, x))
-    return max(2.0 * (energy / rank) ** (2.0 / 3.0), 1e-8)
+    return max(2.0 * balanced_column_norm(float(np.vdot(x, x)), rank, 4), 1e-8)
 
 
 def spectral_start(x: np.ndarray, rank: int, rng: np.random.Generator):
@@ -271,7 +297,7 @@ def spectral_start(x: np.ndarray, rank: int, rng: np.random.Generator):
     sign = np.sign(vec[np.abs(vec).argmax(axis=0), np.arange(vec.shape[1])])
     sign[sign == 0] = 1.0
     vec = vec * sign
-    col_scale = (float(np.vdot(x, x)) / rank) ** (1.0 / 6.0)
+    col_scale = balanced_column_norm(float(np.vdot(x, x)), rank)
     h = vec * col_scale
     if h.shape[1] < rank:
         extra = rng.standard_normal((m, rank - h.shape[1]))
@@ -357,6 +383,12 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
     v's subject solve (except under "shared", which solves once after the
     views on the summed systems) and the traced objective, until M2eConfig's
     stopping test holds. The final objective takes one more pass 2 per view.
+
+    The model is unchanged by h, p -> c h, c p with f -> f / c^2, but the pull
+    is not, so a view that owns its subject factor ("joint", "independent")
+    has its scale pinned after its subject solve: balance_columns gives every
+    node column the spectral start's norm balanced_column_norm(||X_v||^2, R).
+    Under "shared" the factor is common to all views and is left as solved.
     """
     xs = _as_view_arrays(views)
     lambdas = _resolve_lambdas(config.lambdas, len(xs))
@@ -367,6 +399,7 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
         st.consensus = st.subject[0]
     pulls = lambdas if subjects == "joint" else (0.0,) * len(xs)
     energies = [float(np.vdot(x, x)) for x in xs]
+    norms = [balanced_column_norm(e, config.rank) for e in energies]
     packed = [pack_symmetric(x) for x in xs]
     obj_trace: list[float] = []
     res_trace: list[float] = []
@@ -388,6 +421,9 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
                     monitor, v, "subject", st.subject[v],
                     *subject_system(mttkrps[v], st.node[v], st.node_aux[v],
                                     st.consensus, pulls[v]))
+                (st.node[v], st.node_aux[v], st.dual[v], st.subject[v],
+                 mttkrps[v]) = balance_columns(st.node[v], st.node_aux[v], st.dual[v],
+                                               st.subject[v], mttkrps[v], norms[v])
         if subjects == "shared":
             a, b = map(sum, zip(*(subject_system(g, h, p, None, 0.0) for g, h, p
                                   in zip(mttkrps, st.node, st.node_aux))))

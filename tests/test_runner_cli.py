@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,21 @@ def test_run_fit_cohort_preset_rank7(tmp_path):
     t = solution.objective_trace
     for i in range(3, len(t) - 1):
         assert t[i + 1] <= t[i] * (1 + 1e-6)
+
+
+def test_run_fit_warns_when_the_fit_hits_its_cap(dataset_dir, tmp_path):
+    capped = M2eConfig(rank=2, lambdas=(1.0, 1.0), max_outer_iters=2, seed=0)
+    with pytest.warns(UserWarning, match="did not converge.* after 2 iterations"):
+        solution = run_fit(quick_config(solver=capped), dataset_dir, tmp_path / "fit")
+    assert not solution.converged
+
+
+def test_run_fit_converged_fit_emits_no_warning(dataset_dir, tmp_path):
+    config = quick_config(solver=M2eConfig(rank=2, lambdas=(1.0, 1.0), seed=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solution = run_fit(config, dataset_dir, tmp_path / "fit")
+    assert solution.converged
 
 
 def test_run_config_rejects_method_without_fitter():
