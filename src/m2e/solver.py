@@ -18,6 +18,7 @@ for the per-iteration trace, the final objective and :func:`objective_value`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .tensors import (GraphViewTensor, cp_squared_error, mode3_mttkrp, mttkrp_from_partial,
                       pack_symmetric, packed_mode3_mttkrp, packed_partial_mttkrp,
-                      ridge_solve)
+                      ridge_solve, scaled_identity)
 
 # Monitor callbacks receive (event, info-dict); see m2e_fit.
 Monitor = Callable[[str, dict], None]
@@ -134,7 +135,7 @@ def node_system(y: np.ndarray, p: np.ndarray, f: np.ndarray, u: np.ndarray, mu: 
     `y` is the view's pass-1 product partial_mttkrp(X, f).
     """
     r = p.shape[1]
-    a = (f.T @ f) * (p.T @ p) + 0.5 * mu * np.eye(r)
+    a = (f.T @ f) * (p.T @ p) + scaled_identity(r, 0.5 * mu)
     b = mttkrp_from_partial(y, p, 1) + 0.5 * (mu * p - u)
     return a, b
 
@@ -145,7 +146,7 @@ def aux_system(y: np.ndarray, h: np.ndarray, f: np.ndarray, u: np.ndarray, mu: f
     `y` is the view's pass-1 product partial_mttkrp(X, f).
     """
     r = h.shape[1]
-    a = (f.T @ f) * (h.T @ h) + 0.5 * mu * np.eye(r)
+    a = (f.T @ f) * (h.T @ h) + scaled_identity(r, 0.5 * mu)
     b = mttkrp_from_partial(y, h, 2) + 0.5 * (mu * h + u)
     return a, b
 
@@ -162,7 +163,7 @@ def subject_system(g: np.ndarray, h: np.ndarray, p: np.ndarray,
     if lam > 0:
         if consensus is None:
             raise ValueError("a consensus matrix is required when lam > 0")
-        a = a + lam * np.eye(r)
+        a = a + scaled_identity(r, lam)
         b = b + lam * consensus
     return a, b
 
@@ -183,8 +184,11 @@ def balance_columns(h, p, u, f, g, norm: float):
     is multiplied by s_r^2. Zero columns, and all columns when `norm` is 0,
     keep their scale.
     """
-    norms = np.linalg.norm(h, axis=0)
-    s = np.divide(norm, norms, out=np.ones_like(norms), where=(norms > 0) & (norm > 0))
+    norms = np.sqrt(np.add.reduce(h * h, axis=0))  # np.linalg.norm(h, axis=0)'s arithmetic
+    if norm > 0 and (norms > 0).all():
+        s = norm / norms
+    else:
+        s = np.divide(norm, norms, out=np.ones_like(norms), where=(norms > 0) & (norm > 0))
     s2 = s * s
     return h * s, p * s, u * s, f / s2, g * s2
 
@@ -248,10 +252,16 @@ def coupling_residual(state: M2eState) -> float:
     """max_v ||h_v - p_v||_F / max(1, ||h_v||_F)."""
     worst = 0.0
     for h, p in zip(state.node, state.node_aux):
-        num = float(np.linalg.norm(h - p))
-        den = max(1.0, float(np.linalg.norm(h)))
+        num = _frobenius(h - p)
+        den = max(1.0, _frobenius(h))
         worst = max(worst, num / den)
     return worst
+
+
+def _frobenius(m: np.ndarray) -> float:
+    """float(np.linalg.norm(m)) by the same arithmetic, without its argument checks."""
+    flat = m.ravel(order="K")
+    return math.sqrt(float(flat.dot(flat)))
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +361,9 @@ def _resolve_lambdas(lambdas: Sequence[float] | None, n_views: int) -> tuple[flo
 
 def _ensure_finite(state: M2eState, objective: float, iteration: int):
     """Raise naming the first non-finite block, in update order, or the objective."""
+    every = [*state.node, *state.node_aux, *state.dual, *state.subject, state.consensus]
+    if np.isfinite(objective) and np.isfinite(np.concatenate(every, axis=None)).all():
+        return  # one check over all blocks; the scan below only names the culprit
     blocks = [(f"view {v} {name}", m) for v, ms in
               enumerate(zip(state.node, state.node_aux, state.dual, state.subject))
               for name, m in zip(("node", "aux", "dual", "subject"), ms)]

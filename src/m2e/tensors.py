@@ -56,6 +56,7 @@ symmetric, so they stay on the dense passes.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -177,7 +178,7 @@ def pack_symmetric(tensor: np.ndarray) -> PackedSymmetric:
 def packed_partial_mttkrp(xp: PackedSymmetric, c: np.ndarray) -> np.ndarray:
     """Pass 1 on packed slices: :func:`partial_mttkrp` of the unpacked tensor."""
     m, r = xp.node_count, c.shape[1]
-    y = np.take(c.T @ xp.data.T, xp.sym, axis=1)
+    y = (c.T @ xp.data.T).take(xp.sym, axis=1)
     y[:, ::m + 1] *= 2.0  # undo the halved diagonal
     return y.reshape(r, m, m)
 
@@ -186,8 +187,8 @@ def packed_mode3_mttkrp(xp: PackedSymmetric, a: np.ndarray, b: np.ndarray) -> np
     """Pass 2 on packed slices: :func:`mode3_mttkrp` of the unpacked tensor."""
     at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
     outer = (at[:, :, None] * bt[:, None, :]).reshape(a.shape[1], -1)  # a_i b_j at i*M + j
-    w = np.take(outer, xp.upper, axis=1)
-    w += np.take(outer, xp.lower, axis=1)
+    w = outer.take(xp.upper, axis=1)
+    w += outer.take(xp.lower, axis=1)
     return (w @ xp.data).T
 
 
@@ -203,13 +204,26 @@ def cp_squared_error(energy: float, g: np.ndarray, a: np.ndarray, b: np.ndarray,
     return max(energy - 2.0 * float(np.vdot(g, c)) + float(gram.sum()), 0.0)
 
 
+@functools.lru_cache(maxsize=64)
+def scaled_identity(n: int, scale: float) -> np.ndarray:
+    """Read-only scale * I_n, built once per (n, scale).
+
+    The fits add the same few diagonals (the ridge, a view's coupling
+    penalty, its consensus weight) to R x R Grams every iteration, and at
+    small R building np.eye costs more than the addition.
+    """
+    out = scale * np.eye(n)
+    out.flags.writeable = False
+    return out
+
+
 def ridge_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """rhs (gram + RIDGE I)^-1: M solving the normal equations M gram = rhs.
 
     The least-squares update of one factor with the others fixed (Kolda and
     Bader, SIAM Review 2009, section 3.4), shared by CP-ALS and every M2E block.
     """
-    gram = gram + RIDGE * np.eye(gram.shape[0])
+    gram = gram + scaled_identity(gram.shape[0], RIDGE)
     # gram is symmetric: solve gram @ M.T = rhs.T
     return np.linalg.solve(gram, rhs.T).T
 

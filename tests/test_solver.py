@@ -205,6 +205,25 @@ def test_balance_columns_keeps_the_model_and_scales_the_mode3_product():
         np.testing.assert_array_equal(after, before)
 
 
+def test_balance_and_residual_match_numpy_norms_bit_for_bit():
+    # the fitters' scale pin and coupling residual avoid np.linalg.norm's
+    # argument checks but must keep its arithmetic, in C and Fortran order
+    rng = np.random.default_rng(46)
+    for order in ("C", "F"):
+        h, p, u = (np.asarray(rng.standard_normal((7, 3)), order=order) for _ in range(3))
+        f = rng.standard_normal((5, 3))
+        s = 1.3 / np.linalg.norm(h, axis=0)
+        for got, want in zip(solver.balance_columns(h, p, u, f, f, 1.3),
+                             (h * s, p * s, u * s, f / (s * s), f * (s * s))):
+            np.testing.assert_array_equal(got, want)
+        for m in (h, h - p, h[::2, 1:]):
+            assert solver._frobenius(m) == float(np.linalg.norm(m))
+    state = random_state(rng)
+    assert solver.coupling_residual(state) == max(
+        float(np.linalg.norm(h - p)) / max(1.0, float(np.linalg.norm(h)))
+        for h, p in zip(state.node, state.node_aux))
+
+
 def test_spectral_start_and_penalty_share_the_balanced_column_norm():
     rng = np.random.default_rng(45)
     x = rng.standard_normal((6, 6, 7))

@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from m2e.tensors import (GraphViewTensor, _unfold3, check_partial_symmetry, cp_reconstruct,
-                         cp_squared_error, frobenius_norm, khatri_rao, matricize,
+from m2e.tensors import (RIDGE, GraphViewTensor, _unfold3, check_partial_symmetry,
+                         cp_reconstruct, cp_squared_error, frobenius_norm, khatri_rao, matricize,
                          mode3_mttkrp, mttkrp_from_partial, pack_symmetric,
                          packed_mode3_mttkrp, packed_partial_mttkrp, partial_mttkrp, refold,
-                         symmetrize_slices)
+                         ridge_solve, scaled_identity, symmetrize_slices)
 
 
 def unfold_by_index_formula(t, mode):
@@ -231,6 +231,21 @@ def test_pack_symmetric_of_non_contiguous_input_matches_contiguous_copy():
     packed = pack_symmetric(strided)
     np.testing.assert_array_equal(packed.data,
                                   pack_symmetric(np.ascontiguousarray(strided)).data)
+
+
+def test_scaled_identity_is_a_cached_read_only_scaled_eye():
+    a = scaled_identity(4, 0.35)
+    np.testing.assert_array_equal(a, 0.35 * np.eye(4))
+    assert scaled_identity(4, 0.35) is a
+    with pytest.raises(ValueError):
+        a[0, 0] = 1.0
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((4, 4))
+    g = g @ g.T
+    rhs = rng.standard_normal((9, 4))
+    # the cached ridge gives the same bits as building it in place
+    expected = np.linalg.solve(g + RIDGE * np.eye(4), rhs.T).T
+    np.testing.assert_array_equal(ridge_solve(g, rhs), expected)
 
 
 def test_frobenius_norm():
