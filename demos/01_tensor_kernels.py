@@ -9,10 +9,10 @@ symmetric slices.
 """
 import numpy as np
 
-from m2e import (check_partial_symmetry, cp_reconstruct, frobenius_norm,
-                 khatri_rao, matricize, refold)
-from m2e.tensors import (mode3_mttkrp, mttkrp_from_partial, pack_symmetric,
-                         packed_mode3_mttkrp, packed_partial_mttkrp, partial_mttkrp)
+from m2e import check_partial_symmetry
+from m2e.tensors import (cp_reconstruct, frobenius_norm, khatri_rao, matricize,
+                         mode3_mttkrp, mttkrp_from_partial, pack_symmetric,
+                         packed_mode3_mttkrp, packed_partial_mttkrp, partial_mttkrp, refold)
 
 rng = np.random.default_rng(0)
 

@@ -6,7 +6,8 @@ adds noise to show the graceful degradation.
 """
 import numpy as np
 
-from m2e import AlsOptions, cp_als_fit, cp_relative_error, cp_reconstruct
+from m2e import AlsOptions, cp_als_fit, cp_relative_error
+from m2e.tensors import cp_reconstruct
 
 rng = np.random.default_rng(42)
 dims, rank = (10, 12, 8), 3

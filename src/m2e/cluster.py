@@ -9,10 +9,10 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 # exhaustive permutation search is cheap up to this many clusters
 _EXHAUSTIVE_K = 6
+LLOYD_MAX_ITERS = 100  # per k-means restart
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,8 @@ class ClusteringReport:
     degenerate: bool = False
 
 
-def lloyd(points: np.ndarray, centroids: np.ndarray, max_iters: int = 100):
-    """Lloyd iterations from given centroids.
+def lloyd(points: np.ndarray, centroids: np.ndarray):
+    """At most LLOYD_MAX_ITERS Lloyd iterations from given centroids.
 
     Returns (labels 0-based, centroids, inertia_trace) where the trace holds
     the inertia after every assignment step and is non-increasing. Ties go
@@ -64,7 +64,7 @@ def lloyd(points: np.ndarray, centroids: np.ndarray, max_iters: int = 100):
     n, k = pts.shape[0], cent.shape[0]
     labels = np.full(n, -1)
     trace = []
-    for _ in range(max_iters):
+    for _ in range(LLOYD_MAX_ITERS):
         d2 = ((pts[:, None, :] - cent[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
         occupied = np.bincount(new_labels, minlength=k) > 0
@@ -85,8 +85,7 @@ def lloyd(points: np.ndarray, centroids: np.ndarray, max_iters: int = 100):
     return labels, cent, np.asarray(trace)
 
 
-def kmeans(points: np.ndarray, k: int, restarts: int = 20, max_iters: int = 100,
-           seed: int = 0) -> KmeansResult:
+def kmeans(points: np.ndarray, k: int, restarts: int = 20, seed: int = 0) -> KmeansResult:
     """k-means with several restarts, keeping the lowest-inertia run.
 
     Each restart draws K distinct data points as initial centroids from its
@@ -103,8 +102,6 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 20, max_iters: int = 100,
         raise ValueError(f"k={k} exceeds the number of points ({n})")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if bad.size:
         raise ValueError(f"embedding has {bad.size} non-finite rows (first: row {bad[0]})")
@@ -115,7 +112,7 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 20, max_iters: int = 100,
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         init = pts[rng.choice(n, size=k, replace=False)]
-        labels, _, trace = lloyd(pts, init, max_iters)
+        labels, _, trace = lloyd(pts, init)
         inertias[r] = trace[-1]
         if inertias[r] < best:
             best = inertias[r]
@@ -128,8 +125,9 @@ def match_labels(pred: np.ndarray, truth: np.ndarray, k: int) -> LabelMatch:
     """Permute predicted cluster ids to best agree with the ground truth.
 
     Exhaustive search for k <= 6, otherwise an assignment solve on the
-    contingency matrix. Ties prefer the lexicographically first permutation,
-    which puts the identity ahead of any relabeling.
+    contingency matrix (scipy, imported only then). Ties prefer the
+    lexicographically first permutation, which puts the identity ahead of
+    any relabeling; the assignment solve breaks ties its own way.
     """
     pred = np.asarray(pred, dtype=int)
     truth = np.asarray(truth, dtype=int)
@@ -138,9 +136,7 @@ def match_labels(pred: np.ndarray, truth: np.ndarray, k: int) -> LabelMatch:
     for name, arr in (("pred", pred), ("truth", truth)):
         if arr.size and (arr.min() < 1 or arr.max() > k):
             raise ValueError(f"{name} labels must lie in 1..{k}")
-    contingency = np.zeros((k, k), dtype=int)
-    for p, t in zip(pred, truth):
-        contingency[p - 1, t - 1] += 1
+    contingency = np.bincount((pred - 1) * k + (truth - 1), minlength=k * k).reshape(k, k)
     if k <= _EXHAUSTIVE_K:
         best_perm, best_hits = None, -1
         for perm in itertools.permutations(range(k)):
@@ -149,6 +145,7 @@ def match_labels(pred: np.ndarray, truth: np.ndarray, k: int) -> LabelMatch:
                 best_perm, best_hits = perm, hits
         mapping = np.asarray(best_perm) + 1
     else:
+        from scipy.optimize import linear_sum_assignment
         rows, cols = linear_sum_assignment(-contingency)
         mapping = np.empty(k, dtype=int)
         mapping[rows] = cols + 1
@@ -183,7 +180,7 @@ def binary_metrics(matched_labels: np.ndarray, truth: np.ndarray,
 
 
 def cluster_and_score(embedding: np.ndarray, truth: np.ndarray, k: int = 2,
-                      restarts: int = 20, max_iters: int = 100, seed: int = 0,
+                      restarts: int = 20, seed: int = 0,
                       positive_class: int = 1) -> ClusteringReport:
     """kmeans + label matching + metrics in one call.
 
@@ -191,7 +188,7 @@ def cluster_and_score(embedding: np.ndarray, truth: np.ndarray, k: int = 2,
     with more classes than k still scores (the surplus classes simply
     cannot be hit).
     """
-    result = kmeans(embedding, k, restarts=restarts, max_iters=max_iters, seed=seed)
+    result = kmeans(embedding, k, restarts=restarts, seed=seed)
     truth = np.asarray(truth, dtype=int)
     match = match_labels(result.labels, truth, max(k, int(truth.max(initial=1))))
     metrics = binary_metrics(match.matched_labels, truth, positive_class)

@@ -18,8 +18,7 @@ import numpy as np
 
 from .cluster import cluster_and_score, kmeans
 from .cp import AlsOptions, cp_als_fit, cp_relative_error
-from .dataio import (Dataset, load_dataset, load_dataset_view, save_labels, save_matrix,
-                     view_index)
+from .dataio import Dataset, load_dataset, load_dataset_view, save_labels, save_matrix
 from .solver import M2eConfig, M2eSolution, m2e_ds_fit, m2e_fit, m2e_ts_fit
 
 # method name -> fitter, named so that `_fit` finds the fitter bound in this
@@ -63,11 +62,6 @@ class GridSpec:
             raise ValueError("grid values must be positive")
 
 
-def effective_config(config: RunConfig) -> dict:
-    """The complete configuration, defaults included, as plain data."""
-    return dataclasses.asdict(config)
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -108,7 +102,7 @@ def run_fit(config: RunConfig, dataset: Dataset | str | Path,
     ])
     save_matrix(out / "trace.txt", trace, "iteration objective residual")
     _write_json(out / "summary.json", {
-        "config": effective_config(config),
+        "config": dataclasses.asdict(config),
         "iterations": solution.iterations,
         "converged": solution.converged,
         "final_objective": solution.final_objective,
@@ -130,7 +124,7 @@ def run_cluster(embedding: np.ndarray, config: RunConfig, out_dir: str | Path) -
     save_matrix(out / "inertias.txt", result.inertias.reshape(-1, 1),
                 "inertia per restart")
     doc = {
-        "config": effective_config(config),
+        "config": dataclasses.asdict(config),
         "best_restart": result.best_restart,
         "best_inertia": float(result.inertias[result.best_restart]),
     }
@@ -176,7 +170,7 @@ def run_evaluate(embedding: np.ndarray, labels: np.ndarray, config: RunConfig,
             for rep in range(config.eval_repeats)]
     metric_names = ("accuracy", "precision", "recall", "f1")
     doc = {
-        "config": effective_config(config),
+        "config": dataclasses.asdict(config),
         "repetitions": reps,
         "mean": {m: float(np.mean([r[m] for r in reps])) for m in metric_names},
         "std": {m: float(np.std([r[m] for r in reps])) for m in metric_names},
@@ -248,7 +242,7 @@ def run_gridsearch(grid: GridSpec, dataset: Dataset | str | Path, config: RunCon
     save_matrix(out / "accuracy_vs_lambda.txt", vs_lambda,
                 f"{lam_cols} mean_accuracy")
     _write_json(out / "summary.json", {
-        "config": effective_config(config),
+        "config": dataclasses.asdict(config),
         "lambda_grid": list(grid.lambda_grid),
         "rank_grid": list(grid.rank_grid),
         "cells": len(cells),
@@ -257,17 +251,13 @@ def run_gridsearch(grid: GridSpec, dataset: Dataset | str | Path, config: RunCon
     return ranked
 
 
-def run_cp(dataset: Dataset | str | Path, view: str | int, opts: AlsOptions,
+def run_cp(dataset: str | Path, view: str | int, opts: AlsOptions,
            out_dir: str | Path) -> dict:
     """CP factorization of one view (a name or 0-based index); writes factors and trace.
 
-    Given a path, only that view's file is read.
+    Only that view's file is read from the dataset directory.
     """
-    if isinstance(dataset, Dataset):
-        idx = view_index(dataset.view_names, view)
-        name, graph = dataset.view_names[idx], dataset.views[idx]
-    else:
-        name, graph = load_dataset_view(dataset, view)
+    name, graph = load_dataset_view(dataset, view)
     tensor = graph.data
     fit = cp_als_fit(tensor, opts)
     out = Path(out_dir)

@@ -11,22 +11,22 @@ ridge R x R solve that CP-ALS sweeps with (:func:`m2e.tensors.ridge_solve`).
 The joint model (:func:`m2e_fit`) and its two ablations run one outer loop
 and differ only in how the subject factors move: "joint" pulls each view's
 factor toward the consensus and re-averages the consensus every iteration;
-"shared" (:func:`m2e_ds_fit`) solves for one subject factor on all views
-at once; "independent" (:func:`m2e_ts_fit`) fits each view on its own and
-averages once at the end. One Gram-based routine evaluates the objective
-for the per-iteration trace, the final objective and :func:`objective_value`.
+"independent" (:func:`m2e_ts_fit`) does the same with no pull, so each view
+fits on its own and the consensus is only read out; "shared"
+(:func:`m2e_ds_fit`) solves for one subject factor on all views at once.
+One Gram-based routine evaluates the objective for the per-iteration trace,
+the final objective and :func:`objective_value`.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensors import (GraphViewTensor, cp_squared_error, mode3_mttkrp, mttkrp_from_partial,
-                      pack_symmetric, packed_mode3_mttkrp, packed_partial_mttkrp,
-                      ridge_solve, scaled_identity)
+from .tensors import (GraphViewTensor, cp_squared_error, frobenius_norm, mode3_mttkrp,
+                      mttkrp_from_partial, pack_symmetric, packed_mode3_mttkrp,
+                      packed_partial_mttkrp, ridge_solve, scaled_identity)
 
 # Monitor callbacks receive (event, info-dict); see m2e_fit.
 Monitor = Callable[[str, dict], None]
@@ -37,7 +37,7 @@ STOP_OBJ_CHANGE = 1e-9
 
 
 class SolverNumericsError(RuntimeError):
-    """Non-finite values encountered mid-run, at the iteration and block named."""
+    """A non-finite value or a singular block system mid-run, at the iteration and block named."""
 
     def __init__(self, message: str, iteration: int | None = None):
         super().__init__(message)
@@ -86,7 +86,6 @@ class M2eState:
     dual: list[np.ndarray]
     subject: list[np.ndarray]
     consensus: np.ndarray
-    iteration: int = 0
 
 
 @dataclass(frozen=True)
@@ -252,16 +251,10 @@ def coupling_residual(state: M2eState) -> float:
     """max_v ||h_v - p_v||_F / max(1, ||h_v||_F)."""
     worst = 0.0
     for h, p in zip(state.node, state.node_aux):
-        num = _frobenius(h - p)
-        den = max(1.0, _frobenius(h))
+        num = frobenius_norm(h - p)
+        den = max(1.0, frobenius_norm(h))
         worst = max(worst, num / den)
     return worst
-
-
-def _frobenius(m: np.ndarray) -> float:
-    """float(np.linalg.norm(m)) by the same arithmetic, without its argument checks."""
-    flat = m.ravel(order="K")
-    return math.sqrt(float(flat.dot(flat)))
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +271,15 @@ def balanced_column_norm(energy: float, rank: int, power: int = 1) -> float:
     return (energy / rank) ** (power / 6.0)
 
 
-def balanced_penalty(x: np.ndarray, rank: int) -> float:
-    """Coupling penalty matched to the data-term curvature, 2 t^4.
+def balanced_penalty(energy: float, rank: int) -> float:
+    """Coupling penalty matched to the data-term curvature, 2 t^4, for ||X||^2 = `energy`.
 
     At a norm-balanced rank-R factorization each factor column has norm
     about t (:func:`balanced_column_norm`), so the node-block Gram has
     eigenvalues of order t^4; matching mu to that scale keeps the equality
     constraint active without freezing the data fit.
     """
-    return max(2.0 * balanced_column_norm(float(np.vdot(x, x)), rank, 4), 1e-8)
+    return max(2.0 * balanced_column_norm(energy, rank, 4), 1e-8)
 
 
 def spectral_start(x: np.ndarray, rank: int, rng: np.random.Generator):
@@ -373,9 +366,19 @@ def _ensure_finite(state: M2eState, objective: float, iteration: int):
                 f"non-finite values at outer iteration {iteration}, {where}", iteration)
 
 
-def _block_solve(monitor, view, block, m, a, b):
-    """The block's exact minimiser ridge_solve(a, b); `m` is its current value."""
-    out = ridge_solve(a, b)
+def _block_solve(monitor, iteration, view, block, m, a, b):
+    """The block's exact minimiser ridge_solve(a, b); `m` is its current value.
+
+    View -1 is the shared subject factor. A singular system raises
+    SolverNumericsError naming the iteration, view and block.
+    """
+    try:
+        out = ridge_solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        where = "shared subject" if view < 0 else f"view {view} {block}"
+        raise SolverNumericsError(
+            f"singular block system at outer iteration {iteration}, {where}: {exc}",
+            iteration) from exc
     if monitor is not None:
         monitor("block_step", {
             "view": view, "block": block,
@@ -389,13 +392,16 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
     """The outer loop of all three fitters.
 
     `subjects` is "joint", "shared" or "independent" (see the module
-    docstring). After the spectral start each view is packed once into the
-    upper triangles of its symmetric slices, and every later pass reads only
-    those, half the dense tensor. Each iteration visits the views in order:
-    pass 1 over X_v feeds the node, aux and dual updates; pass 2 feeds view
-    v's subject solve (except under "shared", which solves once after the
-    views on the summed systems) and the traced objective, until M2eConfig's
-    stopping test holds. The final objective takes one more pass 2 per view.
+    docstring). The loop computes each view's energy ||X_v||^2 once, for its
+    coupling penalty, its column norm and the stopping test. After the
+    spectral start each view is packed once into the upper triangles of its
+    symmetric slices, and every later pass reads only those, half the dense
+    tensor. Each iteration visits the views in order: pass 1 over X_v feeds
+    the node, aux and dual updates; pass 2 feeds view v's subject solve
+    (under "shared", one solve on the summed systems after the views) and
+    the traced objective. "joint" and "independent" then re-average the
+    consensus. This repeats until M2eConfig's stopping test holds. The
+    final objective takes one more pass 2 per view.
 
     The model is unchanged by h, p -> c h, c p with f -> f / c^2, but the pull
     is not, so a view that owns its subject factor ("joint", "independent")
@@ -406,12 +412,12 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
     xs = _as_view_arrays(views)
     lambdas = _resolve_lambdas(config.lambdas, len(xs))
     st = _init_state(xs, config, lambdas)
-    mus = [balanced_penalty(x, config.rank) for x in xs]
     if subjects == "shared":  # every view holds view 0's start
         st.subject = [st.subject[0]] * len(xs)
         st.consensus = st.subject[0]
     pulls = lambdas if subjects == "joint" else (0.0,) * len(xs)
     energies = [float(np.vdot(x, x)) for x in xs]
+    mus = [balanced_penalty(e, config.rank) for e in energies]
     norms = [balanced_column_norm(e, config.rank) for e in energies]
     packed = [pack_symmetric(x) for x in xs]
     obj_trace: list[float] = []
@@ -422,16 +428,16 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
         for v, xp in enumerate(packed):
             y = packed_partial_mttkrp(xp, st.subject[v])
             st.node[v] = _block_solve(
-                monitor, v, "node", st.node[v],
+                monitor, it, v, "node", st.node[v],
                 *node_system(y, st.node_aux[v], st.subject[v], st.dual[v], mus[v]))
             st.node_aux[v] = _block_solve(
-                monitor, v, "aux", st.node_aux[v],
+                monitor, it, v, "aux", st.node_aux[v],
                 *aux_system(y, st.node[v], st.subject[v], st.dual[v], mus[v]))
             st.dual[v] = update_dual(st.dual[v], st.node[v], st.node_aux[v], mus[v])
             mttkrps.append(packed_mode3_mttkrp(xp, st.node[v], st.node_aux[v]))
             if subjects != "shared":
                 st.subject[v] = _block_solve(
-                    monitor, v, "subject", st.subject[v],
+                    monitor, it, v, "subject", st.subject[v],
                     *subject_system(mttkrps[v], st.node[v], st.node_aux[v],
                                     st.consensus, pulls[v]))
                 (st.node[v], st.node_aux[v], st.dual[v], st.subject[v],
@@ -440,9 +446,9 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
         if subjects == "shared":
             a, b = map(sum, zip(*(subject_system(g, h, p, None, 0.0) for g, h, p
                                   in zip(mttkrps, st.node, st.node_aux))))
-            st.consensus = _block_solve(monitor, -1, "subject", st.consensus, a, b)
+            st.consensus = _block_solve(monitor, it, -1, "subject", st.consensus, a, b)
             st.subject = [st.consensus] * len(xs)
-        elif subjects == "joint":
+        else:
             st.consensus = update_consensus(st.subject, lambdas)
         obj = _objective(energies, mttkrps, st.node, st.node_aux, st.subject,
                          st.consensus, pulls)
@@ -450,7 +456,6 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
         _ensure_finite(st, obj, it)
         obj_trace.append(obj)
         res_trace.append(res)
-        st.iteration = it + 1
         if monitor is not None:
             monitor("iteration", {"iteration": it, "objective": obj,
                                   "residual": res, "state": st})
@@ -458,8 +463,6 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
                 and abs(obj_trace[-2] - obj) <= STOP_OBJ_CHANGE * sum(energies)):
             converged = True
             break
-    if subjects == "independent":
-        st.consensus = update_consensus(st.subject, lambdas)
     node_factors = [(h + p) / 2.0 for h, p in zip(st.node, st.node_aux)]
     final = _objective(energies, [packed_mode3_mttkrp(xp, h, h)
                                   for xp, h in zip(packed, node_factors)],
@@ -515,8 +518,9 @@ def m2e_ds_fit(views: Sequence, config: M2eConfig, monitor: Monitor | None = Non
 def m2e_ts_fit(views: Sequence, config: M2eConfig, monitor: Monitor | None = None) -> M2eSolution:
     """Two-step baseline: factor views independently, then average.
 
-    Step one runs the split factorization per view with no consensus pull
-    (views advance in lockstep; their updates never interact). Step two
-    sets the consensus to the weight-averaged per-view subject factors.
+    Runs the split factorization per view with no consensus pull (views
+    advance in lockstep; their updates never interact). The consensus is
+    the weight-averaged per-view subject factor, re-averaged every
+    iteration as in :func:`m2e_fit` but never read by a view's update.
     """
     return _fit(views, config, monitor, "independent")

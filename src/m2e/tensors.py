@@ -241,8 +241,12 @@ def cp_reconstruct(factors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def frobenius_norm(tensor: np.ndarray) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(np.asarray(tensor, dtype=float).ravel()))
+    """Square root of the sum of squared entries, by np.linalg.norm's arithmetic.
+
+    np.linalg.norm's argument checks cost more than the sum on a small factor matrix.
+    """
+    flat = np.asarray(tensor, dtype=float).ravel(order="K")
+    return math.sqrt(float(flat.dot(flat)))
 
 
 def check_partial_symmetry(tensor: np.ndarray, tol: float = SYMMETRY_TOL) -> tuple[bool, float]:

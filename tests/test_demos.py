@@ -37,6 +37,15 @@ def test_readme_library_snippet_runs(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_import_leaves_scipy_unloaded():
+    # scipy serves only the label matcher for more than six clusters
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import m2e, sys; assert 'scipy.optimize' not in sys.modules"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in m2e.__all__ if not hasattr(m2e, name)]
     assert missing == []

@@ -452,6 +452,25 @@ def test_cli_config_file_with_removed_field_fails(tmp_path, dataset_dir):
         assert removed in error["message"]
 
 
+def test_cli_singular_block_fails_with_solver_error_document(tmp_path, dataset_dir,
+                                                             monkeypatch):
+    import m2e.solver as solver
+    calls, solve = [], solver.ridge_solve
+
+    def singular_after_the_start(gram, rhs):  # the start solves once per view
+        calls.append(1)
+        if len(calls) > 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(gram, rhs)
+
+    monkeypatch.setattr(solver, "ridge_solve", singular_after_the_start)
+    out = tmp_path / "fit"
+    assert main(["fit", "--dataset", str(dataset_dir), "--out", str(out), "--rank", "2"]) == 1
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "SolverNumericsError"
+    assert "outer iteration 0, view 0 node" in error["message"]
+
+
 def test_cli_lambda_count_must_match_views(tmp_path, dataset_dir):
     out = tmp_path / "fit"
     code = main(["fit", "--dataset", str(dataset_dir), "--out", str(out),

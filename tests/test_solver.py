@@ -217,7 +217,7 @@ def test_balance_and_residual_match_numpy_norms_bit_for_bit():
                              (h * s, p * s, u * s, f / (s * s), f * (s * s))):
             np.testing.assert_array_equal(got, want)
         for m in (h, h - p, h[::2, 1:]):
-            assert solver._frobenius(m) == float(np.linalg.norm(m))
+            assert tensors.frobenius_norm(m) == float(np.linalg.norm(m))
     state = random_state(rng)
     assert solver.coupling_residual(state) == max(
         float(np.linalg.norm(h - p)) / max(1.0, float(np.linalg.norm(h)))
@@ -233,8 +233,8 @@ def test_spectral_start_and_penalty_share_the_balanced_column_norm():
     assert t == pytest.approx((energy / 3) ** (1 / 6), rel=1e-15)
     h, _ = solver.spectral_start(x, 3, np.random.default_rng(0))
     np.testing.assert_allclose(np.linalg.norm(h, axis=0), t, rtol=1e-12)
-    assert solver.balanced_penalty(x, 3) == 2.0 * solver.balanced_column_norm(energy, 3, 4)
-    assert solver.balanced_penalty(x, 3) == pytest.approx(2.0 * t**4, rel=1e-14)
+    assert solver.balanced_penalty(energy, 3) == 2.0 * solver.balanced_column_norm(energy, 3, 4)
+    assert solver.balanced_penalty(energy, 3) == pytest.approx(2.0 * t**4, rel=1e-14)
 
 
 def test_update_dual():
@@ -683,6 +683,46 @@ def test_non_finite_state_reported_with_iteration():
     with pytest.raises(SolverNumericsError, match="iteration 3, objective$"):
         _ensure_finite(state, np.nan, 3)
     _ensure_finite(state, 1.0, 3)
+
+
+@pytest.mark.parametrize("fitter, iteration, view, block, where", [
+    (m2e_fit, 1, 0, "node", "view 0 node"),
+    (m2e_fit, 2, 1, "subject", "view 1 subject"),
+    (m2e_ts_fit, 0, 1, "aux", "view 1 aux"),
+    (m2e_ts_fit, 2, 0, "subject", "view 0 subject"),
+    (m2e_ds_fit, 1, 1, "aux", "view 1 aux"),
+    (m2e_ds_fit, 2, -1, "subject", "shared subject"),
+])
+def test_singular_block_reported_with_iteration_view_and_block(monkeypatch, fitter, iteration,
+                                                               view, block, where):
+    rng = np.random.default_rng(47)
+    views = [w + w.transpose(1, 0, 2) for w in rng.standard_normal((2, 5, 5, 6))]
+    config = M2eConfig(rank=2, max_outer_iters=4, seed=47)
+    steps, iterations = [], []
+
+    def record(event, info):
+        if event == "iteration":
+            iterations.append(info["iteration"])
+        else:
+            steps.append((len(iterations), info["view"], info["block"]))
+
+    fitter(views, config, monitor=record)
+    # the spectral start makes one solve per view before the first block step
+    failing_call = len(views) + steps.index((iteration, view, block)) + 1
+    calls = []
+
+    def ridge_solve_failing_once(gram, rhs):
+        calls.append(1)
+        if len(calls) == failing_call:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return ridge_solve(gram, rhs)
+
+    monkeypatch.setattr(solver, "ridge_solve", ridge_solve_failing_once)
+    with pytest.raises(SolverNumericsError,
+                       match=f"outer iteration {iteration}, {where}: Singular matrix$") as err:
+        fitter(views, config)
+    assert err.value.iteration == iteration
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
 
 @pytest.mark.parametrize("fitter", (m2e_fit, m2e_ds_fit, m2e_ts_fit))
