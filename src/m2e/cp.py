@@ -73,12 +73,22 @@ class CpFit:
     degenerate: bool  # zero input tensor; factors are all-zero
 
 
+def _dense_error(t: np.ndarray, factors) -> float:
+    """||t - [[a, b, c]]||_F from the dense model, built once and overwritten by the residual."""
+    resid = cp_reconstruct(factors)
+    np.subtract(t, resid, out=resid)
+    return frobenius_norm(resid)
+
+
 def cp_relative_error(tensor: np.ndarray, factors: CpFactors) -> float:
-    """||T - reconstruction||_F / ||T||_F (absolute norm for a zero tensor); dense."""
+    """||T - reconstruction||_F / ||T||_F (absolute norm for a zero tensor); dense.
+
+    Allocates one tensor of T's size, the model, which then holds the residual.
+    """
     t = np.asarray(tensor, dtype=float)
     if t.shape != factors.dims:
         raise ValueError(f"shape mismatch: tensor {t.shape} vs factors {factors.dims}")
-    resid = frobenius_norm(t - cp_reconstruct(factors))
+    resid = _dense_error(t, factors)
     scale = frobenius_norm(t)
     return resid / scale if scale > 0 else resid
 
@@ -128,7 +138,7 @@ def cp_als_fit(tensor: np.ndarray, opts: AlsOptions) -> CpFit:
         sq = cp_squared_error(energy, g, a, b, c)
         err = np.sqrt(sq) / scale
         if sq < DENSE_ERROR_BELOW * energy:
-            err = frobenius_norm(t - cp_reconstruct((a, b, c))) / scale
+            err = _dense_error(t, (a, b, c)) / scale
         trace.append(err)
         if it >= 1 and abs(trace[-2] - err) < opts.rel_tol:
             converged = True

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import GraphViewTensor
+from .tensors import GraphViewTensor, average_with_transpose
 
 
 @dataclass(frozen=True)
@@ -81,12 +81,12 @@ def generate(spec: SyntheticSpec) -> tuple[list[GraphViewTensor], np.ndarray]:
             (spec.subjects, spec.latent_rank))
         x = np.einsum("ir,jr,nr->ijn", h, h, subject_factors, optimize=True)
         if spec.noise_sigma > 0:
-            noise = rng.normal(0.0, spec.noise_sigma,
-                               (spec.nodes, spec.nodes, spec.subjects))
-            x = x + (noise + noise.transpose(1, 0, 2)) / 2.0
+            # C order, as x + noise would give, so that the fits need no copy
+            x = np.ascontiguousarray(x)
+            x += average_with_transpose(rng.normal(0.0, spec.noise_sigma,
+                                                   (spec.nodes, spec.nodes, spec.subjects)))
         # exact symmetry regardless of the einsum contraction path
-        x = (x + x.transpose(1, 0, 2)) / 2.0
-        views.append(GraphViewTensor(x))
+        views.append(GraphViewTensor(average_with_transpose(x)))
     return views, labels
 
 

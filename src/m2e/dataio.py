@@ -9,16 +9,35 @@ Labels, when present, are one integer (1..K) per line.
 Numbers are written by `np.savetxt` and matrices parsed by `np.loadtxt`.
 View blocks are parsed with `comments=None`: a view file holds numbers
 only, and numpy would otherwise drop any `# ...` text without a word.
+
+A view file is read as a stream of lines. Only an empty line ends a block
+(after CRLF and CR line ends are read as LF); a whitespace-only line stays
+inside its block, where `np.loadtxt` skips it, and a block of whitespace-only
+lines is dropped. Each block is parsed when its closing empty line, or the
+end of the file, arrives, and written into the one (M, M, N) array that the
+view returns; blocks past N are counted but not parsed. So a loader holds
+one block of text at a time, and its peak memory is about the views it
+returns. Faults are reported in this order, the first that applies:
+
+1. a missing file;
+2. a block count other than N ("found K matrix blocks, manifest says N");
+3. the first block that does not parse or is not M x M;
+4. non-finite entries;
+5. a slice asymmetric by more than LOADER_SYMMETRY_TOL, naming the worst.
+
+Slices within that tolerance are then averaged with their transposes in place.
 """
 from __future__ import annotations
 
+import collections
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .tensors import GraphViewTensor, symmetrize_slices
+from .tensors import GraphViewTensor, all_finite, average_with_transpose, require_symmetric
 
 FORMAT_VERSION = 1
 _FLOAT_FMT = "%.17g"
@@ -78,34 +97,69 @@ def _write_view_file(path: Path, view: GraphViewTensor) -> None:
             np.savetxt(fh, view.data[:, :, n], fmt=_FLOAT_FMT)
 
 
+def _text_blocks(lines):
+    """Each block of `lines` that holds text, as an iterator over its lines.
+
+    Only an empty line ends a block. A whitespace-only line stays inside its
+    block, and a block of whitespace-only lines is dropped; the lines before
+    a block's first text are not yielded. Each block must be read, fully or
+    not at all, before the next is drawn.
+    """
+    for line in lines:
+        if not line.isspace():
+            block = itertools.chain([line], itertools.takewhile(lambda s: s != "\n", lines))
+            yield block
+            collections.deque(block, maxlen=0)  # skip what the caller did not read
+
+
+def _parse_block(block, name: str, n: int, nodes: int) -> np.ndarray:
+    try:
+        matrix = np.loadtxt(itertools.chain.from_iterable(map(str.splitlines, block)),
+                            ndmin=2, comments=None)
+    except ValueError as exc:
+        raise DatasetError(f"view '{name}': unparsable block {n}: {exc}") from exc
+    if matrix.shape != (nodes, nodes):
+        raise DatasetError(
+            f"view '{name}': block {n} has shape {matrix.shape}, "
+            f"manifest says ({nodes}, {nodes})"
+        )
+    return matrix
+
+
 def _read_view_file(path: Path, name: str, nodes: int, subjects: int) -> GraphViewTensor:
+    """Stream a view file into one (nodes, nodes, subjects) array; see the module docstring."""
     if not path.exists():
         raise DatasetError(f"view '{name}': matrix file {path} is missing")
-    chunks = [c for c in path.read_text().split("\n\n") if c.strip()]
-    if len(chunks) != subjects:
-        raise DatasetError(
-            f"view '{name}': found {len(chunks)} matrix blocks, manifest says {subjects}"
-        )
-    slices = []
-    for n, chunk in enumerate(chunks):
-        try:
-            block = np.loadtxt(chunk.strip().splitlines(), ndmin=2, comments=None)
-        except ValueError as exc:
-            raise DatasetError(f"view '{name}': unparsable block {n}: {exc}") from exc
-        if block.shape != (nodes, nodes):
-            raise DatasetError(
-                f"view '{name}': block {n} has shape {block.shape}, "
-                f"manifest says ({nodes}, {nodes})"
-            )
-        slices.append(block)
-    data = np.stack(slices, axis=2)
-    if not np.isfinite(data).all():
+    # N blocks of M*M numbers take at least N(2M^2 - 1) bytes. A shorter file
+    # cannot load and is read only to name its fault, so that a wrong manifest
+    # count never sizes an allocation.
+    fits = path.stat().st_size >= subjects * (2 * nodes * nodes - 1)
+    data = np.empty((nodes, nodes, subjects)) if fits else None
+    count, fault = 0, None
+    with path.open() as fh:
+        for block in _text_blocks(fh):
+            if count < subjects and fault is None:
+                try:
+                    matrix = _parse_block(block, name, count, nodes)
+                except DatasetError as exc:
+                    fault = exc  # the block count, known at the end, is reported first
+                else:
+                    if data is not None:
+                        data[:, :, count] = matrix
+            count += 1
+    if count != subjects:
+        raise DatasetError(f"view '{name}': found {count} matrix blocks, manifest says {subjects}")
+    if fault is not None:
+        raise fault
+    if data is None:  # the file grew while it was read
+        raise DatasetError(f"view '{name}': matrix file {path} changed while it was read")
+    if not all_finite(data):
         raise DatasetError(f"view '{name}': non-finite entries")
     try:
-        data = symmetrize_slices(data, LOADER_SYMMETRY_TOL)
+        require_symmetric(data, LOADER_SYMMETRY_TOL)
     except ValueError as exc:
         raise DatasetError(f"view '{name}': {exc}") from exc
-    return GraphViewTensor(data)
+    return GraphViewTensor(average_with_transpose(data))
 
 
 def _check_unique_names(names: list[str]) -> None:

@@ -19,7 +19,8 @@ import numpy as np
 from .cluster import cluster_and_score, kmeans
 from .cp import AlsOptions, cp_als_fit, cp_relative_error
 from .dataio import Dataset, load_dataset, load_dataset_view, save_labels, save_matrix
-from .solver import M2eConfig, M2eSolution, m2e_ds_fit, m2e_fit, m2e_ts_fit
+from .solver import (M2eConfig, M2eSolution, SolverNumericsError, m2e_ds_fit, m2e_fit,
+                     m2e_ts_fit)
 
 # method name -> fitter, named so that `_fit` finds the fitter bound in this
 # module when it is called (a profiler or a test may rebind it)
@@ -189,14 +190,18 @@ def _grid_cells(grid: GridSpec, n_views: int):
 
 
 def _evaluate_cell(cell, config: RunConfig, dataset: Dataset) -> dict:
+    """The cell's accuracy row, or its "error" if the fit raised SolverNumericsError."""
     solver = dataclasses.replace(config.solver, lambdas=cell["lambdas"],
                                  rank=cell["rank"])
     cfg = dataclasses.replace(config, solver=solver)
-    solution = _fit(cfg, dataset)
+    row = {"lambdas": list(cell["lambdas"]), "rank": cell["rank"]}
+    try:
+        solution = _fit(cfg, dataset)
+    except SolverNumericsError as exc:
+        return {**row, "error": exc}
     doc = run_evaluate(solution.consensus, dataset.labels, cfg)
     return {
-        "lambdas": list(cell["lambdas"]),
-        "rank": cell["rank"],
+        **row,
         "mean_accuracy": doc["mean"]["accuracy"],
         "std_accuracy": doc["std"]["accuracy"],
     }
@@ -208,6 +213,10 @@ def run_gridsearch(grid: GridSpec, dataset: Dataset | str | Path, config: RunCon
 
     Writes the ranked table plus two sensitivity slices: accuracy versus
     rank at the best weights, and accuracy versus weights at the best rank.
+    A cell whose fit raises SolverNumericsError is left out of all three;
+    summary.json lists it under failed_cells with its error and iteration,
+    and a warning counts the failed cells. If every cell fails, the first
+    cell's error is raised.
     """
     ds = _as_dataset(dataset)
     if ds.labels is None:
@@ -218,7 +227,14 @@ def run_gridsearch(grid: GridSpec, dataset: Dataset | str | Path, config: RunCon
             f"grid has {len(cells)} cells (> {_GRID_CELL_LIMIT}); "
             "pass allow_large / --force-large-grid to proceed"
         )
-    rows = [_evaluate_cell(c, config, ds) for c in cells]
+    results = [_evaluate_cell(c, config, ds) for c in cells]
+    rows = [r for r in results if "error" not in r]
+    failed = [r for r in results if "error" in r]
+    if not rows:
+        raise failed[0]["error"]
+    if failed:
+        warnings.warn(f"{len(failed)} of {len(cells)} cells failed; summary.json lists "
+                      "them under failed_cells", stacklevel=2)
 
     order = sorted(range(len(rows)),
                    key=lambda i: (-rows[i]["mean_accuracy"], i))
@@ -247,6 +263,8 @@ def run_gridsearch(grid: GridSpec, dataset: Dataset | str | Path, config: RunCon
         "rank_grid": list(grid.rank_grid),
         "cells": len(cells),
         "best": best,
+        "failed_cells": [{"lambdas": r["lambdas"], "rank": r["rank"], "error": str(r["error"]),
+                          "iteration": r["error"].iteration} for r in failed],
     })
     return ranked
 

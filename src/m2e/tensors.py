@@ -249,37 +249,87 @@ def frobenius_norm(tensor: np.ndarray) -> float:
     return math.sqrt(float(flat.dot(flat)))
 
 
+# Scans and in-place averages over an (M, M, N) tensor take _TILE leading-axis
+# rows, or _TILE x _TILE x N tiles, at a time, so their temporaries stay a
+# small share of the tensor whatever M is. Frontal slices are strided in this
+# layout, so the scans do not loop over them.
+_TILE = 8
+
+
+def _upper_tiles(m: int):
+    """(rows, cols) slices of the tiles on and above the diagonal of an m x m grid."""
+    for i in range(0, m, _TILE):
+        for j in range(i, m, _TILE):
+            yield slice(i, i + _TILE), slice(j, j + _TILE)
+
+
+def all_finite(tensor: np.ndarray) -> bool:
+    """True when every entry is finite; scans a few leading-axis rows at a time."""
+    return all(np.isfinite(tensor[i:i + _TILE]).all() for i in range(0, len(tensor), _TILE))
+
+
+def _slice_asymmetry(t: np.ndarray) -> np.ndarray:
+    """max_ij |t[i, j, n] - t[j, i, n]| for each frontal slice n of an (M, M, N) tensor.
+
+    Each upper tile is compared with its mirror, which covers every pair
+    (i, j) once.
+    """
+    if t.ndim != 3 or t.shape[0] != t.shape[1]:
+        raise ValueError(f"expected shape (M, M, N), got {t.shape}")
+    worst = np.zeros(t.shape[2])
+    for rows, cols in _upper_tiles(t.shape[0]):
+        diff = t[rows, cols] - t[cols, rows].transpose(1, 0, 2)
+        np.maximum(worst, np.abs(diff, out=diff).max(axis=(0, 1)), out=worst)
+    return worst
+
+
 def check_partial_symmetry(tensor: np.ndarray, tol: float = SYMMETRY_TOL) -> tuple[bool, float]:
     """Check that every frontal slice of an (M, M, N) tensor is symmetric.
 
     Returns (ok, max_asymmetry) where max_asymmetry is the largest
-    |t[i, j, n] - t[j, i, n]| over all entries.
+    |t[i, j, n] - t[j, i, n]| over all entries (NaN if an entry is NaN).
+    The scan compares one 8 x 8 x N tile with its mirror at a time, so it
+    allocates no transposed copy.
     """
-    t = np.asarray(tensor, dtype=float)
-    if t.ndim != 3 or t.shape[0] != t.shape[1]:
-        raise ValueError(f"expected shape (M, M, N), got {t.shape}")
-    max_asym = float(np.abs(t - t.transpose(1, 0, 2)).max(initial=0.0))
+    max_asym = float(_slice_asymmetry(np.asarray(tensor, dtype=float)).max(initial=0.0))
     return max_asym <= tol, max_asym
 
 
-def _require_symmetric(t: np.ndarray, tol: float, advice: str = "") -> None:
+def require_symmetric(t: np.ndarray, tol: float, advice: str = "") -> None:
     """Raise naming the most asymmetric frontal slice if it is asymmetric beyond `tol`."""
-    ok, asym = check_partial_symmetry(t, tol)
-    if not ok:
-        worst = int(np.argmax(np.abs(t - t.transpose(1, 0, 2)).max(axis=(0, 1))))
-        raise ValueError(f"frontal slice {worst} is asymmetric by {asym:.3g} "
-                         f"(tolerance {tol:.3g}){advice}")
+    per_slice = _slice_asymmetry(t)
+    asym = float(per_slice.max(initial=0.0))
+    if not asym <= tol:
+        raise ValueError(f"frontal slice {int(np.argmax(per_slice))} is asymmetric by "
+                         f"{asym:.3g} (tolerance {tol:.3g}){advice}")
+
+
+def average_with_transpose(t: np.ndarray) -> np.ndarray:
+    """Replace each frontal slice W of `t` by (W + W.T) / 2, in place; returns `t`.
+
+    Each upper tile and its mirror are averaged from their old values and
+    then both written, and no tile is read after it is written, so the result
+    equals (t + t.transpose(1, 0, 2)) / 2.0 bit for bit.
+    """
+    for rows, cols in _upper_tiles(t.shape[0]):
+        avg = t[rows, cols] + t[cols, rows].transpose(1, 0, 2)
+        avg /= 2.0
+        t[rows, cols] = avg
+        t[cols, rows] = avg.transpose(1, 0, 2)
+    return t
 
 
 def symmetrize_slices(tensor: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    """Replace each frontal slice W by (W + W.T) / 2.
+    """Return a new tensor whose frontal slices are (W + W.T) / 2 of the input's.
 
-    Rejects input whose asymmetry exceeds `tol`; small asymmetries are
-    treated as float-level noise and averaged away.
+    Rejects input whose asymmetry exceeds `tol`, naming the most asymmetric
+    slice; small asymmetries are treated as float-level noise and averaged
+    away. The input is not changed, and the result is the only full-size
+    allocation: the check scans tiles, and a copy is averaged in place.
     """
     t = np.asarray(tensor, dtype=float)
-    _require_symmetric(t, tol)
-    return (t + t.transpose(1, 0, 2)) / 2.0
+    require_symmetric(t, tol)
+    return average_with_transpose(np.array(t, order="C"))
 
 
 @dataclass(frozen=True)
@@ -294,9 +344,11 @@ class GraphViewTensor:
 
     def __post_init__(self):
         t = np.asarray(self.data, dtype=float)
-        if not np.isfinite(t).all():
+        if t.ndim != 3 or t.shape[0] != t.shape[1]:
+            raise ValueError(f"expected shape (M, M, N), got {t.shape}")
+        if not all_finite(t):
             raise ValueError("affinity entries must be finite")
-        _require_symmetric(t, SYMMETRY_TOL, "; symmetrize first")  # checks the shape too
+        require_symmetric(t, SYMMETRY_TOL, "; symmetrize first")
         object.__setattr__(self, "data", t)
 
     @property

@@ -1,0 +1,65 @@
+"""Peak traced allocation of the calls that read, check or draw a view.
+
+Each bound is in units of the dense view bytes a call takes or returns. The
+shape, 64 nodes x 48 subjects, makes a view 1.5 MB, so numpy's fixed buffers
+and one parsed block are small beside it.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from m2e.cp import AlsOptions, cp_als_fit, cp_relative_error
+from m2e.datagen import SyntheticSpec, generate
+from m2e.dataio import load_dataset, load_dataset_view, save_dataset
+from m2e.tensors import GraphViewTensor, check_partial_symmetry, symmetrize_slices
+
+SPEC = SyntheticSpec(views=2, nodes=64, subjects=48, cluster_sizes=(24, 24), seed=4)
+
+
+def traced_peak(call):
+    """Bytes allocated at the peak of call(), above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def views():
+    return generate(SPEC)[0]
+
+
+@pytest.fixture(scope="module")
+def dataset_dir(tmp_path_factory, views):
+    path = tmp_path_factory.mktemp("alloc") / "ds"
+    save_dataset(path, views)
+    return path
+
+
+@pytest.fixture(scope="module")
+def factors(views):
+    return cp_als_fit(views[0].data, AlsOptions(rank=3, max_iters=2)).factors
+
+
+# call(dataset_dir, x, factors) and its bound, in views of x's size. One
+# whole-view temporary, such as a transposed or stacked copy, breaks each bound.
+BOUNDS = {
+    "load_dataset": (lambda d, x, f: load_dataset(d), 1.2 * 2),
+    "load_dataset_view": (lambda d, x, f: load_dataset_view(d, 1), 1.2),
+    "check_partial_symmetry": (lambda d, x, f: check_partial_symmetry(x), 0.25),
+    "GraphViewTensor": (lambda d, x, f: GraphViewTensor(x), 0.25),
+    "symmetrize_slices": (lambda d, x, f: symmetrize_slices(x), 1.1),
+    "cp_relative_error": (lambda d, x, f: cp_relative_error(x, f), 1.1),
+    "generate": (lambda d, x, f: generate(SPEC), 3.3),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDS)
+def test_peak_allocation_is_bounded_in_views(name, dataset_dir, views, factors):
+    call, bound = BOUNDS[name]
+    x = views[0].data
+    assert traced_peak(lambda: call(dataset_dir, x, factors)) <= bound * x.nbytes

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from m2e.cp import AlsOptions, CpFactors, cp_als_fit, cp_relative_error
-from m2e.tensors import cp_reconstruct, khatri_rao, matricize, ridge_solve
+from m2e.tensors import cp_reconstruct, frobenius_norm, khatri_rao, matricize, ridge_solve
 
 
 def rank_r_tensor(rng, dims, rank, scale=1.0):
@@ -125,3 +125,14 @@ def test_rejects_bad_inputs():
         cp_als_fit(np.full((2, 2, 2), np.nan), AlsOptions(rank=1))
     with pytest.raises(ValueError):
         cp_als_fit(np.zeros((2, 2)), AlsOptions(rank=1))
+
+
+def test_relative_error_matches_the_dense_formula_bit_for_bit():
+    rng = np.random.default_rng(14)
+    t, _ = rank_r_tensor(rng, (7, 6, 5), 3)
+    t = t + 0.1 * rng.standard_normal(t.shape)
+    for tensor in (t, np.asfortranarray(t)):
+        for rank in (1, 3):
+            f = CpFactors(tuple(rng.standard_normal((d, rank)) for d in t.shape))
+            expected = frobenius_norm(t - cp_reconstruct(f)) / frobenius_norm(t)
+            assert cp_relative_error(tensor, f) == expected

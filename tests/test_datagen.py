@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from m2e.datagen import SyntheticSpec, bp_shape_preset, generate, hiv_shape_preset
+from m2e.datagen import (SyntheticSpec, _centroids, bp_shape_preset, generate,
+                         hiv_shape_preset)
 from m2e.solver import M2eConfig, m2e_fit
 from m2e.tensors import check_partial_symmetry
 
@@ -48,7 +51,6 @@ def test_labels_follow_cluster_sizes():
 
 
 def test_centroid_separation_is_exact():
-    from m2e.datagen import _centroids
     rng = np.random.default_rng(5)
     cents = _centroids(rng, 3, 6, separation=4.0)
     for i in range(3):
@@ -85,3 +87,36 @@ def test_spec_validation():
         SyntheticSpec(latent_rank=1, cluster_sizes=(20, 20))
     with pytest.raises(ValueError):
         SyntheticSpec(separation=-1.0)
+
+
+def dense_generate(spec):
+    """The generator's arithmetic with full-size temporaries: the reference for `generate`."""
+    labels = np.repeat(np.arange(1, spec.n_clusters + 1), np.asarray(spec.cluster_sizes))
+    views = []
+    for v in range(spec.views):
+        rng = np.random.default_rng([spec.seed, v])
+        h = rng.standard_normal((spec.nodes, spec.latent_rank))
+        centroids = _centroids(rng, spec.n_clusters, spec.latent_rank, spec.separation)
+        subject_factors = centroids[labels - 1] + spec.jitter * rng.standard_normal(
+            (spec.subjects, spec.latent_rank))
+        x = np.einsum("ir,jr,nr->ijn", h, h, subject_factors, optimize=True)
+        if spec.noise_sigma > 0:
+            noise = rng.normal(0.0, spec.noise_sigma, (spec.nodes, spec.nodes, spec.subjects))
+            x = x + (noise + noise.transpose(1, 0, 2)) / 2.0
+        views.append((x + x.transpose(1, 0, 2)) / 2.0)
+    return views, labels
+
+
+@pytest.mark.parametrize("spec", [
+    SyntheticSpec(seed=7),
+    SyntheticSpec(noise_sigma=0.0, seed=7),
+    SyntheticSpec(nodes=19, subjects=6, cluster_sizes=(3, 3), latent_rank=2, seed=8),
+    dataclasses.replace(hiv_shape_preset(), seed=9),
+], ids=["default", "noiseless", "nodes-19", "hiv"])
+def test_generate_matches_the_dense_arithmetic_bit_for_bit(spec):
+    views, labels = generate(spec)
+    expected, expected_labels = dense_generate(spec)
+    np.testing.assert_array_equal(labels, expected_labels)
+    for got, want in zip(views, expected):
+        assert got.data.tobytes() == want.tobytes()
+        assert got.data.strides == want.strides

@@ -1,11 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from m2e.datagen import SyntheticSpec, generate
-from m2e.dataio import (DatasetError, load_dataset, load_dataset_labels, load_matrix,
-                        save_dataset, save_matrix)
+from m2e.datagen import SyntheticSpec, generate, hiv_shape_preset
+from m2e.dataio import (DatasetError, load_dataset, load_dataset_labels, load_dataset_view,
+                        load_matrix, save_dataset, save_matrix)
 
 
 def _view_text(data):
@@ -223,3 +224,63 @@ def test_dataset_view_files_reparse_exactly(small_dataset):
     ds = load_dataset(path)
     for loaded, original in zip(ds.views, views):
         np.testing.assert_array_equal(loaded.data, original.data)
+
+
+# --------------------------------------------------------------------------
+# the streaming view parser: outcomes it shares with a whole-file parse
+
+A2, B2 = "1 2\n2 3\n", "4 5\n5 6\n"  # two 2 x 2 blocks
+
+
+def _two_node_dataset(root, text, nodes=2, subjects=2):
+    root.mkdir()
+    (root / "manifest.json").write_text(json.dumps({
+        "format_version": 1, "subject_count": subjects,
+        "views": [{"name": "view1", "node_count": nodes, "subject_count": subjects,
+                   "matrix_file": "view1.txt"}],
+    }))
+    (root / "view1.txt").write_bytes(text.encode())
+    return root
+
+
+@pytest.mark.parametrize("text", [
+    (A2 + "\n" + B2).replace("\n", "\r\n"),
+    "1 2\n  \t\n2 3\n\n4 5\n5 6\n",
+    A2 + "\n\n" + B2,
+    A2 + "\n\n\n\n" + B2,
+    "\n\n" + A2 + "\n" + B2 + "\n\n",
+    "  \n" + A2 + "\n" + B2.rstrip("\n"),
+], ids=["crlf", "whitespace-line-inside-a-block", "two-empty-lines", "four-empty-lines",
+        "leading-and-trailing-empty-lines", "leading-whitespace-line-no-final-newline"])
+def test_view_file_layouts_that_load(tmp_path, text):
+    ds = load_dataset(_two_node_dataset(tmp_path / "ds", text))
+    np.testing.assert_array_equal(ds.views[0].data[:, :, 0], [[1, 2], [2, 3]])
+    np.testing.assert_array_equal(ds.views[0].data[:, :, 1], [[4, 5], [5, 6]])
+
+
+@pytest.mark.parametrize("text, nodes, subjects, message", [
+    (A2 + " \n" + B2, 2, 2, "found 1 matrix blocks, manifest says 2"),
+    (A2 + "\n" + B2 + "\n" + A2, 2, 2, "found 3 matrix blocks, manifest says 2"),
+    (A2 + "\n" + B2 + "\nx y\n", 2, 2, "found 3 matrix blocks, manifest says 2"),
+    ("1 2\n\n" + B2, 2, 2, r"block 0 has shape \(1, 2\), manifest says \(2, 2\)"),
+    ("1 2\n2\n\n" + B2, 2, 2, "unparsable block 0: "),
+    ("1 2 # x\n2 3\n\n" + B2, 2, 2, "unparsable block 0: "),
+    (A2 + "\n" + B2, 2, 10 ** 12, "found 2 matrix blocks, manifest says 1000000000000"),
+    (A2 + "\n" + B2, 10 ** 6, 2, r"block 0 has shape \(2, 2\), manifest says \(1000000, "),
+], ids=["whitespace-line-between-blocks", "three-blocks", "unparsed-third-block",
+        "one-row-block", "ragged-row", "comment-text", "huge-subject-count",
+        "huge-node-count"])
+def test_view_file_faults_and_their_messages(tmp_path, text, nodes, subjects, message):
+    path = _two_node_dataset(tmp_path / "ds", text, nodes, subjects)
+    for load in (load_dataset, lambda p: load_dataset_view(p, 0)):
+        with pytest.raises(DatasetError, match=f"view 'view1': {message}"):
+            load(path)
+
+
+def test_hiv_shape_round_trip_is_bit_exact(tmp_path):
+    views, labels = generate(dataclasses.replace(hiv_shape_preset(), views=1, seed=3))
+    save_dataset(tmp_path / "hiv", views, labels)
+    name, view = load_dataset_view(tmp_path / "hiv", "view1")
+    assert name == "view1"
+    assert view.data.flags.c_contiguous
+    assert view.data.tobytes() == views[0].data.tobytes()

@@ -11,7 +11,7 @@ from m2e.dataio import load_dataset, load_matrix, save_dataset
 from m2e.datagen import SyntheticSpec, generate
 from m2e.runner import (METHODS, GridSpec, RunConfig, run_cluster, run_cp,
                         run_evaluate, run_fit, run_gridsearch)
-from m2e.solver import M2eConfig
+from m2e.solver import M2eConfig, SolverNumericsError
 
 
 SMALL = SyntheticSpec(views=2, nodes=8, subjects=12, cluster_sizes=(6, 6),
@@ -203,6 +203,7 @@ def test_gridsearch_outputs_and_ranking(dataset_dir, tmp_path):
     assert vs_rank.shape[0] == len(grid.rank_grid)
     assert (out / "accuracy_vs_lambda.txt").exists()
     assert (out / "grid_results.txt").exists()
+    assert json.loads((out / "summary.json").read_text())["failed_cells"] == []
 
 
 def test_gridsearch_requires_labels(tmp_path):
@@ -218,6 +219,60 @@ def test_gridsearch_guards_large_grids(dataset_dir, tmp_path):
                     rank_grid=(1,))
     with pytest.raises(ValueError, match="cells"):
         run_gridsearch(grid, dataset_dir, quick_config(), tmp_path / "gs")
+
+
+def fail_at_weights(monkeypatch, failing):
+    """Make the joint fitter raise SolverNumericsError for the given view weights."""
+    import m2e.runner as runner
+    fit = runner.m2e_fit
+
+    def fitter(views, config):
+        if tuple(config.lambdas) in failing:
+            raise SolverNumericsError(f"rank {config.rank} blew up at outer iteration 5",
+                                      iteration=5)
+        return fit(views, config)
+
+    monkeypatch.setattr(runner, "m2e_fit", fitter)
+
+
+def test_gridsearch_records_a_failed_cell_and_goes_on(dataset_dir, tmp_path, monkeypatch):
+    fail_at_weights(monkeypatch, {(1e4, 1e4)})
+    grid = GridSpec(lambda_grid=(1.0, 1e4), rank_grid=(1, 2))
+    out = tmp_path / "gs"
+    with pytest.warns(UserWarning, match="2 of 8 cells failed"):
+        rows = run_gridsearch(grid, dataset_dir, quick_config(), out)
+    assert len(rows) == 6
+    assert all(r["lambdas"] != [1e4, 1e4] for r in rows)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failed_cells"] == [
+        {"lambdas": [1e4, 1e4], "rank": rank, "iteration": 5,
+         "error": f"rank {rank} blew up at outer iteration 5"} for rank in (1, 2)]
+    for name, count in (("grid_results.txt", 6), ("accuracy_vs_lambda.txt", 3)):
+        weights = load_matrix(out / name)[:, :2]
+        assert weights.shape[0] == count
+        assert not (weights == 1e4).all(axis=1).any()
+    assert load_matrix(out / "accuracy_vs_rank.txt").shape[0] == 2
+
+
+def test_gridsearch_raises_the_first_error_when_every_cell_fails(dataset_dir, tmp_path,
+                                                                  monkeypatch):
+    fail_at_weights(monkeypatch, {(1e4, 1e4)})
+    grid = GridSpec(lambda_grid=(1e4,), rank_grid=(2, 1))
+    with pytest.raises(SolverNumericsError, match="rank 2 blew up") as err:
+        run_gridsearch(grid, dataset_dir, quick_config(), tmp_path / "gs")
+    assert err.value.iteration == 5
+
+
+def test_cli_gridsearch_warns_of_failed_cells(tmp_path, dataset_dir, monkeypatch):
+    fail_at_weights(monkeypatch, {(1e4, 1e4)})
+    out = tmp_path / "gs"
+    with pytest.warns(UserWarning, match="1 of 4 cells failed"):
+        code = main(["gridsearch", "--dataset", str(dataset_dir), "--out", str(out),
+                     "--lambda-grid", "1.0,1e4", "--rank-grid", "2", "--restarts", "3",
+                     "--repeats", "2", "--max-iters", "30", "--seed", "0"])
+    assert code == 0
+    failed = json.loads((out / "summary.json").read_text())["failed_cells"]
+    assert [(c["lambdas"], c["iteration"]) for c in failed] == [([1e4, 1e4], 5)]
 
 
 # --------------------------------------------------------------------------

@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from m2e.tensors import (RIDGE, GraphViewTensor, _unfold3, check_partial_symmetry,
-                         cp_reconstruct, cp_squared_error, frobenius_norm, khatri_rao, matricize,
-                         mode3_mttkrp, mttkrp_from_partial, pack_symmetric,
-                         packed_mode3_mttkrp, packed_partial_mttkrp, partial_mttkrp, refold,
+from m2e.tensors import (RIDGE, GraphViewTensor, _unfold3, all_finite, average_with_transpose,
+                         check_partial_symmetry, cp_reconstruct, cp_squared_error,
+                         frobenius_norm, khatri_rao, matricize, mode3_mttkrp,
+                         mttkrp_from_partial, pack_symmetric, packed_mode3_mttkrp,
+                         packed_partial_mttkrp, partial_mttkrp, refold, require_symmetric,
                          ridge_solve, scaled_identity, symmetrize_slices)
 
 
@@ -335,3 +336,44 @@ def test_graph_view_tensor_validation():
         GraphViewTensor(np.full((2, 2, 1), np.nan))
     with pytest.raises(ValueError):
         GraphViewTensor(np.zeros((2, 3, 1)))
+
+
+def _layouts(x):
+    """x in C order, in Fortran order and as a strided view."""
+    return [x, np.asfortranarray(x), np.ascontiguousarray(x.transpose(2, 0, 1)).transpose(1, 2, 0)]
+
+
+@pytest.mark.parametrize("m", [1, 8, 19])
+def test_in_place_average_matches_the_dense_formula_bit_for_bit(m):
+    x = np.random.default_rng(m).standard_normal((m, m, 5))
+    expected = (x + x.transpose(1, 0, 2)) / 2.0
+    for t in _layouts(x):
+        t = t.copy(order="K")
+        assert average_with_transpose(t) is t
+        assert t.tobytes() == expected.tobytes()
+        assert symmetrize_slices(t, tol=np.inf).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("m", [3, 19])
+def test_tiled_symmetry_scan_matches_the_dense_scan(m):
+    x = np.random.default_rng(40 + m).standard_normal((m, m, 6))
+    x[m - 1, 0, 4] += 10.0  # worst entry in the lowest, leftmost tile, slice 4
+    per_slice = np.abs(x - x.transpose(1, 0, 2)).max(axis=(0, 1))
+    for t in _layouts(x):
+        assert check_partial_symmetry(t, 0.0) == (False, float(per_slice.max()))
+        with pytest.raises(ValueError, match="frontal slice 4 is asymmetric"):
+            require_symmetric(t, 1.0)
+    x[m - 1, m - 1, 2] = np.nan
+    ok, asym = check_partial_symmetry(x)
+    assert not ok and np.isnan(asym)
+    with pytest.raises(ValueError, match="frontal slice 2 is asymmetric by nan"):
+        require_symmetric(x, 1.0)
+
+
+def test_all_finite_scans_every_row():
+    x = np.zeros((19, 19, 3))
+    assert all_finite(x)
+    for value in (np.nan, np.inf, -np.inf):
+        y = x.copy()
+        y[18, 0, 2] = value
+        assert not all_finite(y)
