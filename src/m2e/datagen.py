@@ -79,10 +79,10 @@ def generate(spec: SyntheticSpec) -> tuple[list[GraphViewTensor], np.ndarray]:
         centroids = _centroids(rng, spec.n_clusters, spec.latent_rank, spec.separation)
         subject_factors = centroids[labels - 1] + spec.jitter * rng.standard_normal(
             (spec.subjects, spec.latent_rank))
-        x = np.einsum("ir,jr,nr->ijn", h, h, subject_factors, optimize=True)
+        # C order whatever layout the einsum picks, so that the fits need no copy
+        x = np.ascontiguousarray(
+            np.einsum("ir,jr,nr->ijn", h, h, subject_factors, optimize=True))
         if spec.noise_sigma > 0:
-            # C order, as x + noise would give, so that the fits need no copy
-            x = np.ascontiguousarray(x)
             x += average_with_transpose(rng.normal(0.0, spec.noise_sigma,
                                                    (spec.nodes, spec.nodes, spec.subjects)))
         # exact symmetry regardless of the einsum contraction path

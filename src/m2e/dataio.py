@@ -6,9 +6,13 @@ rows, with a blank line between blocks. Numbers are written with 17
 significant digits so that every emitted value re-parses bit-exactly.
 Labels, when present, are one integer (1..K) per line.
 
-Numbers are written by `np.savetxt` and matrices parsed by `np.loadtxt`.
-View blocks are parsed with `comments=None`: a view file holds numbers
-only, and numpy would otherwise drop any `# ...` text without a word.
+Each view block formats its M(M+1)/2 distinct entries once, entry (i, j)
+as the pair average (s[i, j] + s[j, i]) / 2.0, and writes each string at
+both (i, j) and (j, i); an exactly symmetric slice gives the bytes of
+`np.savetxt`, which writes the other matrices and the labels. Matrices are
+parsed by `np.loadtxt`. View blocks are parsed with `comments=None`: a view
+file holds numbers only, and numpy would otherwise drop any `# ...` text
+without a word.
 
 A view file is read as a stream of lines. Only an empty line ends a block
 (after CRLF and CR line ends are read as LF); a whitespace-only line stays
@@ -32,12 +36,14 @@ from __future__ import annotations
 import collections
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .tensors import GraphViewTensor, all_finite, average_with_transpose, require_symmetric
+from .tensors import (GraphViewTensor, all_finite, average_with_transpose, require_symmetric,
+                      symmetric_index)
 
 FORMAT_VERSION = 1
 _FLOAT_FMT = "%.17g"
@@ -90,11 +96,20 @@ def load_labels(path: Path | str) -> np.ndarray:
 
 
 def _write_view_file(path: Path, view: GraphViewTensor) -> None:
+    """Write one block per subject, distinct entries formatted once; see the module docstring."""
+    m = view.node_count
+    rows, cols, sym = symmetric_index(m)
+    mirror = operator.itemgetter(*sym.tolist())  # a bare string when m == 1
+    block = "\n".join([" ".join(["%s"] * m)] * m) + "\n"
     with open(path, "w") as fh:
         for n in range(view.subject_count):
+            s = view.data[:, :, n]
+            upper = s[rows, cols]
+            upper += s[cols, rows]
+            upper /= 2.0
             if n:
                 fh.write("\n")
-            np.savetxt(fh, view.data[:, :, n], fmt=_FLOAT_FMT)
+            fh.write(block % mirror(list(map(_FLOAT_FMT.__mod__, upper.tolist()))))
 
 
 def _text_blocks(lines):

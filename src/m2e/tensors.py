@@ -34,8 +34,9 @@ Cichocki, IEEE TSP 2013):
 Packed slices. A graph view's frontal slices are symmetric, so half of
 their entries are copies. :func:`pack_symmetric` keeps each slice's upper
 triangle, an (M(M+1)/2, N) matrix X_p with the diagonal halved (the layout
-of Schatz, Low, van de Geijn and Kolda, SIAM J. Sci. Comput. 2014), and
-both passes have a packed form that reads only X_p:
+of Schatz, Low, van de Geijn and Kolda, SIAM J. Sci. Comput. 2014), in
+the order of :func:`symmetric_index`, which the dataset writer shares. Both
+passes have a packed form that reads only X_p:
 
 * :func:`packed_partial_mttkrp`: C^T X_p^T, unpacked to the (R, M, M)
   pass-1 product by one gather over a symmetric index, at O(M^2 R);
@@ -160,19 +161,29 @@ class PackedSymmetric:
         return math.isqrt(self.sym.size)
 
 
+def symmetric_index(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, sym): the packed upper triangle of an m x m matrix and its mirror.
+
+    `rows` and `cols` list the pairs i <= j in row-major order, one per
+    packed entry; `sym` gives the packed entry of every flat position i*m + j,
+    so that packed.take(sym) is the full matrix, flattened.
+    """
+    rows, cols = np.triu_indices(m)
+    sym = np.empty(m * m, dtype=np.intp)
+    sym[rows * m + cols] = sym[cols * m + rows] = np.arange(rows.size)
+    return rows, cols, sym
+
+
 def pack_symmetric(tensor: np.ndarray) -> PackedSymmetric:
     """Pack the upper triangle of every frontal slice; the lower one is not read."""
     t = np.asarray(tensor, dtype=float)
     if t.ndim != 3 or t.shape[0] != t.shape[1]:
         raise ValueError(f"expected shape (M, M, N), got {t.shape}")
     m = t.shape[0]
-    rows, cols = np.triu_indices(m)
+    rows, cols, sym = symmetric_index(m)
     data = t[rows, cols]
     data[rows == cols] *= 0.5
-    upper, lower = rows * m + cols, cols * m + rows
-    sym = np.empty(m * m, dtype=np.intp)
-    sym[upper] = sym[lower] = np.arange(upper.size)
-    return PackedSymmetric(data, upper, lower, sym)
+    return PackedSymmetric(data, rows * m + cols, cols * m + rows, sym)
 
 
 def packed_partial_mttkrp(xp: PackedSymmetric, c: np.ndarray) -> np.ndarray:

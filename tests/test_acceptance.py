@@ -210,13 +210,14 @@ def test_09_subject_scaling_linear(monkeypatch):
                              latent_rank=5, seed=9)
         views, _ = generate(spec)
         cfg = M2eConfig(rank=5, lambdas=(1.0, 1.0), seed=9, max_outer_iters=60)
-        # min over several runs: wall-clock ratios are only meaningful for
-        # the least-disturbed run of each size
+        # CPU time, min over several runs: a process running beside the suite
+        # stretches wall-clock ratios, and the least-disturbed run is the one
+        # that measures the fit
         best = np.inf
         for _ in range(5):
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             m2e_fit(views, cfg)
-            best = min(best, time.perf_counter() - t0)
+            best = min(best, time.process_time() - t0)
         return best
 
     timed_fit(20)  # warm-up (BLAS thread pools, allocator)

@@ -1,4 +1,4 @@
-"""Peak traced allocation of the calls that read, check or draw a view.
+"""Peak traced allocation of the calls that read, write, check or draw a view.
 
 Each bound is in units of the dense view bytes a call takes or returns. The
 shape, 64 nodes x 48 subjects, makes a view 1.5 MB, so numpy's fixed buffers
@@ -50,6 +50,7 @@ def factors(views):
 BOUNDS = {
     "load_dataset": (lambda d, x, f: load_dataset(d), 1.2 * 2),
     "load_dataset_view": (lambda d, x, f: load_dataset_view(d, 1), 1.2),
+    "save_dataset": (lambda d, x, f: save_dataset(d.parent / "out", [GraphViewTensor(x)]), 0.5),
     "check_partial_symmetry": (lambda d, x, f: check_partial_symmetry(x), 0.25),
     "GraphViewTensor": (lambda d, x, f: GraphViewTensor(x), 0.25),
     "symmetrize_slices": (lambda d, x, f: symmetrize_slices(x), 1.1),

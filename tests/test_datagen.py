@@ -28,6 +28,14 @@ def test_noiseless_slices_exactly_symmetric():
         assert ok and asym == 0.0
 
 
+@pytest.mark.parametrize("preset", [hiv_shape_preset, bp_shape_preset])
+def test_noiseless_presets_give_c_contiguous_symmetric_views(preset):
+    views, _ = generate(dataclasses.replace(preset(), noise_sigma=0.0))
+    for v in views:
+        assert v.data.flags.c_contiguous
+        assert (v.data == v.data.transpose(1, 0, 2)).all()
+
+
 def test_noisy_slices_exactly_symmetric_too():
     views, _ = generate(SyntheticSpec(seed=2))
     for v in views:

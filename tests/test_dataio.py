@@ -7,6 +7,7 @@ import pytest
 from m2e.datagen import SyntheticSpec, generate, hiv_shape_preset
 from m2e.dataio import (DatasetError, load_dataset, load_dataset_labels, load_dataset_view,
                         load_matrix, save_dataset, save_matrix)
+from m2e.tensors import GraphViewTensor
 
 
 def _view_text(data):
@@ -99,9 +100,34 @@ def test_small_asymmetry_is_symmetrized(small_dataset):
     assert (ds.views[0].data == ds.views[0].data.transpose(1, 0, 2)).all()
 
 
-def test_view_file_bytes_follow_documented_format(small_dataset):
+def test_view_file_bytes_follow_documented_format(small_dataset, tmp_path):
     path, views, _ = small_dataset
     assert (path / "view1.txt").read_bytes() == _view_text(views[0].data).encode()
+    hiv_views, _ = generate(dataclasses.replace(hiv_shape_preset(), subjects=3,
+                                                cluster_sizes=(2, 1)))
+    save_dataset(tmp_path / "hiv", hiv_views)
+    assert (tmp_path / "hiv" / "view1.txt").read_bytes() == \
+        _view_text(hiv_views[0].data).encode()
+
+
+def test_near_symmetric_view_is_saved_as_its_pair_average(small_dataset, tmp_path):
+    _, views, _ = small_dataset
+    data = views[0].data.copy()
+    data[0, 1, 2] += 1e-10
+    save_dataset(tmp_path / "near", [GraphViewTensor(data)])
+    blocks = (tmp_path / "near" / "view1.txt").read_text().split("\n\n")
+    for block in blocks:
+        tokens = [row.split() for row in block.splitlines()]
+        assert tokens == [list(col) for col in zip(*tokens)]
+    loaded = load_dataset(tmp_path / "near").views[0].data
+    assert loaded.tobytes() == ((data + data.transpose(1, 0, 2)) / 2).tobytes()
+
+
+def test_one_node_view_round_trips(tmp_path):
+    data = np.array([[[0.1, -2.5, 3e-300]]])
+    save_dataset(tmp_path / "one", [GraphViewTensor(data)])
+    assert (tmp_path / "one" / "view1.txt").read_text() == _view_text(data)
+    assert load_dataset(tmp_path / "one").views[0].data.tobytes() == data.tobytes()
 
 
 def test_labels_file_bytes_are_one_integer_per_line(small_dataset):
