@@ -72,22 +72,22 @@ def generate(spec: SyntheticSpec) -> tuple[list[GraphViewTensor], np.ndarray]:
     """
     labels = np.repeat(np.arange(1, spec.n_clusters + 1),
                        np.asarray(spec.cluster_sizes))
-    views = []
-    for v in range(spec.views):
-        rng = np.random.default_rng([spec.seed, v])
-        h = rng.standard_normal((spec.nodes, spec.latent_rank))
-        centroids = _centroids(rng, spec.n_clusters, spec.latent_rank, spec.separation)
-        subject_factors = centroids[labels - 1] + spec.jitter * rng.standard_normal(
-            (spec.subjects, spec.latent_rank))
-        # C order whatever layout the einsum picks, so that the fits need no copy
-        x = np.ascontiguousarray(
-            np.einsum("ir,jr,nr->ijn", h, h, subject_factors, optimize=True))
-        if spec.noise_sigma > 0:
-            x += average_with_transpose(rng.normal(0.0, spec.noise_sigma,
-                                                   (spec.nodes, spec.nodes, spec.subjects)))
-        # exact symmetry regardless of the einsum contraction path
-        views.append(GraphViewTensor(average_with_transpose(x)))
-    return views, labels
+    return [_draw_view(spec, v, labels) for v in range(spec.views)], labels
+
+
+def _draw_view(spec: SyntheticSpec, v: int, labels: np.ndarray) -> GraphViewTensor:
+    """View v of `spec`; its dense draw is freed once the view is packed."""
+    rng = np.random.default_rng([spec.seed, v])
+    h = rng.standard_normal((spec.nodes, spec.latent_rank))
+    centroids = _centroids(rng, spec.n_clusters, spec.latent_rank, spec.separation)
+    subject_factors = centroids[labels - 1] + spec.jitter * rng.standard_normal(
+        (spec.subjects, spec.latent_rank))
+    x = np.einsum("ir,jr,nr->ijn", h, h, subject_factors, optimize=True)
+    if spec.noise_sigma > 0:
+        x += average_with_transpose(rng.normal(0.0, spec.noise_sigma,
+                                               (spec.nodes, spec.nodes, spec.subjects)))
+    # exact symmetry regardless of the einsum contraction path
+    return GraphViewTensor(average_with_transpose(x))
 
 
 def hiv_shape_preset() -> SyntheticSpec:

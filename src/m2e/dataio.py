@@ -6,22 +6,26 @@ rows, with a blank line between blocks. Numbers are written with 17
 significant digits so that every emitted value re-parses bit-exactly.
 Labels, when present, are one integer (1..K) per line.
 
-Each view block formats its M(M+1)/2 distinct entries once, entry (i, j)
-as the pair average (s[i, j] + s[j, i]) / 2.0, and writes each string at
-both (i, j) and (j, i); an exactly symmetric slice gives the bytes of
-`np.savetxt`, which writes the other matrices and the labels. Matrices are
-parsed by `np.loadtxt`. View blocks are parsed with `comments=None`: a view
-file holds numbers only, and numpy would otherwise drop any `# ...` text
-without a word.
+Views are held packed (`m2e.tensors.GraphViewTensor`), and neither the
+writer nor the loader builds a dense (M, M, N) view. The writer formats each
+block's M(M+1)/2 distinct entries once, straight from the packed rows with
+the halved diagonal doubled back, and writes each string at both (i, j) and
+(j, i). Packed rows hold the pair averages (s[i, j] + s[j, i]) / 2.0, so an
+exactly symmetric slice gives the bytes of `np.savetxt`, which writes the
+other matrices and the labels. Matrices are parsed by `np.loadtxt`. View
+blocks are parsed with `comments=None`: a view file holds numbers only, and
+numpy would otherwise drop any `# ...` text without a word.
 
 A view file is read as a stream of lines. Only an empty line ends a block
 (after CRLF and CR line ends are read as LF); a whitespace-only line stays
 inside its block, where `np.loadtxt` skips it, and a block of whitespace-only
 lines is dropped. Each block is parsed when its closing empty line, or the
-end of the file, arrives, and written into the one (M, M, N) array that the
-view returns; blocks past N are counted but not parsed. So a loader holds
-one block of text at a time, and its peak memory is about the views it
-returns. Faults are reported in this order, the first that applies:
+end of the file, arrives, and its pair averages are packed into the one
+(M(M+1)/2, N) array that the view keeps; blocks past N are counted but not
+parsed. So a loader holds one block of text at a time, and its peak memory
+is about the packed views it returns. As the blocks arrive it records whether
+any is non-finite and each slice's asymmetry max |s[i, j] - s[j, i]|. Faults
+are reported after the last block, in this order, the first that applies:
 
 1. a missing file;
 2. a block count other than N ("found K matrix blocks, manifest says N");
@@ -29,7 +33,7 @@ returns. Faults are reported in this order, the first that applies:
 4. non-finite entries;
 5. a slice asymmetric by more than LOADER_SYMMETRY_TOL, naming the worst.
 
-Slices within that tolerance are then averaged with their transposes in place.
+Slices within that tolerance are kept as their pair averages.
 """
 from __future__ import annotations
 
@@ -42,8 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensors import (GraphViewTensor, all_finite, average_with_transpose, require_symmetric,
-                      symmetric_index)
+from .tensors import GraphViewTensor, raise_on_asymmetry, symmetric_index
 
 FORMAT_VERSION = 1
 _FLOAT_FMT = "%.17g"
@@ -96,17 +99,16 @@ def load_labels(path: Path | str) -> np.ndarray:
 
 
 def _write_view_file(path: Path, view: GraphViewTensor) -> None:
-    """Write one block per subject, distinct entries formatted once; see the module docstring."""
+    """Write one block per subject from the packed rows; see the module docstring."""
     m = view.node_count
-    rows, cols, sym = symmetric_index(m)
+    _, _, sym = symmetric_index(m)
+    diagonal = sym[::m + 1]
     mirror = operator.itemgetter(*sym.tolist())  # a bare string when m == 1
     block = "\n".join([" ".join(["%s"] * m)] * m) + "\n"
     with open(path, "w") as fh:
         for n in range(view.subject_count):
-            s = view.data[:, :, n]
-            upper = s[rows, cols]
-            upper += s[cols, rows]
-            upper /= 2.0
+            upper = view.packed.data[:, n].copy()
+            upper[diagonal] *= 2.0  # undo the halved diagonal
             if n:
                 fh.write("\n")
             fh.write(block % mirror(list(map(_FLOAT_FMT.__mod__, upper.tolist()))))
@@ -142,25 +144,34 @@ def _parse_block(block, name: str, n: int, nodes: int) -> np.ndarray:
 
 
 def _read_view_file(path: Path, name: str, nodes: int, subjects: int) -> GraphViewTensor:
-    """Stream a view file into one (nodes, nodes, subjects) array; see the module docstring."""
+    """Stream a view file into its packed rows; see the module docstring."""
     if not path.exists():
         raise DatasetError(f"view '{name}': matrix file {path} is missing")
     # N blocks of M*M numbers take at least N(2M^2 - 1) bytes. A shorter file
     # cannot load and is read only to name its fault, so that a wrong manifest
     # count never sizes an allocation.
-    fits = path.stat().st_size >= subjects * (2 * nodes * nodes - 1)
-    data = np.empty((nodes, nodes, subjects)) if fits else None
-    count, fault = 0, None
+    data = None
+    if path.stat().st_size >= subjects * (2 * nodes * nodes - 1):
+        upper, lower, sym = symmetric_index(nodes)
+        diagonal = sym[::nodes + 1]
+        data, asymmetry = np.empty((upper.size, subjects)), np.zeros(subjects)
+    count, fault, finite = 0, None, True
     with path.open() as fh:
         for block in _text_blocks(fh):
             if count < subjects and fault is None:
                 try:
-                    matrix = _parse_block(block, name, count, nodes)
+                    flat = _parse_block(block, name, count, nodes).ravel()
                 except DatasetError as exc:
                     fault = exc  # the block count, known at the end, is reported first
                 else:
-                    if data is not None:
-                        data[:, :, count] = matrix
+                    if data is not None and finite:
+                        pairs, mirrored = flat.take(upper), flat.take(lower)
+                        finite = bool(np.isfinite(flat).all())
+                        asymmetry[count] = np.abs(pairs - mirrored).max()
+                        pairs += mirrored
+                        pairs /= 2.0
+                        pairs[diagonal] *= 0.5  # the packed layout halves the diagonal
+                        data[:, count] = pairs
             count += 1
     if count != subjects:
         raise DatasetError(f"view '{name}': found {count} matrix blocks, manifest says {subjects}")
@@ -168,13 +179,13 @@ def _read_view_file(path: Path, name: str, nodes: int, subjects: int) -> GraphVi
         raise fault
     if data is None:  # the file grew while it was read
         raise DatasetError(f"view '{name}': matrix file {path} changed while it was read")
-    if not all_finite(data):
+    if not finite:
         raise DatasetError(f"view '{name}': non-finite entries")
     try:
-        require_symmetric(data, LOADER_SYMMETRY_TOL)
+        raise_on_asymmetry(asymmetry, LOADER_SYMMETRY_TOL)
     except ValueError as exc:
         raise DatasetError(f"view '{name}': {exc}") from exc
-    return GraphViewTensor(average_with_transpose(data))
+    return GraphViewTensor.from_packed(data)
 
 
 def _check_unique_names(names: list[str]) -> None:

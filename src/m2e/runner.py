@@ -276,7 +276,8 @@ def run_cp(dataset: str | Path, view: str | int, opts: AlsOptions,
     Only that view's file is read from the dataset directory.
     """
     name, graph = load_dataset_view(dataset, view)
-    tensor = graph.data
+    tensor = graph.data  # CP-ALS runs on the dense tensor
+    del graph  # so the packed form is not held beside it
     fit = cp_als_fit(tensor, opts)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .tensors import (GraphViewTensor, cp_squared_error, frobenius_norm, mode3_mttkrp,
-                      mttkrp_from_partial, pack_symmetric, packed_mode3_mttkrp,
-                      packed_partial_mttkrp, ridge_solve, scaled_identity)
+                      mttkrp_from_partial, packed_mode3_mttkrp, packed_partial_mttkrp,
+                      ridge_solve, scaled_identity)
 
 # Monitor callbacks receive (event, info-dict); see m2e_fit.
 Monitor = Callable[[str, dict], None]
@@ -120,7 +120,7 @@ class M2eSolution:
 # reads a view twice: pass 1, partial_mttkrp(X, F), serves the node and aux
 # systems, since F is fixed during both; pass 2, mode3_mttkrp(X, H, P), serves
 # the subject system and the objective's cross term. The fitters run both
-# passes on the view's packed upper triangles (pack_symmetric).
+# passes on the packed upper triangles that each GraphViewTensor holds.
 
 
 def quadratic_objective(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -233,18 +233,22 @@ def objective_value(views: Sequence[np.ndarray], state: M2eState,
     """Sum of squared reconstruction errors plus the weighted consensus pull.
 
     Views may be arrays or GraphViewTensor; the split-factor model is
-    defined for any (M, M, N) tensor, so symmetry is not required here.
+    defined for any (M, M, N) tensor, so symmetry is not required here. A
+    GraphViewTensor is unpacked one view at a time, for the dense pass 2.
     """
-    xs = [np.asarray(v.data if isinstance(v, GraphViewTensor) else v, dtype=float)
-          for v in views]
-    lambdas = _resolve_lambdas(lambdas, len(xs))
+    lambdas = _resolve_lambdas(lambdas, len(views))
     for name in ("node", "node_aux", "subject"):
-        if len(getattr(state, name)) != len(xs):
-            raise ValueError(f"got {len(xs)} views but state.{name} holds "
+        if len(getattr(state, name)) != len(views):
+            raise ValueError(f"got {len(views)} views but state.{name} holds "
                              f"{len(getattr(state, name))}")
-    mttkrps = [mode3_mttkrp(x, h, p) for x, h, p in zip(xs, state.node, state.node_aux)]
-    return _objective([float(np.vdot(x, x)) for x in xs], mttkrps, state.node,
-                      state.node_aux, state.subject, state.consensus, lambdas)
+    energies, mttkrps = [], []
+    for v, h, p in zip(views, state.node, state.node_aux):
+        x = np.asarray(v.data if isinstance(v, GraphViewTensor) else v, dtype=float)
+        energies.append(float(np.vdot(x, x)))
+        mttkrps.append(mode3_mttkrp(x, h, p))
+        del x  # free it before the next view is unpacked
+    return _objective(energies, mttkrps, state.node, state.node_aux, state.subject,
+                      state.consensus, lambdas)
 
 
 def coupling_residual(state: M2eState) -> float:
@@ -308,40 +312,48 @@ def spectral_start(x: np.ndarray, rank: int, rng: np.random.Generator):
     return h, ridge_solve((h.T @ h) * (h.T @ h), mode3_mttkrp(x, h, h))
 
 
-def _init_state(views: Sequence[np.ndarray], config: M2eConfig,
-                lambdas: Sequence[float]) -> M2eState:
-    # Every view restarts the generator from the same seed, so equally
-    # shaped views start from identical factors and runs are reproducible.
-    node, aux, dual, subject = [], [], [], []
-    for x in views:
+def _init_state(views: Sequence[GraphViewTensor], config: M2eConfig,
+                lambdas: Sequence[float]) -> tuple[M2eState, list[float]]:
+    """The spectral start of every view, and each view's energy ||X_v||^2.
+
+    Each view is unpacked to its dense tensor for these two and freed before
+    the next, so at most one dense view is held. Every view restarts the
+    generator from the same seed, so equally shaped views start from
+    identical factors and runs are reproducible.
+    """
+    node, aux, dual, subject, energies = [], [], [], [], []
+    for view in views:
+        x = view.data
         h, f = spectral_start(x, config.rank, np.random.default_rng(config.seed))
+        energies.append(float(np.vdot(x, x)))
+        del x
         node.append(h)
         aux.append(h.copy())  # zero initial coupling residual
         dual.append(np.zeros_like(h))
         subject.append(f)
-    return M2eState(node, aux, dual, subject, update_consensus(subject, lambdas))
+    return M2eState(node, aux, dual, subject, update_consensus(subject, lambdas)), energies
 
 
 # ---------------------------------------------------------------------------
 # fitting loop
 
 
-def _as_view_arrays(views: Sequence) -> list[np.ndarray]:
-    """Validated, C-contiguous view arrays (contiguity keeps the spectral start copy-free)."""
-    arrays = []
+def _as_views(views: Sequence) -> list[GraphViewTensor]:
+    """Validated views; arrays are packed into GraphViewTensor."""
+    graphs = []
     for i, v in enumerate(views):
         if not isinstance(v, GraphViewTensor):
             try:
                 v = GraphViewTensor(v)
             except ValueError as exc:
                 raise ValueError(f"view {i}: {exc}") from exc
-        arrays.append(np.ascontiguousarray(v.data))
-    if not arrays:
+        graphs.append(v)
+    if not graphs:
         raise ValueError("need at least one view")
-    subjects = {a.shape[2] for a in arrays}
+    subjects = {g.subject_count for g in graphs}
     if len(subjects) != 1:
         raise ValueError(f"views disagree on subject count: {sorted(subjects)}")
-    return arrays
+    return graphs
 
 
 def _resolve_lambdas(lambdas: Sequence[float] | None, n_views: int) -> tuple[float, ...]:
@@ -392,11 +404,11 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
     """The outer loop of all three fitters.
 
     `subjects` is "joint", "shared" or "independent" (see the module
-    docstring). The loop computes each view's energy ||X_v||^2 once, for its
-    coupling penalty, its column norm and the stopping test. After the
-    spectral start each view is packed once into the upper triangles of its
-    symmetric slices, and every later pass reads only those, half the dense
-    tensor. Each iteration visits the views in order: pass 1 over X_v feeds
+    docstring). The spectral start unpacks one view at a time and computes
+    its energy ||X_v||^2 once, for its coupling penalty, its column norm and
+    the stopping test. Every later pass reads only the packed upper
+    triangles that each GraphViewTensor holds, half the dense tensor, as
+    they are. Each iteration visits the views in order: pass 1 over X_v feeds
     the node, aux and dual updates; pass 2 feeds view v's subject solve
     (under "shared", one solve on the summed systems after the views) and
     the traced objective. "joint" and "independent" then re-average the
@@ -409,17 +421,16 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
     node column the spectral start's norm balanced_column_norm(||X_v||^2, R).
     Under "shared" the factor is common to all views and is left as solved.
     """
-    xs = _as_view_arrays(views)
-    lambdas = _resolve_lambdas(config.lambdas, len(xs))
-    st = _init_state(xs, config, lambdas)
+    graphs = _as_views(views)
+    lambdas = _resolve_lambdas(config.lambdas, len(graphs))
+    st, energies = _init_state(graphs, config, lambdas)
     if subjects == "shared":  # every view holds view 0's start
-        st.subject = [st.subject[0]] * len(xs)
+        st.subject = [st.subject[0]] * len(graphs)
         st.consensus = st.subject[0]
-    pulls = lambdas if subjects == "joint" else (0.0,) * len(xs)
-    energies = [float(np.vdot(x, x)) for x in xs]
+    pulls = lambdas if subjects == "joint" else (0.0,) * len(graphs)
     mus = [balanced_penalty(e, config.rank) for e in energies]
     norms = [balanced_column_norm(e, config.rank) for e in energies]
-    packed = [pack_symmetric(x) for x in xs]
+    packed = [g.packed for g in graphs]
     obj_trace: list[float] = []
     res_trace: list[float] = []
     converged = False
@@ -447,7 +458,7 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
             a, b = map(sum, zip(*(subject_system(g, h, p, None, 0.0) for g, h, p
                                   in zip(mttkrps, st.node, st.node_aux))))
             st.consensus = _block_solve(monitor, it, -1, "subject", st.consensus, a, b)
-            st.subject = [st.consensus] * len(xs)
+            st.subject = [st.consensus] * len(graphs)
         else:
             st.consensus = update_consensus(st.subject, lambdas)
         obj = _objective(energies, mttkrps, st.node, st.node_aux, st.subject,

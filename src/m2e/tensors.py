@@ -35,8 +35,9 @@ Packed slices. A graph view's frontal slices are symmetric, so half of
 their entries are copies. :func:`pack_symmetric` keeps each slice's upper
 triangle, an (M(M+1)/2, N) matrix X_p with the diagonal halved (the layout
 of Schatz, Low, van de Geijn and Kolda, SIAM J. Sci. Comput. 2014), in
-the order of :func:`symmetric_index`, which the dataset writer shares. Both
-passes have a packed form that reads only X_p:
+the order of :func:`symmetric_index`, which the dataset reader and writer
+share. :class:`GraphViewTensor` stores only X_p, and builds the dense
+tensor on request. Both passes have a packed form that reads only X_p:
 
 * :func:`packed_partial_mttkrp`: C^T X_p^T, unpacked to the (R, M, M)
   pass-1 product by one gather over a symmetric index, at O(M^2 R);
@@ -50,10 +51,11 @@ left (C^T X_flat^T, not X_flat C; (A kr B)^T X_flat, not
 X_flat^T (A kr B)); BLAS runs these orders about 1.5-2x faster at the
 `hiv` preset shape, and neither copies X. A tensor that is not
 C-contiguous is copied on every call, so callers make it contiguous once.
-The M2E fitters pack each view once and run both passes packed, which
-halves the GEMMs' flops and bytes read for O(M^2 R) of gathers per pass;
-CP-ALS and :func:`m2e.solver.objective_value` accept tensors that are not
-symmetric, so they stay on the dense passes.
+The M2E fitters run both passes on the packed rows each view holds, which
+halves the GEMMs' flops and bytes read for O(M^2 R) of gathers per pass.
+CP-ALS, :func:`m2e.solver.objective_value` and the spectral start stay on
+the dense passes: the first two accept tensors that are not symmetric, and
+the start's arithmetic is the dense one. Each unpacks one view at a time.
 """
 from __future__ import annotations
 
@@ -146,9 +148,8 @@ class PackedSymmetric:
 
     `data` is (M(M+1)/2, N), one row per pair i <= j in row-major order, with
     the diagonal rows halved so that the pass-2 weights h_i p_j + h_j p_i
-    cover i = j too. `upper` and `lower` hold the flat positions i*M + j and
-    j*M + i of each packed row, `sym` the packed row of every flat (i, j).
-    Build it with :func:`pack_symmetric`.
+    cover i = j too. `upper`, `lower` and `sym` are :func:`symmetric_index`
+    of M. Build it with :func:`pack_symmetric`.
     """
 
     data: np.ndarray
@@ -161,29 +162,44 @@ class PackedSymmetric:
         return math.isqrt(self.sym.size)
 
 
+@functools.lru_cache(maxsize=16)
 def symmetric_index(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, sym): the packed upper triangle of an m x m matrix and its mirror.
+    """(upper, lower, sym): where the packed upper triangle of an m x m matrix sits.
 
-    `rows` and `cols` list the pairs i <= j in row-major order, one per
-    packed entry; `sym` gives the packed entry of every flat position i*m + j,
-    so that packed.take(sym) is the full matrix, flattened.
+    Packed entry e is the pair i <= j, in row-major order; `upper[e]` and
+    `lower[e]` are its flat positions i*m + j and j*m + i, and `sym` gives
+    the packed entry of every flat position, so that packed.take(sym) is the
+    full matrix, flattened. Built once per m; the arrays are read-only.
     """
     rows, cols = np.triu_indices(m)
+    upper, lower = rows * m + cols, cols * m + rows
     sym = np.empty(m * m, dtype=np.intp)
-    sym[rows * m + cols] = sym[cols * m + rows] = np.arange(rows.size)
-    return rows, cols, sym
+    sym[upper] = sym[lower] = np.arange(rows.size)
+    for a in (upper, lower, sym):
+        a.flags.writeable = False
+    return upper, lower, sym
 
 
 def pack_symmetric(tensor: np.ndarray) -> PackedSymmetric:
-    """Pack the upper triangle of every frontal slice; the lower one is not read."""
+    """Pack each frontal slice's pair averages (s[i, j] + s[j, i]) / 2, i <= j.
+
+    An exactly symmetric slice packs as its upper triangle, bit for bit. One
+    node row is averaged at a time straight into the packed array, so no
+    temporary is allocated whatever the input's layout.
+    """
     t = np.asarray(tensor, dtype=float)
     if t.ndim != 3 or t.shape[0] != t.shape[1]:
         raise ValueError(f"expected shape (M, M, N), got {t.shape}")
     m = t.shape[0]
-    rows, cols, sym = symmetric_index(m)
-    data = t[rows, cols]
-    data[rows == cols] *= 0.5
-    return PackedSymmetric(data, rows * m + cols, cols * m + rows, sym)
+    upper, lower, sym = symmetric_index(m)
+    data = np.empty((upper.size, t.shape[2]))
+    start = 0
+    for i in range(m):
+        np.add(t[i, i:], t[i:, i], out=data[start:start + m - i])
+        data[start] *= 0.5  # the halved diagonal
+        start += m - i
+    data /= 2.0
+    return PackedSymmetric(data, upper, lower, sym)
 
 
 def packed_partial_mttkrp(xp: PackedSymmetric, c: np.ndarray) -> np.ndarray:
@@ -308,7 +324,11 @@ def check_partial_symmetry(tensor: np.ndarray, tol: float = SYMMETRY_TOL) -> tup
 
 def require_symmetric(t: np.ndarray, tol: float, advice: str = "") -> None:
     """Raise naming the most asymmetric frontal slice if it is asymmetric beyond `tol`."""
-    per_slice = _slice_asymmetry(t)
+    raise_on_asymmetry(_slice_asymmetry(t), tol, advice)
+
+
+def raise_on_asymmetry(per_slice: np.ndarray, tol: float, advice: str = "") -> None:
+    """Raise naming the worst slice if any of the per-slice asymmetries exceeds `tol`."""
     asym = float(per_slice.max(initial=0.0))
     if not asym <= tol:
         raise ValueError(f"frontal slice {int(np.argmax(per_slice))} is asymmetric by "
@@ -343,29 +363,67 @@ def symmetrize_slices(tensor: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     return average_with_transpose(np.array(t, order="C"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class GraphViewTensor:
-    """One view: N symmetric M x M affinity matrices stacked along axis 2.
+    """One view: N symmetric M x M affinity matrices stacked along axis 2, held packed.
 
-    Construction validates shape, finiteness and per-slice symmetry.
-    Instances are treated as immutable and safe to share.
+    `packed` is the only stored form: the slices' upper triangles
+    (:class:`PackedSymmetric`, about half the dense bytes), read-only.
+    Construction from a dense (M, M, N) array validates shape, finiteness and
+    per-slice symmetry to SYMMETRY_TOL, then packs the pair averages
+    (s[i, j] + s[j, i]) / 2, so an exactly symmetric view is kept bit for
+    bit. :meth:`from_packed` wraps rows that are packed already. Instances
+    are immutable and safe to share.
     """
 
-    data: np.ndarray
+    packed: PackedSymmetric
 
-    def __post_init__(self):
-        t = np.asarray(self.data, dtype=float)
+    def __init__(self, data: np.ndarray):
+        t = np.asarray(data, dtype=float)
         if t.ndim != 3 or t.shape[0] != t.shape[1]:
             raise ValueError(f"expected shape (M, M, N), got {t.shape}")
         if not all_finite(t):
             raise ValueError("affinity entries must be finite")
         require_symmetric(t, SYMMETRY_TOL, "; symmetrize first")
-        object.__setattr__(self, "data", t)
+        self._hold(pack_symmetric(t))
+
+    @classmethod
+    def from_packed(cls, rows: np.ndarray) -> GraphViewTensor:
+        """A view from its (M(M+1)/2, N) packed rows, in :func:`pack_symmetric`'s layout.
+
+        The rows must be finite. A C-contiguous float array is kept, not
+        copied, and is marked read-only.
+        """
+        rows = np.ascontiguousarray(rows, dtype=float)
+        m = (math.isqrt(8 * rows.shape[0] + 1) - 1) // 2 if rows.ndim == 2 else 0
+        if m == 0 or m * (m + 1) // 2 != rows.shape[0]:
+            raise ValueError(f"expected shape (M(M+1)/2, N), got {rows.shape}")
+        if not all_finite(rows):
+            raise ValueError("affinity entries must be finite")
+        view = cls.__new__(cls)
+        view._hold(PackedSymmetric(rows, *symmetric_index(m)))
+        return view
+
+    def _hold(self, packed: PackedSymmetric) -> None:
+        packed.data.flags.writeable = False
+        object.__setattr__(self, "packed", packed)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The dense C-contiguous (M, M, N) tensor, built by one gather.
+
+        Every access allocates a new full-size array, so a caller that reads
+        the tensor more than once holds the result.
+        """
+        m = self.node_count
+        dense = self.packed.data.take(self.packed.sym, axis=0)
+        dense[::m + 1] *= 2.0  # undo the halved diagonal
+        return dense.reshape(m, m, self.subject_count)
 
     @property
     def node_count(self) -> int:
-        return self.data.shape[0]
+        return self.packed.node_count
 
     @property
     def subject_count(self) -> int:
-        return self.data.shape[2]
+        return self.packed.data.shape[1]

@@ -4,7 +4,12 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Every tolerance is fixed here; nothing is calibrated at run time.
 """
 import itertools
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +22,8 @@ from m2e import solver
 from m2e.solver import (M2eConfig, m2e_ds_fit, m2e_fit, m2e_ts_fit,
                         update_consensus)
 from m2e.tensors import cp_reconstruct, khatri_rao, matricize
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def report(num, name, ok, detail=""):
@@ -200,10 +207,11 @@ def test_08_ablation_ordering():
            f"elapsed={elapsed:.0f}s")
 
 
-def test_09_subject_scaling_linear(monkeypatch):
-    start = time.perf_counter()
-    monkeypatch.setattr(solver, "STOP_RESIDUAL", -1.0)  # never stop: run all 60
+def scaling_fit_times() -> dict:
+    """Least CPU seconds of 5 60-iteration fits, by subject count and by node count.
 
+    Run by test 09 in a child process with BLAS at one thread.
+    """
     def timed_fit(subjects, nodes=30):
         spec = SyntheticSpec(nodes=nodes, subjects=subjects,
                              cluster_sizes=(subjects // 2, subjects - subjects // 2),
@@ -220,17 +228,35 @@ def test_09_subject_scaling_linear(monkeypatch):
             best = min(best, time.process_time() - t0)
         return best
 
-    timed_fit(20)  # warm-up (BLAS thread pools, allocator)
-    times = {n: timed_fit(n) for n in (20, 40, 80)}
-    ratio_40 = times[40] / times[20]
-    ratio_80 = times[80] / times[40]
-    # informational only: growth in the node count
-    m_times = {m: timed_fit(40, nodes=m) for m in (30, 60)}
+    stop = solver.STOP_RESIDUAL
+    solver.STOP_RESIDUAL = -1.0  # never stop: run all 60
+    try:
+        timed_fit(20)  # warm-up (allocator, caches)
+        return {"subjects": {n: timed_fit(n) for n in (20, 40, 80)},
+                "nodes": {m: timed_fit(40, nodes=m) for m in (30, 60)}}
+    finally:
+        solver.STOP_RESIDUAL = stop
+
+
+def test_09_subject_scaling_linear():
+    start = time.perf_counter()
+    # A child process with one BLAS thread: a BLAS thread that waits for a
+    # descheduled partner spins, and CPU time would count the spinning.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    code = "import json, test_acceptance as t; print(json.dumps(t.scaling_fit_times()))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=180)
+    assert done.returncode == 0, done.stderr
+    measured = json.loads(done.stdout)
+    times, m_times = measured["subjects"], measured["nodes"]
+    ratio_40 = times["40"] / times["20"]
+    ratio_80 = times["80"] / times["40"]
     elapsed = time.perf_counter() - start
     report(9, "fit time grows at most 1.5x linear in the subject count",
            ratio_40 <= 3.0 and ratio_80 <= 3.0 and elapsed < 180.0,
            f"t(40)/t(20)={ratio_40:.2f}, t(80)/t(40)={ratio_80:.2f} "
-           f"(node-count growth t(M=60)/t(M=30)={m_times[60]/m_times[30]:.2f}, "
+           f"(node-count growth t(M=60)/t(M=30)={m_times['60']/m_times['30']:.2f}, "
            f"not asserted), elapsed={elapsed:.0f}s")
 
 

@@ -115,12 +115,14 @@ def test_near_symmetric_view_is_saved_as_its_pair_average(small_dataset, tmp_pat
     data = views[0].data.copy()
     data[0, 1, 2] += 1e-10
     save_dataset(tmp_path / "near", [GraphViewTensor(data)])
-    blocks = (tmp_path / "near" / "view1.txt").read_text().split("\n\n")
-    for block in blocks:
+    text = (tmp_path / "near" / "view1.txt").read_text()
+    for block in text.split("\n\n"):
         tokens = [row.split() for row in block.splitlines()]
         assert tokens == [list(col) for col in zip(*tokens)]
+    average = (data + data.transpose(1, 0, 2)) / 2
+    assert text == _view_text(average)
     loaded = load_dataset(tmp_path / "near").views[0].data
-    assert loaded.tobytes() == ((data + data.transpose(1, 0, 2)) / 2).tobytes()
+    assert loaded.tobytes() == average.tobytes()
 
 
 def test_one_node_view_round_trips(tmp_path):

@@ -338,6 +338,56 @@ def test_graph_view_tensor_validation():
         GraphViewTensor(np.zeros((2, 3, 1)))
 
 
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_graph_view_data_round_trips_symmetric_input_bit_for_bit(m):
+    w = np.random.default_rng(50 + m).standard_normal((m, m, 5))
+    sym = w + w.transpose(1, 0, 2)  # normal entries, the diagonal included
+    for t in _layouts(sym):
+        view = GraphViewTensor(t)
+        data = view.data
+        assert data.flags.c_contiguous and data.shape == (m, m, 5)
+        assert data.tobytes() == sym.tobytes()
+        assert view.data is not data  # each access builds a new array
+    assert view.packed.data.nbytes == m * (m + 1) // 2 * 5 * 8
+
+
+def test_graph_view_holds_the_pair_average_of_a_near_symmetric_input():
+    w = np.random.default_rng(8).standard_normal((4, 4, 3))
+    near = w + w.transpose(1, 0, 2)
+    near[0, 1, 2] += 1e-10
+    near[3, 3, 0] += 1e-10
+    assert GraphViewTensor(near).data.tobytes() == \
+        ((near + near.transpose(1, 0, 2)) / 2.0).tobytes()
+
+
+def test_graph_view_packed_rows_are_read_only():
+    w = np.random.default_rng(9).standard_normal((3, 3, 2))
+    view = GraphViewTensor(w + w.transpose(1, 0, 2))
+    assert not view.packed.data.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        view.packed.data[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        view.packed.data *= 2.0
+
+
+def test_graph_view_from_packed_rows():
+    w = np.random.default_rng(10).standard_normal((5, 5, 4))
+    view = GraphViewTensor(w + w.transpose(1, 0, 2))
+    rows = np.array(view.packed.data)
+    again = GraphViewTensor.from_packed(rows)
+    assert again.packed.data is rows  # kept, not copied
+    assert (again.node_count, again.subject_count) == (5, 4)
+    assert again.data.tobytes() == view.data.tobytes()
+    for value in (np.nan, np.inf, -np.inf):
+        bad = np.array(rows)
+        bad[7, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            GraphViewTensor.from_packed(bad)
+    for shape in ((4, 2), (0, 2), (15,), (15, 2, 1)):
+        with pytest.raises(ValueError, match="expected shape"):
+            GraphViewTensor.from_packed(np.zeros(shape))
+
+
 def _layouts(x):
     """x in C order, in Fortran order and as a strided view."""
     return [x, np.asfortranarray(x), np.ascontiguousarray(x.transpose(2, 0, 1)).transpose(1, 2, 0)]
