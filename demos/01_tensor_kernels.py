@@ -70,13 +70,13 @@ print(f"slices symmetric: {ok} (max asymmetry {asym:.1e}, "
       f"norm {frobenius_norm(sym_model):.3f})")
 
 # A graph view's symmetric slices hold only M(M+1)/2 distinct entries each.
-# Packing keeps the upper triangles (diagonal halved) and both passes run on
+# Packing keeps each slice's plain upper triangle, and both passes run on
 # them, reading half the tensor; they agree with the dense passes to rounding.
 view = rng.standard_normal((6, 6, 5))
 view = view + view.transpose(1, 0, 2)
 packed = pack_symmetric(view)
 h, p, f = rng.standard_normal((6, 3)), rng.standard_normal((6, 3)), rng.standard_normal((5, 3))
-print(f"packed view: {packed.data.shape} from {view.shape}")
+print(f"packed view: {packed.shape} from {view.shape}")
 for name, got, want in (
         ("pass 1", packed_partial_mttkrp(packed, f), partial_mttkrp(view, f)),
         ("pass 2", packed_mode3_mttkrp(packed, h, p), mode3_mttkrp(view, h, p))):

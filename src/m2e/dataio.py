@@ -6,15 +6,16 @@ rows, with a blank line between blocks. Numbers are written with 17
 significant digits so that every emitted value re-parses bit-exactly.
 Labels, when present, are one integer (1..K) per line.
 
-Views are held packed (`m2e.tensors.GraphViewTensor`), and neither the
-writer nor the loader builds a dense (M, M, N) view. The writer formats each
-block's M(M+1)/2 distinct entries once, straight from the packed rows with
-the halved diagonal doubled back, and writes each string at both (i, j) and
-(j, i). Packed rows hold the pair averages (s[i, j] + s[j, i]) / 2.0, so an
-exactly symmetric slice gives the bytes of `np.savetxt`, which writes the
-other matrices and the labels. Matrices are parsed by `np.loadtxt`. View
-blocks are parsed with `comments=None`: a view file holds numbers only, and
-numpy would otherwise drop any `# ...` text without a word.
+Views are held packed (`m2e.tensors.GraphViewTensor`): each slice's plain
+upper triangle, entry (i, j) for i <= j holding the pair average
+(s[i, j] + s[j, i]) / 2.0. Neither the writer nor the loader builds a dense
+(M, M, N) view. The writer formats each block's M(M+1)/2 packed entries
+once, straight from its packed column, and writes each string at both
+(i, j) and (j, i), so an exactly symmetric slice gives the bytes of
+`np.savetxt`, which writes the other matrices and the labels. Matrices are
+parsed by `np.loadtxt`. View blocks are parsed with `comments=None`: a view
+file holds numbers only, and numpy would otherwise drop any `# ...` text
+without a word.
 
 A view file is read as a stream of lines. Only an empty line ends a block
 (after CRLF and CR line ends are read as LF); a whitespace-only line stays
@@ -101,17 +102,13 @@ def load_labels(path: Path | str) -> np.ndarray:
 def _write_view_file(path: Path, view: GraphViewTensor) -> None:
     """Write one block per subject from the packed rows; see the module docstring."""
     m = view.node_count
-    _, _, sym = symmetric_index(m)
-    diagonal = sym[::m + 1]
-    mirror = operator.itemgetter(*sym.tolist())  # a bare string when m == 1
+    mirror = operator.itemgetter(*symmetric_index(m)[2].tolist())  # a bare string when m == 1
     block = "\n".join([" ".join(["%s"] * m)] * m) + "\n"
     with open(path, "w") as fh:
         for n in range(view.subject_count):
-            upper = view.packed.data[:, n].copy()
-            upper[diagonal] *= 2.0  # undo the halved diagonal
             if n:
                 fh.write("\n")
-            fh.write(block % mirror(list(map(_FLOAT_FMT.__mod__, upper.tolist()))))
+            fh.write(block % mirror(list(map(_FLOAT_FMT.__mod__, view.packed[:, n].tolist()))))
 
 
 def _text_blocks(lines):
@@ -152,8 +149,7 @@ def _read_view_file(path: Path, name: str, nodes: int, subjects: int) -> GraphVi
     # count never sizes an allocation.
     data = None
     if path.stat().st_size >= subjects * (2 * nodes * nodes - 1):
-        upper, lower, sym = symmetric_index(nodes)
-        diagonal = sym[::nodes + 1]
+        upper, lower, _ = symmetric_index(nodes)
         data, asymmetry = np.empty((upper.size, subjects)), np.zeros(subjects)
     count, fault, finite = 0, None, True
     with path.open() as fh:
@@ -170,7 +166,6 @@ def _read_view_file(path: Path, name: str, nodes: int, subjects: int) -> GraphVi
                         asymmetry[count] = np.abs(pairs - mirrored).max()
                         pairs += mirrored
                         pairs /= 2.0
-                        pairs[diagonal] *= 0.5  # the packed layout halves the diagonal
                         data[:, count] = pairs
             count += 1
     if count != subjects:

@@ -32,18 +32,19 @@ Cichocki, IEEE TSP 2013):
   further pass; :func:`cp_squared_error` turns it into the model error.
 
 Packed slices. A graph view's frontal slices are symmetric, so half of
-their entries are copies. :func:`pack_symmetric` keeps each slice's upper
-triangle, an (M(M+1)/2, N) matrix X_p with the diagonal halved (the layout
-of Schatz, Low, van de Geijn and Kolda, SIAM J. Sci. Comput. 2014), in
-the order of :func:`symmetric_index`, which the dataset reader and writer
-share. :class:`GraphViewTensor` stores only X_p, and builds the dense
-tensor on request. Both passes have a packed form that reads only X_p:
+their entries are copies. :func:`pack_symmetric` keeps each slice's plain
+upper triangle, an (M(M+1)/2, N) matrix X_p with one row per pair i <= j
+in the order of :func:`symmetric_index`, which the dataset reader and
+writer share (the packed storage of Schatz, Low, van de Geijn and Kolda,
+SIAM J. Sci. Comput. 2014). :class:`GraphViewTensor` stores only X_p, and
+builds the dense tensor on request. Both passes have a packed form that
+reads only X_p:
 
 * :func:`packed_partial_mttkrp`: C^T X_p^T, unpacked to the (R, M, M)
   pass-1 product by one gather over a symmetric index, at O(M^2 R);
 * :func:`packed_mode3_mttkrp`: W^T X_p with the packed weights
-  W = h_i p_j + h_j p_i (i <= j), gathered from the (R, M, M) outer product
-  of h^T and p^T; the halved diagonal lets i = j take the same formula.
+  W = h_i p_j + h_j p_i for i < j and h_i p_i for i = j, gathered from the
+  (R, M, M) outer product of h^T and p^T.
 
 Cost model: two GEMMs over X per sweep, O(IJKR) flops and one read of X
 each, plus O(IJR) for the rest. Both GEMMs put the R-row operand on the
@@ -110,7 +111,9 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"column counts must match, got {a.shape[1]} and {b.shape[1]}"
         )
-    return (a[:, None, :] * b[None, :, :]).reshape(a.shape[0] * b.shape[0], a.shape[1])
+    # einsum allocates only its result, where a broadcast multiply adds ufunc buffers
+    # (2x the result at 64 x 64 x 4); order="C" keeps the reshape a view
+    return np.einsum("ir,jr->ijr", a, b, order="C").reshape(a.shape[0] * b.shape[0], a.shape[1])
 
 
 def _unfold3(x: np.ndarray) -> np.ndarray:
@@ -142,33 +145,14 @@ def mode3_mttkrp(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (khatri_rao(a, b).T @ _unfold3(x)).T
 
 
-@dataclass(frozen=True)
-class PackedSymmetric:
-    """The upper triangles of a partially symmetric (M, M, N) tensor's frontal slices.
-
-    `data` is (M(M+1)/2, N), one row per pair i <= j in row-major order, with
-    the diagonal rows halved so that the pass-2 weights h_i p_j + h_j p_i
-    cover i = j too. `upper`, `lower` and `sym` are :func:`symmetric_index`
-    of M. Build it with :func:`pack_symmetric`.
-    """
-
-    data: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
-    sym: np.ndarray
-
-    @property
-    def node_count(self) -> int:
-        return math.isqrt(self.sym.size)
-
-
 @functools.lru_cache(maxsize=16)
 def symmetric_index(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(upper, lower, sym): where the packed upper triangle of an m x m matrix sits.
 
-    Packed entry e is the pair i <= j, in row-major order; `upper[e]` and
-    `lower[e]` are its flat positions i*m + j and j*m + i, and `sym` gives
-    the packed entry of every flat position, so that packed.take(sym) is the
+    Packed entry e is the pair i <= j, in row-major order, and holds s[i, j]
+    as it is, the diagonal included. `upper[e]` and `lower[e]` are its flat
+    positions i*m + j and j*m + i, equal on the diagonal, and `sym` gives the
+    packed entry of every flat position, so that packed.take(sym) is the
     full matrix, flattened. Built once per m; the arrays are read-only.
     """
     rows, cols = np.triu_indices(m)
@@ -180,43 +164,53 @@ def symmetric_index(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return upper, lower, sym
 
 
-def pack_symmetric(tensor: np.ndarray) -> PackedSymmetric:
+def _packed_node_count(rows: int) -> int:
+    """M of a packed matrix with `rows` = M(M+1)/2 rows; 0 if `rows` is not of that form."""
+    m = (math.isqrt(8 * rows + 1) - 1) // 2
+    return m if m * (m + 1) // 2 == rows else 0
+
+
+def pack_symmetric(tensor: np.ndarray) -> np.ndarray:
     """Pack each frontal slice's pair averages (s[i, j] + s[j, i]) / 2, i <= j.
 
-    An exactly symmetric slice packs as its upper triangle, bit for bit. One
-    node row is averaged at a time straight into the packed array, so no
-    temporary is allocated whatever the input's layout.
+    Returns the read-only (M(M+1)/2, N) upper triangles, in the order of
+    :func:`symmetric_index`. An exactly symmetric slice packs as its upper
+    triangle, bit for bit. One node row is averaged at a time straight into
+    the packed array, so no temporary is allocated whatever the input's
+    layout.
     """
     t = np.asarray(tensor, dtype=float)
     if t.ndim != 3 or t.shape[0] != t.shape[1]:
         raise ValueError(f"expected shape (M, M, N), got {t.shape}")
     m = t.shape[0]
-    upper, lower, sym = symmetric_index(m)
-    data = np.empty((upper.size, t.shape[2]))
+    # Taking the row count from the cached index builds it before the first
+    # view's rows; built after them, it raised cohort-fit's peak RSS by 1 MB.
+    data = np.empty((symmetric_index(m)[0].size, t.shape[2]))
     start = 0
     for i in range(m):
         np.add(t[i, i:], t[i:, i], out=data[start:start + m - i])
-        data[start] *= 0.5  # the halved diagonal
         start += m - i
     data /= 2.0
-    return PackedSymmetric(data, upper, lower, sym)
+    data.flags.writeable = False
+    return data
 
 
-def packed_partial_mttkrp(xp: PackedSymmetric, c: np.ndarray) -> np.ndarray:
+def packed_partial_mttkrp(xp: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Pass 1 on packed slices: :func:`partial_mttkrp` of the unpacked tensor."""
-    m, r = xp.node_count, c.shape[1]
-    y = (c.T @ xp.data.T).take(xp.sym, axis=1)
-    y[:, ::m + 1] *= 2.0  # undo the halved diagonal
-    return y.reshape(r, m, m)
+    m = _packed_node_count(xp.shape[0])
+    return (c.T @ xp.T).take(symmetric_index(m)[2], axis=1).reshape(c.shape[1], m, m)
 
 
-def packed_mode3_mttkrp(xp: PackedSymmetric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def packed_mode3_mttkrp(xp: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pass 2 on packed slices: :func:`mode3_mttkrp` of the unpacked tensor."""
+    m = _packed_node_count(xp.shape[0])
+    upper, lower, _ = symmetric_index(m)
     at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
     outer = (at[:, :, None] * bt[:, None, :]).reshape(a.shape[1], -1)  # a_i b_j at i*M + j
-    w = outer.take(xp.upper, axis=1)
-    w += outer.take(xp.lower, axis=1)
-    return (w @ xp.data).T
+    outer[:, ::m + 1] *= 0.5  # a diagonal pair is one entry, and gathered twice below
+    w = outer.take(upper, axis=1)
+    w += outer.take(lower, axis=1)
+    return (w @ xp).T
 
 
 def cp_squared_error(energy: float, g: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -367,16 +361,16 @@ def symmetrize_slices(tensor: np.ndarray, tol: float = 1e-6) -> np.ndarray:
 class GraphViewTensor:
     """One view: N symmetric M x M affinity matrices stacked along axis 2, held packed.
 
-    `packed` is the only stored form: the slices' upper triangles
-    (:class:`PackedSymmetric`, about half the dense bytes), read-only.
-    Construction from a dense (M, M, N) array validates shape, finiteness and
-    per-slice symmetry to SYMMETRY_TOL, then packs the pair averages
-    (s[i, j] + s[j, i]) / 2, so an exactly symmetric view is kept bit for
-    bit. :meth:`from_packed` wraps rows that are packed already. Instances
-    are immutable and safe to share.
+    `packed` is the only stored form: the slices' upper triangles, the
+    read-only (M(M+1)/2, N) array of :func:`pack_symmetric`, about half the
+    dense bytes. Construction from a dense (M, M, N) array validates shape,
+    finiteness and per-slice symmetry to SYMMETRY_TOL, then packs the pair
+    averages (s[i, j] + s[j, i]) / 2, so an exactly symmetric view is kept
+    bit for bit. :meth:`from_packed` wraps rows that are packed already.
+    Instances are immutable and safe to share.
     """
 
-    packed: PackedSymmetric
+    packed: np.ndarray
 
     def __init__(self, data: np.ndarray):
         t = np.asarray(data, dtype=float)
@@ -385,28 +379,25 @@ class GraphViewTensor:
         if not all_finite(t):
             raise ValueError("affinity entries must be finite")
         require_symmetric(t, SYMMETRY_TOL, "; symmetrize first")
-        self._hold(pack_symmetric(t))
+        object.__setattr__(self, "packed", pack_symmetric(t))
 
     @classmethod
     def from_packed(cls, rows: np.ndarray) -> GraphViewTensor:
-        """A view from its (M(M+1)/2, N) packed rows, in :func:`pack_symmetric`'s layout.
+        """A view from its (M(M+1)/2, N) packed rows, the slices' plain upper triangles.
 
-        The rows must be finite. A C-contiguous float array is kept, not
+        Row e holds the pair i <= j of :func:`symmetric_index`, as
+        :func:`pack_symmetric` returns it. The rows must be finite. A C-contiguous float array is kept, not
         copied, and is marked read-only.
         """
         rows = np.ascontiguousarray(rows, dtype=float)
-        m = (math.isqrt(8 * rows.shape[0] + 1) - 1) // 2 if rows.ndim == 2 else 0
-        if m == 0 or m * (m + 1) // 2 != rows.shape[0]:
+        if rows.ndim != 2 or _packed_node_count(rows.shape[0]) == 0:
             raise ValueError(f"expected shape (M(M+1)/2, N), got {rows.shape}")
         if not all_finite(rows):
             raise ValueError("affinity entries must be finite")
+        rows.flags.writeable = False
         view = cls.__new__(cls)
-        view._hold(PackedSymmetric(rows, *symmetric_index(m)))
+        object.__setattr__(view, "packed", rows)
         return view
-
-    def _hold(self, packed: PackedSymmetric) -> None:
-        packed.data.flags.writeable = False
-        object.__setattr__(self, "packed", packed)
 
     @property
     def data(self) -> np.ndarray:
@@ -416,14 +407,12 @@ class GraphViewTensor:
         the tensor more than once holds the result.
         """
         m = self.node_count
-        dense = self.packed.data.take(self.packed.sym, axis=0)
-        dense[::m + 1] *= 2.0  # undo the halved diagonal
-        return dense.reshape(m, m, self.subject_count)
+        return self.packed.take(symmetric_index(m)[2], axis=0).reshape(m, m, self.subject_count)
 
     @property
     def node_count(self) -> int:
-        return self.packed.node_count
+        return _packed_node_count(self.packed.shape[0])
 
     @property
     def subject_count(self) -> int:
-        return self.packed.data.shape[1]
+        return self.packed.shape[1]

@@ -26,7 +26,7 @@ def small_dataset(tmp_path):
     return tmp_path / "ds", views, labels
 
 
-def test_round_trip_exact(small_dataset):
+def test_round_trip_exact(small_dataset, tmp_path):
     path, views, labels = small_dataset
     ds = load_dataset(path)
     assert ds.view_names == ["view1", "view2"]
@@ -34,7 +34,14 @@ def test_round_trip_exact(small_dataset):
     np.testing.assert_array_equal(ds.labels, labels)
     np.testing.assert_array_equal(load_dataset_labels(path), labels)
     for loaded, original in zip(ds.views, views):
-        np.testing.assert_allclose(loaded.data, original.data, atol=1e-12)
+        assert loaded.data.tobytes() == original.data.tobytes()
+    tiny = views[0].data
+    tiny[0, 0, 0], tiny[1, 1, 3] = 5e-324, -1e-310  # subnormal diagonal entries
+    tiny[0, 2, 1] = tiny[2, 0, 1] = 3e-320  # and a subnormal pair off the diagonal
+    save_dataset(tmp_path / "tiny", [GraphViewTensor(tiny)])
+    for loaded in (load_dataset(tmp_path / "tiny").views[0],
+                   load_dataset_view(tmp_path / "tiny", 0)[1]):
+        assert loaded.data.tobytes() == tiny.tobytes()
 
 
 def test_round_trip_without_labels(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -560,7 +562,8 @@ def test_each_outer_iteration_reads_each_view_twice(fitter, monkeypatch):
 
     for name, kernel in (("packed_partial_mttkrp", packed_partial_mttkrp),
                          ("packed_mode3_mttkrp", packed_mode3_mttkrp)):
-        monkeypatch.setattr(solver, name, counted(kernel, lambda xp: xp.node_count))
+        # M(M+1)/2 packed rows: isqrt(M^2 + M) = M
+        monkeypatch.setattr(solver, name, counted(kernel, lambda xp: math.isqrt(2 * len(xp))))
     # the spectral start's subject solve still reads the dense view
     monkeypatch.setattr(solver, "mode3_mttkrp", counted(mode3_mttkrp, lambda x: x.shape[0]))
     monkeypatch.setattr(solver, "partial_mttkrp", dense_pass, raising=False)

@@ -197,11 +197,11 @@ def random_symmetric(rng, m, n):
     return x + x.transpose(1, 0, 2)
 
 
-def test_pack_symmetric_keeps_the_upper_triangle_with_the_diagonal_halved():
+def test_pack_symmetric_keeps_the_plain_upper_triangle():
     x = np.array([[1.0, 2.0], [2.0, 3.0]])[:, :, None]
     packed = pack_symmetric(x)
-    np.testing.assert_array_equal(packed.data, [[0.5], [2.0], [1.5]])
-    assert packed.node_count == 2
+    np.testing.assert_array_equal(packed, [[1.0], [2.0], [3.0]])
+    assert not packed.flags.writeable
 
 
 @pytest.mark.parametrize("m, n", list(itertools.product((1, 2, 7), (1, 5))))
@@ -209,7 +209,7 @@ def test_packed_kernels_match_dense(m, n):
     rng = np.random.default_rng([m, n])
     x = random_symmetric(rng, m, n)
     packed = pack_symmetric(x)
-    assert packed.data.shape == (m * (m + 1) // 2, n)
+    assert packed.shape == (m * (m + 1) // 2, n)
     for r in sorted({1, 3, m + 2}):
         h, p = rng.standard_normal((2, m, r))
         c = rng.standard_normal((n, r))
@@ -230,8 +230,7 @@ def test_pack_symmetric_of_non_contiguous_input_matches_contiguous_copy():
     strided = np.asfortranarray(x)[:, :, ::2]
     assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
     packed = pack_symmetric(strided)
-    np.testing.assert_array_equal(packed.data,
-                                  pack_symmetric(np.ascontiguousarray(strided)).data)
+    np.testing.assert_array_equal(packed, pack_symmetric(np.ascontiguousarray(strided)))
 
 
 def test_scaled_identity_is_a_cached_read_only_scaled_eye():
@@ -341,14 +340,17 @@ def test_graph_view_tensor_validation():
 @pytest.mark.parametrize("m", [1, 2, 7])
 def test_graph_view_data_round_trips_symmetric_input_bit_for_bit(m):
     w = np.random.default_rng(50 + m).standard_normal((m, m, 5))
-    sym = w + w.transpose(1, 0, 2)  # normal entries, the diagonal included
+    sym = w + w.transpose(1, 0, 2)
+    sym[0, 0, 0], sym[-1, -1, 1] = 5e-324, -1e-310  # subnormal diagonal entries
+    sym[0, -1, 2] = sym[-1, 0, 2] = 3e-320  # and a subnormal pair, off the diagonal if m > 1
     for t in _layouts(sym):
         view = GraphViewTensor(t)
         data = view.data
         assert data.flags.c_contiguous and data.shape == (m, m, 5)
         assert data.tobytes() == sym.tobytes()
         assert view.data is not data  # each access builds a new array
-    assert view.packed.data.nbytes == m * (m + 1) // 2 * 5 * 8
+        assert GraphViewTensor.from_packed(pack_symmetric(t)).data.tobytes() == sym.tobytes()
+    assert view.packed.nbytes == m * (m + 1) // 2 * 5 * 8
 
 
 def test_graph_view_holds_the_pair_average_of_a_near_symmetric_input():
@@ -363,19 +365,19 @@ def test_graph_view_holds_the_pair_average_of_a_near_symmetric_input():
 def test_graph_view_packed_rows_are_read_only():
     w = np.random.default_rng(9).standard_normal((3, 3, 2))
     view = GraphViewTensor(w + w.transpose(1, 0, 2))
-    assert not view.packed.data.flags.writeable
+    assert not view.packed.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        view.packed.data[0, 0] = 1.0
+        view.packed[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        view.packed.data *= 2.0
+        view.packed *= 2.0
 
 
 def test_graph_view_from_packed_rows():
     w = np.random.default_rng(10).standard_normal((5, 5, 4))
     view = GraphViewTensor(w + w.transpose(1, 0, 2))
-    rows = np.array(view.packed.data)
+    rows = np.array(view.packed)
     again = GraphViewTensor.from_packed(rows)
-    assert again.packed.data is rows  # kept, not copied
+    assert again.packed is rows  # kept, not copied
     assert (again.node_count, again.subject_count) == (5, 4)
     assert again.data.tobytes() == view.data.tobytes()
     for value in (np.nan, np.inf, -np.inf):
