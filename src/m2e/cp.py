@@ -1,21 +1,24 @@
-"""Rank-R CP factorization of a third-order tensor by alternating least squares.
+"""Rank-R CP factorization of a graph view by alternating least squares.
 
-Sweeps run on the M2E solver's core: the two-pass MTTKRP kernel, the ridge
-R x R solve (:func:`ridge_solve`) and the objective's Gram error routine
-(:func:`cp_squared_error`).
+The model [[a, b, c]] is not held to a = b. Sweeps run on the M2E solver's
+core: the two packed MTTKRP passes, the ridge R x R solve
+(:func:`ridge_solve`) and the Gram error routine (:func:`cp_squared_error`).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import (cp_reconstruct, cp_squared_error, frobenius_norm, mode3_mttkrp,
-                      mttkrp_from_partial, partial_mttkrp, ridge_solve)
+from .tensors import (GraphViewTensor, cp_reconstruct, cp_squared_error, mttkrp_from_partial,
+                      packed_energy, packed_mode3_mttkrp, packed_partial_mttkrp, ridge_solve,
+                      symmetric_index)
 
 # Below this share of ||X||^2 (relative error < 1e-3) the Gram error has lost
-# half its digits, so a sweep measures its error against the dense model.
-DENSE_ERROR_BELOW = 1e-6
+# half its digits, so a sweep measures its error from the residual instead.
+RESIDUAL_ERROR_BELOW = 1e-6
+_RESIDUAL_ROWS = 4  # node rows of the view and the model that the residual holds at once
 
 
 @dataclass(frozen=True)
@@ -73,34 +76,52 @@ class CpFit:
     degenerate: bool  # zero input tensor; factors are all-zero
 
 
-def _dense_error(t: np.ndarray, factors) -> float:
-    """||t - [[a, b, c]]||_F from the dense model, built once and overwritten by the residual."""
-    resid = cp_reconstruct(factors)
-    np.subtract(t, resid, out=resid)
-    return frobenius_norm(resid)
+def _as_view(tensor) -> GraphViewTensor:
+    """A GraphViewTensor as it is; an (M, M, N) array is validated and packed."""
+    return tensor if isinstance(tensor, GraphViewTensor) else GraphViewTensor(tensor)
 
 
-def cp_relative_error(tensor: np.ndarray, factors: CpFactors) -> float:
-    """||T - reconstruction||_F / ||T||_F (absolute norm for a zero tensor); dense.
+def _residual_norm(xp: np.ndarray, factors) -> float:
+    """||X - [[a, b, c]]||_F from the packed rows X_p of X.
 
-    Allocates one tensor of T's size, the model, which then holds the residual.
+    The model's (i, j) and (j, i) entries differ, so each block of node rows
+    i is unpacked to X[i, :, :] and its model rows built by cp_reconstruct.
     """
-    t = np.asarray(tensor, dtype=float)
-    if t.shape != factors.dims:
-        raise ValueError(f"shape mismatch: tensor {t.shape} vs factors {factors.dims}")
-    resid = _dense_error(t, factors)
-    scale = frobenius_norm(t)
+    a, b, c = factors
+    m = a.shape[0]
+    sym = symmetric_index(m)[2]
+
+    def squared(i: int) -> float:  # a block's temporaries are freed before the next
+        resid = xp.take(sym[i * m:(i + _RESIDUAL_ROWS) * m], axis=0)
+        resid -= cp_reconstruct((a[i:i + _RESIDUAL_ROWS], b, c)).reshape(resid.shape)
+        return float(np.vdot(resid, resid))
+
+    return math.sqrt(sum(squared(i) for i in range(0, m, _RESIDUAL_ROWS)))
+
+
+def cp_relative_error(tensor: GraphViewTensor | np.ndarray, factors: CpFactors) -> float:
+    """||T - reconstruction||_F / ||T||_F (absolute norm for a zero tensor).
+
+    `tensor` is a view, or an (M, M, N) array with symmetric slices that is
+    validated and packed. Neither the dense view nor the dense model is built.
+    """
+    view = _as_view(tensor)
+    if view.shape != factors.dims:
+        raise ValueError(f"shape mismatch: tensor {view.shape} vs factors {factors.dims}")
+    resid = _residual_norm(view.packed, factors)
+    scale = math.sqrt(packed_energy(view.packed))
     return resid / scale if scale > 0 else resid
 
 
-def cp_als_fit(tensor: np.ndarray, opts: AlsOptions) -> CpFit:
+def cp_als_fit(tensor: GraphViewTensor | np.ndarray, opts: AlsOptions) -> CpFit:
     """Fit a rank-R CP model by alternating least squares.
 
     Parameters
     ----------
-    tensor : ndarray, shape (I1, I2, I3)
-        Dense real tensor; entries must be finite. It is made C-contiguous
-        once, so each sweep reads it in two passes without copying.
+    tensor : GraphViewTensor or ndarray of shape (M, M, N)
+        A graph view. An array must have finite entries and symmetric
+        slices; it is validated and packed. Each sweep reads the packed rows
+        in two passes.
     opts : AlsOptions
         Rank, iteration cap, stopping tolerance and seed.
 
@@ -112,33 +133,30 @@ def cp_als_fit(tensor: np.ndarray, opts: AlsOptions) -> CpFit:
         input tensor short-circuits to all-zero factors with
         ``degenerate=True``.
     """
-    t = np.ascontiguousarray(tensor, dtype=float)
-    if t.ndim != 3:
-        raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
-    if not np.isfinite(t).all():
-        raise ValueError("tensor entries must be finite")
+    view = _as_view(tensor)
+    xp = view.packed
     r = opts.rank
-    scale = frobenius_norm(t)
-    if scale == 0.0:
-        zeros = CpFactors(tuple(np.zeros((d, r)) for d in t.shape))
+    energy = packed_energy(xp)
+    if energy == 0.0:
+        zeros = CpFactors(tuple(np.zeros((d, r)) for d in view.shape))
         return CpFit(zeros, np.zeros(1), iterations=0, converged=True, degenerate=True)
-    energy = float(np.vdot(t, t))
+    scale = math.sqrt(energy)
 
     rng = np.random.default_rng(opts.seed)
-    a, b, c = (rng.standard_normal((d, r)) for d in t.shape)
+    a, b, c = (rng.standard_normal((d, r)) for d in view.shape)
 
     trace = []
     converged = False
     for it in range(opts.max_iters):
-        y = partial_mttkrp(t, c)  # modes 1 and 2 leave c fixed
+        y = packed_partial_mttkrp(xp, c)  # modes 1 and 2 leave c fixed
         a = ridge_solve((c.T @ c) * (b.T @ b), mttkrp_from_partial(y, b, 1))
         b = ridge_solve((c.T @ c) * (a.T @ a), mttkrp_from_partial(y, a, 2))
-        g = mode3_mttkrp(t, a, b)
+        g = packed_mode3_mttkrp(xp, a, b)
         c = ridge_solve((b.T @ b) * (a.T @ a), g)
         sq = cp_squared_error(energy, g, a, b, c)
         err = np.sqrt(sq) / scale
-        if sq < DENSE_ERROR_BELOW * energy:
-            err = _dense_error(t, (a, b, c)) / scale
+        if sq < RESIDUAL_ERROR_BELOW * energy:
+            err = _residual_norm(xp, (a, b, c)) / scale
         trace.append(err)
         if it >= 1 and abs(trace[-2] - err) < opts.rel_tol:
             converged = True

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import GraphViewTensor, average_with_transpose
+from .tensors import GraphViewTensor, symmetric_index
+
+_SIGNAL_ROWS = 8  # node rows, and columns, of the signal computed at a time
 
 
 @dataclass(frozen=True)
@@ -76,18 +78,47 @@ def generate(spec: SyntheticSpec) -> tuple[list[GraphViewTensor], np.ndarray]:
 
 
 def _draw_view(spec: SyntheticSpec, v: int, labels: np.ndarray) -> GraphViewTensor:
-    """View v of `spec`; its dense draw is freed once the view is packed."""
+    """View v of `spec`, written straight into its packed rows.
+
+    Bit for bit x_ij = ((s_ij + a_ij) + (s_ji + a_ij)) / 2 for the signal
+    s = einsum("ir,jr,nr->ijn", h, h, f) and the noise average
+    a_ij = (z_ij + z_ji) / 2 of one (M, M, N) draw z, as the dense form
+    computes it, holding one node row of z and _SIGNAL_ROWS of s at a time.
+    """
     rng = np.random.default_rng([spec.seed, v])
     h = rng.standard_normal((spec.nodes, spec.latent_rank))
     centroids = _centroids(rng, spec.n_clusters, spec.latent_rank, spec.separation)
     subject_factors = centroids[labels - 1] + spec.jitter * rng.standard_normal(
         (spec.subjects, spec.latent_rank))
-    x = np.einsum("ir,jr,nr->ijn", h, h, subject_factors, optimize=True)
+    m = spec.nodes
+    sym = symmetric_index(m)[2]
+    starts = sym[::m + 1]  # the packed row of pair (i, i); pairs (i, j > i) follow it
+    rows = np.empty((m * (m + 1) // 2, spec.subjects))
     if spec.noise_sigma > 0:
-        x += average_with_transpose(rng.normal(0.0, spec.noise_sigma,
-                                               (spec.nodes, spec.nodes, spec.subjects)))
-    # exact symmetry regardless of the einsum contraction path
-    return GraphViewTensor(average_with_transpose(x))
+        # z_ij lands on pair (i, j) for j >= i and is added to pair (j, i) for j < i
+        for i in range(m):
+            z = rng.normal(0.0, spec.noise_sigma, (m, spec.subjects))
+            rows[starts[i]:starts[i] + m - i] = z[i:]
+            rows[sym[i * m:i * m + i]] += z[:i]
+        rows[starts] *= 2.0  # z_ii + z_ii
+        rows /= 2.0
+    # the path einsum picks for the full shapes: on a block it may pick
+    # another, and s is not bitwise symmetric, so s_ji is taken as computed
+    path = np.einsum_path("ir,jr,nr->ijn", h, h, subject_factors, optimize=True)[0]
+    for i0 in range(0, m, _SIGNAL_ROWS):
+        block = slice(i0, i0 + _SIGNAL_ROWS)
+        s_rows = np.einsum("ir,jr,nr->ijn", h[block], h, subject_factors, optimize=path)
+        s_cols = np.einsum("ir,jr,nr->ijn", h, h[block], subject_factors, optimize=path)
+        for i in range(i0, min(i0 + _SIGNAL_ROWS, m)):
+            out = rows[starts[i]:starts[i] + m - i]
+            s_ij, s_ji = s_rows[i - i0, i:], s_cols[i:, i - i0]
+            if spec.noise_sigma > 0:
+                np.add(s_ij + out, s_ji + out, out=out)
+            else:
+                np.add(s_ij, s_ji, out=out)
+            out /= 2.0
+        del s_rows, s_cols, s_ij, s_ji  # freed before the next block's are computed
+    return GraphViewTensor.from_packed(rows)
 
 
 def hiv_shape_preset() -> SyntheticSpec:

@@ -276,9 +276,7 @@ def run_cp(dataset: str | Path, view: str | int, opts: AlsOptions,
     Only that view's file is read from the dataset directory.
     """
     name, graph = load_dataset_view(dataset, view)
-    tensor = graph.data  # CP-ALS runs on the dense tensor
-    del graph  # so the packed form is not held beside it
-    fit = cp_als_fit(tensor, opts)
+    fit = cp_als_fit(graph, opts)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for mode, factor in enumerate(fit.factors, start=1):
@@ -291,7 +289,7 @@ def run_cp(dataset: str | Path, view: str | int, opts: AlsOptions,
         "iterations": fit.iterations,
         "converged": fit.converged,
         "degenerate": fit.degenerate,
-        "relative_error": cp_relative_error(tensor, fit.factors),
+        "relative_error": cp_relative_error(graph, fit.factors),
     }
     _write_json(out / "summary.json", doc)
     return doc

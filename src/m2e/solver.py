@@ -24,9 +24,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensors import (GraphViewTensor, cp_squared_error, frobenius_norm, mode3_mttkrp,
-                      mttkrp_from_partial, packed_mode3_mttkrp, packed_partial_mttkrp,
-                      ridge_solve, scaled_identity)
+from .tensors import (GraphViewTensor, cp_squared_error, frobenius_norm, mttkrp_from_partial,
+                      packed_energy, packed_mode3_mttkrp, packed_partial_mttkrp,
+                      packed_slice_gram, ridge_solve, scaled_identity)
 
 # Monitor callbacks receive (event, info-dict); see m2e_fit.
 Monitor = Callable[[str, dict], None]
@@ -117,10 +117,10 @@ class M2eSolution:
 # matrix M; the gradient is 2 M A - 2 B, so the minimiser solves the normal
 # equations M A = B and is ridge_solve(A, B). The systems take the view's
 # MTTKRPs from the two-pass kernel in m2e.tensors, so each outer iteration
-# reads a view twice: pass 1, partial_mttkrp(X, F), serves the node and aux
-# systems, since F is fixed during both; pass 2, mode3_mttkrp(X, H, P), serves
-# the subject system and the objective's cross term. The fitters run both
-# passes on the packed upper triangles that each GraphViewTensor holds.
+# reads a view's packed rows X_p twice: pass 1, packed_partial_mttkrp(X_p, F),
+# serves the node and aux systems, since F is fixed during both; pass 2,
+# packed_mode3_mttkrp(X_p, H, P), serves the subject system and the
+# objective's cross term.
 
 
 def quadratic_objective(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -131,7 +131,7 @@ def quadratic_objective(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 def node_system(y: np.ndarray, p: np.ndarray, f: np.ndarray, u: np.ndarray, mu: float):
     """Quadratic (A, B) for the node-factor block given aux copy p, subject f.
 
-    `y` is the view's pass-1 product partial_mttkrp(X, f).
+    `y` is the view's pass-1 product packed_partial_mttkrp(X_p, f).
     """
     r = p.shape[1]
     a = (f.T @ f) * (p.T @ p) + scaled_identity(r, 0.5 * mu)
@@ -142,7 +142,7 @@ def node_system(y: np.ndarray, p: np.ndarray, f: np.ndarray, u: np.ndarray, mu: 
 def aux_system(y: np.ndarray, h: np.ndarray, f: np.ndarray, u: np.ndarray, mu: float):
     """Quadratic (A, B) for the auxiliary node copy given node factor h.
 
-    `y` is the view's pass-1 product partial_mttkrp(X, f).
+    `y` is the view's pass-1 product packed_partial_mttkrp(X_p, f).
     """
     r = h.shape[1]
     a = (f.T @ f) * (h.T @ h) + scaled_identity(r, 0.5 * mu)
@@ -154,7 +154,7 @@ def subject_system(g: np.ndarray, h: np.ndarray, p: np.ndarray,
                    consensus: np.ndarray | None, lam: float):
     """Quadratic (A, B) for a view's subject factor; lam=0 drops the pull.
 
-    `g` is the view's mode-3 MTTKRP mode3_mttkrp(X, h, p).
+    `g` is the view's mode-3 MTTKRP packed_mode3_mttkrp(X_p, h, p).
     """
     r = h.shape[1]
     a = (p.T @ p) * (h.T @ h)
@@ -179,9 +179,9 @@ def balance_columns(h, p, u, f, g, norm: float):
     multiplied by s_r = norm / ||h_r|| and column r of the subject factor f is
     divided by s_r^2, which leaves the model [[h, p, f]] unchanged (the CP
     column normalisation of Kolda & Bader, SIAM Review 2009, sec. 3). The
-    pass-2 product g = mode3_mttkrp(X, h, p) is bilinear in h and p, so it
-    is multiplied by s_r^2. Zero columns, and all columns when `norm` is 0,
-    keep their scale.
+    pass-2 product g = packed_mode3_mttkrp(X_p, h, p) is bilinear in h and
+    p, so it is multiplied by s_r^2. Zero columns, and all columns when
+    `norm` is 0, keep their scale.
     """
     norms = np.sqrt(np.add.reduce(h * h, axis=0))  # np.linalg.norm(h, axis=0)'s arithmetic
     if norm > 0 and (norms > 0).all():
@@ -215,7 +215,7 @@ def update_consensus(subject_factors: Sequence[np.ndarray],
 def _objective(energies, mttkrps, nodes, auxes, subjects, consensus, pulls) -> float:
     """Sum over views of ||X - [[h, p, f]]||^2 + pull ||f - consensus||^2.
 
-    `energies[v]` is ||X_v||^2 and `mttkrps[v]` is mode3_mttkrp(X_v, h_v, p_v),
+    `energies[v]` is ||X_v||^2 and `mttkrps[v]` is packed_mode3_mttkrp(X_v, h_v, p_v),
     so cp_squared_error gives each squared error without a pass over X or an
     M x M x N model. A zero pull drops the view's consensus term.
     """
@@ -228,27 +228,24 @@ def _objective(energies, mttkrps, nodes, auxes, subjects, consensus, pulls) -> f
     return total
 
 
-def objective_value(views: Sequence[np.ndarray], state: M2eState,
+def objective_value(views: Sequence, state: M2eState,
                     lambdas: Sequence[float]) -> float:
     """Sum of squared reconstruction errors plus the weighted consensus pull.
 
-    Views may be arrays or GraphViewTensor; the split-factor model is
-    defined for any (M, M, N) tensor, so symmetry is not required here. A
-    GraphViewTensor is unpacked one view at a time, for the dense pass 2.
+    Views may be GraphViewTensor or (M, M, N) arrays with symmetric slices,
+    which are validated and packed as the fitters do. Each view is read by
+    one packed pass 2.
     """
     lambdas = _resolve_lambdas(lambdas, len(views))
     for name in ("node", "node_aux", "subject"):
         if len(getattr(state, name)) != len(views):
             raise ValueError(f"got {len(views)} views but state.{name} holds "
                              f"{len(getattr(state, name))}")
-    energies, mttkrps = [], []
-    for v, h, p in zip(views, state.node, state.node_aux):
-        x = np.asarray(v.data if isinstance(v, GraphViewTensor) else v, dtype=float)
-        energies.append(float(np.vdot(x, x)))
-        mttkrps.append(mode3_mttkrp(x, h, p))
-        del x  # free it before the next view is unpacked
-    return _objective(energies, mttkrps, state.node, state.node_aux, state.subject,
-                      state.consensus, lambdas)
+    packed = [g.packed for g in _as_views(views)]
+    return _objective([packed_energy(xp) for xp in packed],
+                      [packed_mode3_mttkrp(xp, h, p)
+                       for xp, h, p in zip(packed, state.node, state.node_aux)],
+                      state.node, state.node_aux, state.subject, state.consensus, lambdas)
 
 
 def coupling_residual(state: M2eState) -> float:
@@ -286,47 +283,43 @@ def balanced_penalty(energy: float, rank: int) -> float:
     return max(2.0 * balanced_column_norm(energy, rank, 4), 1e-8)
 
 
-def spectral_start(x: np.ndarray, rank: int, rng: np.random.Generator):
-    """Deterministic data-driven start for one view.
+def spectral_start(xp: np.ndarray, energy: float, rank: int, rng: np.random.Generator):
+    """Deterministic data-driven start for one view, from its packed rows `xp`.
 
     Node factor: leading eigenvectors of the slice-wise Gram sum
-    X_(1) X_(1)^T, sign-fixed and scaled to the balanced column norm;
-    columns beyond the node count are filled with seeded noise at the same
-    scale. Subject factor: one ridge least-squares solve against the node
-    start. `x` should be C-contiguous, so that its (M, M*N) unfolding is a
-    view; the Gram does not depend on the order of that unfolding's columns.
+    sum_k X_k X_k^T (:func:`m2e.tensors.packed_slice_gram`), sign-fixed and
+    scaled to the balanced column norm of `energy` = ||X||^2; columns beyond
+    the node count are filled with seeded noise at the same scale. Subject
+    factor: one ridge least-squares solve against the node start.
     """
-    m = x.shape[0]
-    unfolded = x.reshape(m, -1)
-    gram = unfolded @ unfolded.T
+    gram = packed_slice_gram(xp)
+    m = gram.shape[0]
     _, vec = np.linalg.eigh(gram)
     vec = vec[:, ::-1][:, :min(rank, m)]
     sign = np.sign(vec[np.abs(vec).argmax(axis=0), np.arange(vec.shape[1])])
     sign[sign == 0] = 1.0
     vec = vec * sign
-    col_scale = balanced_column_norm(float(np.vdot(x, x)), rank)
+    col_scale = balanced_column_norm(energy, rank)
     h = vec * col_scale
     if h.shape[1] < rank:
         extra = rng.standard_normal((m, rank - h.shape[1]))
         h = np.hstack([h, extra * col_scale / np.sqrt(m)])
-    return h, ridge_solve((h.T @ h) * (h.T @ h), mode3_mttkrp(x, h, h))
+    return h, ridge_solve((h.T @ h) * (h.T @ h), packed_mode3_mttkrp(xp, h, h))
 
 
 def _init_state(views: Sequence[GraphViewTensor], config: M2eConfig,
                 lambdas: Sequence[float]) -> tuple[M2eState, list[float]]:
     """The spectral start of every view, and each view's energy ||X_v||^2.
 
-    Each view is unpacked to its dense tensor for these two and freed before
-    the next, so at most one dense view is held. Every view restarts the
-    generator from the same seed, so equally shaped views start from
-    identical factors and runs are reproducible.
+    Both read the packed rows. Every view restarts the generator from the
+    same seed, so equally shaped views start from identical factors and runs
+    are reproducible.
     """
     node, aux, dual, subject, energies = [], [], [], [], []
     for view in views:
-        x = view.data
-        h, f = spectral_start(x, config.rank, np.random.default_rng(config.seed))
-        energies.append(float(np.vdot(x, x)))
-        del x
+        energies.append(packed_energy(view.packed))
+        h, f = spectral_start(view.packed, energies[-1], config.rank,
+                              np.random.default_rng(config.seed))
         node.append(h)
         aux.append(h.copy())  # zero initial coupling residual
         dual.append(np.zeros_like(h))
@@ -404,12 +397,12 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
     """The outer loop of all three fitters.
 
     `subjects` is "joint", "shared" or "independent" (see the module
-    docstring). The spectral start unpacks one view at a time and computes
-    its energy ||X_v||^2 once, for its coupling penalty, its column norm and
-    the stopping test. Every later pass reads only the packed upper
-    triangles that each GraphViewTensor holds, half the dense tensor, as
-    they are. Each iteration visits the views in order: pass 1 over X_v feeds
-    the node, aux and dual updates; pass 2 feeds view v's subject solve
+    docstring). The spectral start computes each view's energy ||X_v||^2
+    once, for its coupling penalty, its column norm and the stopping test.
+    Every pass reads only the packed upper triangles that each
+    GraphViewTensor holds, half the dense tensor, as they are. Each
+    iteration visits the views in order: pass 1 over X_v feeds the node,
+    aux and dual updates; pass 2 feeds view v's subject solve
     (under "shared", one solve on the summed systems after the views) and
     the traced objective. "joint" and "independent" then re-average the
     consensus. This repeats until M2eConfig's stopping test holds. The

@@ -1,62 +1,37 @@
-"""Third-order tensor and matrix kernels, dense and on packed symmetric slices.
+"""Third-order tensor kernels on packed symmetric slices, and small-matrix helpers.
 
-A third-order tensor is a numpy array of shape (I1, I2, I3). Unfolding a
-tensor to a matrix orders the columns so that the smaller remaining index
-varies fastest; under that convention a rank-R model with factor matrices
-A (I1 x R), B (I2 x R), C (I3 x R) satisfies
+A graph view is an (M, M, N) tensor X with symmetric frontal slices.
+:func:`pack_symmetric` keeps each slice's plain upper triangle, an
+(M(M+1)/2, N) matrix X_p with one row per pair i <= j in the order of
+:func:`symmetric_index`, which the dataset reader and writer share (the
+packed storage of Schatz, Low, van de Geijn and Kolda, SIAM J. Sci. Comput.
+2014). :class:`GraphViewTensor` stores only X_p.
 
-    matricize(T, 1) = A @ khatri_rao(C, B).T
-    matricize(T, 2) = B @ khatri_rao(C, A).T
-    matricize(T, 3) = C @ khatri_rao(B, A).T
+MTTKRP kernel. For a rank-R CP model [[A, B, C]], with entries
+sum_r A[i, r] B[j, r] C[k, r], the mode-n MTTKRP contracts X with the
+factors of the other two modes, e.g. G3[k, r] = sum_ij X[i, j, k] A[i, r] B[j, r].
+CP-ALS and every M2E fit spend nearly all their time in it. It reads only
+X_p, in two passes that reuse work across modes (the dimension-tree MTTKRP
+of Phan, Tichavsky and Cichocki, IEEE TSP 2013):
 
-MTTKRP kernel. The matricized-tensor times Khatri-Rao product of mode n
-contracts a tensor with the factor matrices of the other two modes,
+* pass 1, :func:`packed_partial_mttkrp`: Y[r, i, j] = sum_k X[i, j, k] C[k, r],
+  computed as C^T X_p^T and unpacked to (R, M, M) by one gather. The mode-1
+  and mode-2 MTTKRPs both contract Y at O(M^2 R) (:func:`mttkrp_from_partial`);
+  C must stay fixed between the two, as it does in an ALS sweep and in the
+  M2E node and aux steps.
+* pass 2, :func:`packed_mode3_mttkrp`: G3 = (W^T X_p)^T with the packed
+  weights W = a_i b_j + a_j b_i for i < j and a_i b_i for i = j. The model
+  cross term <X, [[A, B, C]]> is then <G3, C>, and :func:`cp_squared_error`
+  turns it into the model error with no further pass.
 
-    G1 = matricize(T, 1) @ khatri_rao(C, B)
-    G2 = matricize(T, 2) @ khatri_rao(C, A)
-    G3 = matricize(T, 3) @ khatri_rao(B, A)
+:func:`packed_energy` gives ||X||^2 and :func:`packed_slice_gram` the slice
+Gram sum sum_k X_k X_k^T, both from X_p.
 
-and is where CP-ALS and every M2E fit spend nearly all their time. The
-kernel reads a C-contiguous (I, J, K) tensor X only through its
-(I*J, K) unfolding X_flat, which is a free reshape, in two passes that
-reuse work across modes (the dimension-tree MTTKRP of Phan, Tichavsky and
-Cichocki, IEEE TSP 2013):
-
-* pass 1, :func:`partial_mttkrp`: Y = C^T X_flat^T, reshaped to (R, I, J)
-  at no cost. The mode-1 and mode-2 MTTKRPs both contract Y, over j or
-  over i, at O(IJR) (:func:`mttkrp_from_partial`); C must stay fixed
-  between the two, as it does in an ALS sweep and in the M2E node and aux
-  steps.
-* pass 2, :func:`mode3_mttkrp`: G3 = ((A kr B)^T X_flat)^T, shape (K, R).
-  The model cross term <X, [[A, B, C]]> is then <G3, C>, at O(KR) and no
-  further pass; :func:`cp_squared_error` turns it into the model error.
-
-Packed slices. A graph view's frontal slices are symmetric, so half of
-their entries are copies. :func:`pack_symmetric` keeps each slice's plain
-upper triangle, an (M(M+1)/2, N) matrix X_p with one row per pair i <= j
-in the order of :func:`symmetric_index`, which the dataset reader and
-writer share (the packed storage of Schatz, Low, van de Geijn and Kolda,
-SIAM J. Sci. Comput. 2014). :class:`GraphViewTensor` stores only X_p, and
-builds the dense tensor on request. Both passes have a packed form that
-reads only X_p:
-
-* :func:`packed_partial_mttkrp`: C^T X_p^T, unpacked to the (R, M, M)
-  pass-1 product by one gather over a symmetric index, at O(M^2 R);
-* :func:`packed_mode3_mttkrp`: W^T X_p with the packed weights
-  W = h_i p_j + h_j p_i for i < j and h_i p_i for i = j, gathered from the
-  (R, M, M) outer product of h^T and p^T.
-
-Cost model: two GEMMs over X per sweep, O(IJKR) flops and one read of X
-each, plus O(IJR) for the rest. Both GEMMs put the R-row operand on the
-left (C^T X_flat^T, not X_flat C; (A kr B)^T X_flat, not
-X_flat^T (A kr B)); BLAS runs these orders about 1.5-2x faster at the
-`hiv` preset shape, and neither copies X. A tensor that is not
-C-contiguous is copied on every call, so callers make it contiguous once.
-The M2E fitters run both passes on the packed rows each view holds, which
-halves the GEMMs' flops and bytes read for O(M^2 R) of gathers per pass.
-CP-ALS, :func:`m2e.solver.objective_value` and the spectral start stay on
-the dense passes: the first two accept tensors that are not symmetric, and
-the start's arithmetic is the dense one. Each unpacks one view at a time.
+Cost model: per sweep, two GEMMs over X_p, each O(M^2 N R / 2) flops and
+one read of half the dense tensor, plus O(M^2 R) of gathers. Both put the
+R-row operand on the left (C^T X_p^T, W^T X_p), the order BLAS ran 1.5-2x
+faster at the `hiv` preset shape, and neither copies X_p. Only
+:attr:`GraphViewTensor.data` builds the dense tensor.
 """
 from __future__ import annotations
 
@@ -71,35 +46,6 @@ import numpy as np
 SYMMETRY_TOL = 1e-8
 # added to the R x R Gram before each least-squares solve
 RIDGE = 1e-10
-
-
-def matricize(tensor: np.ndarray, mode: int) -> np.ndarray:
-    """Unfold a third-order tensor along `mode` (1, 2 or 3).
-
-    Returns an I_mode x (product of the other dims) matrix. Entry
-    (i1, i2, i3) lands in row i_mode; the column index runs over the
-    remaining two indices with the smaller one varying fastest.
-    """
-    t = np.asarray(tensor, dtype=float)
-    if t.ndim != 3:
-        raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    return np.reshape(np.moveaxis(t, mode - 1, 0), (t.shape[mode - 1], -1), order="F")
-
-
-def refold(matrix: np.ndarray, mode: int, dims: Sequence[int]) -> np.ndarray:
-    """Inverse of :func:`matricize`: rebuild the tensor of shape `dims`."""
-    m = np.asarray(matrix, dtype=float)
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3:
-        raise ValueError("dims must have length 3")
-    rest = [d for ax, d in enumerate(dims) if ax != mode - 1]
-    t = np.reshape(m, (dims[mode - 1], *rest), order="F")
-    return np.moveaxis(t, 0, mode - 1)
-
 
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Columnwise Kronecker product; b's row index varies fastest."""
@@ -116,33 +62,17 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ir,jr->ijr", a, b, order="C").reshape(a.shape[0] * b.shape[0], a.shape[1])
 
 
-def _unfold3(x: np.ndarray) -> np.ndarray:
-    """(I*J, K) unfolding with row index i*J + j; a view of C-contiguous x."""
-    return x.reshape(x.shape[0] * x.shape[1], x.shape[2])
-
-
-def partial_mttkrp(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Pass 1: Y[r, i, j] = sum_k X[i, j, k] C[k, r], shape (R, I, J)."""
-    i, j, _ = x.shape
-    return (c.T @ _unfold3(x).T).reshape(c.shape[1], i, j)
-
-
 def mttkrp_from_partial(y: np.ndarray, factor: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-1 or mode-2 MTTKRP from the pass-1 product `y` of :func:`partial_mttkrp`.
+    """Mode-1 or mode-2 MTTKRP from the pass-1 product `y` of packed_partial_mttkrp.
 
-    Mode 1 contracts y with the mode-2 factor over j, giving (I, R); mode 2
-    contracts it with the mode-1 factor over i, giving (J, R). X is not read.
+    Mode 1 contracts y with the mode-2 factor over j, giving (M, R); mode 2
+    contracts it with the mode-1 factor over i, giving (M, R). X is not read.
     """
     if mode == 1:
         return (y @ factor.T[:, :, None])[:, :, 0].T
     if mode == 2:
         return (factor.T[:, None, :] @ y)[:, 0, :].T
     raise ValueError(f"mode must be 1 or 2, got {mode}")
-
-
-def mode3_mttkrp(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pass 2: the mode-3 MTTKRP sum_ij X[i, j, k] A[i, r] B[j, r], shape (K, R)."""
-    return (khatri_rao(a, b).T @ _unfold3(x)).T
 
 
 @functools.lru_cache(maxsize=16)
@@ -196,26 +126,49 @@ def pack_symmetric(tensor: np.ndarray) -> np.ndarray:
 
 
 def packed_partial_mttkrp(xp: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Pass 1 on packed slices: :func:`partial_mttkrp` of the unpacked tensor."""
+    """Pass 1: Y[r, i, j] = sum_k X[i, j, k] C[k, r], shape (R, M, M), from packed rows."""
     m = _packed_node_count(xp.shape[0])
     return (c.T @ xp.T).take(symmetric_index(m)[2], axis=1).reshape(c.shape[1], m, m)
 
 
 def packed_mode3_mttkrp(xp: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pass 2 on packed slices: :func:`mode3_mttkrp` of the unpacked tensor."""
+    """Pass 2: the mode-3 MTTKRP sum_ij X[i, j, k] A[i, r] B[j, r], shape (N, R), from packed rows."""
     m = _packed_node_count(xp.shape[0])
     upper, lower, _ = symmetric_index(m)
     at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    outer = (at[:, :, None] * bt[:, None, :]).reshape(a.shape[1], -1)  # a_i b_j at i*M + j
+    # a_i b_j at i*M + j; einsum allocates only its result, a broadcast multiply twice it
+    outer = np.einsum("ri,rj->rij", at, bt).reshape(a.shape[1], -1)
     outer[:, ::m + 1] *= 0.5  # a diagonal pair is one entry, and gathered twice below
     w = outer.take(upper, axis=1)
     w += outer.take(lower, axis=1)
     return (w @ xp).T
 
 
+def packed_energy(xp: np.ndarray) -> float:
+    """||X||^2 of the unpacked tensor: every off-diagonal pair counts twice."""
+    m = _packed_node_count(xp.shape[0])
+    diagonal = xp.take(symmetric_index(m)[2][::m + 1], axis=0)
+    return 2.0 * float(np.vdot(xp, xp)) - float(np.vdot(diagonal, diagonal))
+
+
+def packed_slice_gram(xp: np.ndarray) -> np.ndarray:
+    """sum_k X_k X_k^T over the unpacked slices X_k, shape (M, M).
+
+    _TILE slices are unpacked at a time, as an (M, M * _TILE) unfolding, so
+    the dense temporaries stay a small share of the view.
+    """
+    m = _packed_node_count(xp.shape[0])
+    sym = symmetric_index(m)[2]
+    gram = np.zeros((m, m))
+    for k in range(0, xp.shape[1], _TILE):
+        unfolded = xp[:, k:k + _TILE].take(sym, axis=0).reshape(m, -1)
+        gram += unfolded @ unfolded.T
+    return gram
+
+
 def cp_squared_error(energy: float, g: np.ndarray, a: np.ndarray, b: np.ndarray,
                      c: np.ndarray) -> float:
-    """||X - [[a, b, c]]||^2 from ||X||^2 and G3 = mode3_mttkrp(X, a, b).
+    """||X - [[a, b, c]]||^2 from ||X||^2 and G3 = packed_mode3_mttkrp(X_p, a, b).
 
     Uses the Gram identity ||X||^2 - 2<G3, c> + sum((a^T a) * (b^T b) * (c^T c))
     (Kolda and Bader, SIAM Review 2009): no pass over X, no dense model. Near
@@ -408,6 +361,11 @@ class GraphViewTensor:
         """
         m = self.node_count
         return self.packed.take(symmetric_index(m)[2], axis=0).reshape(m, m, self.subject_count)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(M, M, N), the shape of the dense tensor."""
+        return (self.node_count, self.node_count, self.subject_count)
 
     @property
     def node_count(self) -> int:

@@ -1,0 +1,40 @@
+"""Dense reference forms that the tests check the packed kernels against.
+
+The package holds every graph view packed and has no dense unfolding or
+dense MTTKRP. These are the textbook definitions, on dense (I, J, K)
+tensors whose slices need not be symmetric.
+"""
+import numpy as np
+
+
+def matricize(tensor, mode):
+    """Unfold a third-order tensor along `mode` (1, 2 or 3).
+
+    Returns an I_mode x (product of the other dims) matrix. Entry
+    (i1, i2, i3) lands in row i_mode; the column index runs over the
+    remaining two indices with the smaller one varying fastest.
+    """
+    t = np.asarray(tensor, dtype=float)
+    if t.ndim != 3:
+        raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
+    if mode not in (1, 2, 3):
+        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
+    return np.reshape(np.moveaxis(t, mode - 1, 0), (t.shape[mode - 1], -1), order="F")
+
+
+def refold(matrix, mode, dims):
+    """Inverse of :func:`matricize`: rebuild the tensor of shape `dims`."""
+    dims = tuple(int(d) for d in dims)
+    rest = [d for ax, d in enumerate(dims) if ax != mode - 1]
+    t = np.reshape(np.asarray(matrix, dtype=float), (dims[mode - 1], *rest), order="F")
+    return np.moveaxis(t, 0, mode - 1)
+
+
+def partial_mttkrp(x, c):
+    """Pass 1's product Y[r, i, j] = sum_k X[i, j, k] C[k, r], shape (R, I, J)."""
+    return np.einsum("ijk,kr->rij", x, c)
+
+
+def mode3_mttkrp(x, a, b):
+    """The mode-3 MTTKRP sum_ij X[i, j, k] A[i, r] B[j, r], shape (K, R)."""
+    return np.einsum("ijk,ir,jr->kr", x, a, b)

@@ -13,6 +13,7 @@ import pytest
 from m2e.cp import AlsOptions, cp_als_fit, cp_relative_error
 from m2e.datagen import SyntheticSpec, generate
 from m2e.dataio import load_dataset, load_dataset_view, save_dataset
+from m2e.runner import run_cp
 from m2e.solver import M2eConfig, m2e_fit
 from m2e.tensors import GraphViewTensor, check_partial_symmetry, khatri_rao, symmetrize_slices
 
@@ -45,7 +46,7 @@ def dataset_dir(tmp_path_factory, views):
 
 @pytest.fixture(scope="module")
 def factors(views):
-    return cp_als_fit(views[0].data, AlsOptions(rank=3, max_iters=2)).factors
+    return cp_als_fit(views[0], AlsOptions(rank=3, max_iters=2)).factors
 
 
 # call(dataset_dir, views, x, factors) and its bound, in views of x's size,
@@ -59,11 +60,17 @@ BOUNDS = {
     "check_partial_symmetry": (lambda d, v, x, f: check_partial_symmetry(x), 0.25),
     "GraphViewTensor": (lambda d, v, x, f: GraphViewTensor(x), PACKED + 0.25),
     "symmetrize_slices": (lambda d, v, x, f: symmetrize_slices(x), 1.1),
-    "cp_relative_error": (lambda d, v, x, f: cp_relative_error(x, f), 1.1),
-    "generate": (lambda d, v, x, f: generate(SPEC), 3.3),
-    # one view unpacked at a time for its spectral start; the passes read packed
+    # a few node rows of the residual at a time; no dense view or model
+    "cp_relative_error": (lambda d, v, x, f: cp_relative_error(v[0], f), 0.2),
+    "cp_als_fit": (lambda d, v, x, f: cp_als_fit(v[0], AlsOptions(rank=3, max_iters=5)), 0.3),
+    # the packed view it loads, plus one block of text, then the fit and its error
+    "run_cp": (lambda d, v, x, f: run_cp(d, 1, AlsOptions(rank=3, max_iters=5),
+                                         d.parent / "cp"), 0.8),
+    # the two packed views it returns, plus a few node rows of signal
+    "generate": (lambda d, v, x, f: generate(SPEC), 2 * PACKED + 0.45),
+    # the passes, and the spectral start's Gram over a few slices at a time
     "m2e_fit": (lambda d, v, x, f: m2e_fit(v, M2eConfig(rank=SPEC.latent_rank, seed=4,
-                                                       max_outer_iters=3)), 1.25),
+                                                       max_outer_iters=3)), 0.6),
 }
 
 

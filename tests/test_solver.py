@@ -11,8 +11,9 @@ from m2e.solver import (M2eConfig, M2eState, SolverNumericsError, _ensure_finite
                         _objective, aux_system, m2e_ds_fit, m2e_fit, m2e_ts_fit,
                         node_system, objective_value, quadratic_objective,
                         subject_system, update_consensus, update_dual)
-from m2e.tensors import (RIDGE, GraphViewTensor, matricize, mode3_mttkrp, packed_mode3_mttkrp,
-                         packed_partial_mttkrp, partial_mttkrp, ridge_solve)
+from m2e.tensors import (RIDGE, GraphViewTensor, pack_symmetric, packed_mode3_mttkrp,
+                         packed_partial_mttkrp, ridge_solve)
+from oracles import matricize, mode3_mttkrp, partial_mttkrp
 
 
 def shared_factor_views(seed, n_views=2, nodes=20, subjects=30, rank=3):
@@ -158,7 +159,8 @@ def test_cp_and_every_fitter_solve_through_ridge_solve(monkeypatch):
     monkeypatch.setattr(cp, "ridge_solve", counted("cp"))
     monkeypatch.setattr(solver, "ridge_solve", counted("solver"))
     rng = np.random.default_rng(42)
-    cp_als_fit(rng.standard_normal((4, 5, 6)), AlsOptions(rank=2, max_iters=4, rel_tol=1e-300))
+    w = rng.standard_normal((4, 4, 6))
+    cp_als_fit(w + w.transpose(1, 0, 2), AlsOptions(rank=2, max_iters=4, rel_tol=1e-300))
     assert calls == {"cp": 3 * 4, "solver": 0}
     views, _ = shared_factor_views(42, nodes=6, subjects=7)
     cfg = M2eConfig(rank=2, seed=42, max_outer_iters=3)
@@ -233,7 +235,7 @@ def test_spectral_start_and_penalty_share_the_balanced_column_norm():
     energy = float(np.vdot(x, x))
     t = solver.balanced_column_norm(energy, 3)
     assert t == pytest.approx((energy / 3) ** (1 / 6), rel=1e-15)
-    h, _ = solver.spectral_start(x, 3, np.random.default_rng(0))
+    h, _ = solver.spectral_start(pack_symmetric(x), energy, 3, np.random.default_rng(0))
     np.testing.assert_allclose(np.linalg.norm(h, axis=0), t, rtol=1e-12)
     assert solver.balanced_penalty(energy, 3) == 2.0 * solver.balanced_column_norm(energy, 3, 4)
     assert solver.balanced_penalty(energy, 3) == pytest.approx(2.0 * t**4, rel=1e-14)
@@ -318,6 +320,7 @@ def test_objective_zero_at_exact_fit():
     rng = np.random.default_rng(28)
     state = random_state(rng)
     state.subject = [state.consensus.copy() for _ in state.subject]
+    state.node_aux = [h.copy() for h in state.node]  # so that the views are symmetric
     views = [np.einsum("ir,jr,kr->ijk", h, p, f)
              for h, p, f in zip(state.node, state.node_aux, state.subject)]
     assert objective_value(views, state, (1.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
@@ -325,7 +328,7 @@ def test_objective_zero_at_exact_fit():
 
 def test_objective_zero_factors_gives_data_energy():
     rng = np.random.default_rng(29)
-    views = [rng.standard_normal((4, 4, 5)) for _ in range(2)]
+    views = [w + w.transpose(1, 0, 2) for w in rng.standard_normal((2, 4, 4, 5))]
     state = M2eState(
         node=[np.zeros((4, 2)) for _ in range(2)],
         node_aux=[np.zeros((4, 2)) for _ in range(2)],
@@ -350,7 +353,7 @@ def test_objective_zero_factors_gives_data_energy():
 def test_objective_agrees_with_matricized_evaluation():
     rng = np.random.default_rng(30)
     state = random_state(rng)
-    views = [rng.standard_normal((5, 5, 6)) for _ in range(2)]
+    views = [w + w.transpose(1, 0, 2) for w in rng.standard_normal((2, 5, 5, 6))]
     lambdas = (1.5, 0.5)
     direct = objective_value(views, state, lambdas)
     via_mode3 = 0.0
@@ -387,7 +390,7 @@ def test_loop_objective_matches_definitional_form():
 def test_objective_column_permutation_invariance():
     rng = np.random.default_rng(31)
     state = random_state(rng, rank=3)
-    views = [rng.standard_normal((5, 5, 6)) for _ in range(2)]
+    views = [w + w.transpose(1, 0, 2) for w in rng.standard_normal((2, 5, 5, 6))]
     lambdas = (1.0, 2.0)
     base = objective_value(views, state, lambdas)
     perm = rng.permutation(3)
@@ -543,7 +546,6 @@ def test_each_outer_iteration_reads_each_view_twice(fitter, monkeypatch):
     views[1] = views[1][:7, :7]  # views of different sizes are told apart
     passes = {x.shape[0]: 0 for x in views}
     per_iteration = []
-    dense_pass_1 = []
 
     def counted(kernel, nodes):
         def wrapper(x, *args):
@@ -556,24 +558,15 @@ def test_each_outer_iteration_reads_each_view_twice(fitter, monkeypatch):
             per_iteration.append(dict(passes))
             passes.update(dict.fromkeys(passes, 0))
 
-    def dense_pass(x, *args):
-        dense_pass_1.append(x.shape)
-        return partial_mttkrp(x, *args)
-
     for name, kernel in (("packed_partial_mttkrp", packed_partial_mttkrp),
                          ("packed_mode3_mttkrp", packed_mode3_mttkrp)):
         # M(M+1)/2 packed rows: isqrt(M^2 + M) = M
         monkeypatch.setattr(solver, name, counted(kernel, lambda xp: math.isqrt(2 * len(xp))))
-    # the spectral start's subject solve still reads the dense view
-    monkeypatch.setattr(solver, "mode3_mttkrp", counted(mode3_mttkrp, lambda x: x.shape[0]))
-    monkeypatch.setattr(solver, "partial_mttkrp", dense_pass, raising=False)
-    monkeypatch.setattr(tensors, "partial_mttkrp", dense_pass)
     fitter(views, M2eConfig(rank=3, lambdas=(1.0, 1.0), seed=14, max_outer_iters=5),
            monitor=monitor)
     # the first entry also counts the spectral start's subject solve
     assert per_iteration[0] == {9: 3, 7: 3}
     assert per_iteration[1:] == [{9: 2, 7: 2}] * 4
-    assert dense_pass_1 == []
 
 
 @pytest.mark.parametrize("fitter, order", (

@@ -4,12 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from m2e.tensors import (RIDGE, GraphViewTensor, _unfold3, all_finite, average_with_transpose,
+from m2e.tensors import (RIDGE, GraphViewTensor, all_finite, average_with_transpose,
                          check_partial_symmetry, cp_reconstruct, cp_squared_error,
-                         frobenius_norm, khatri_rao, matricize, mode3_mttkrp,
-                         mttkrp_from_partial, pack_symmetric, packed_mode3_mttkrp,
-                         packed_partial_mttkrp, partial_mttkrp, refold, require_symmetric,
-                         ridge_solve, scaled_identity, symmetrize_slices)
+                         frobenius_norm, khatri_rao, mttkrp_from_partial, pack_symmetric,
+                         packed_energy, packed_mode3_mttkrp, packed_partial_mttkrp,
+                         packed_slice_gram, require_symmetric, ridge_solve, scaled_identity,
+                         symmetrize_slices)
+from oracles import matricize, mode3_mttkrp, partial_mttkrp, refold
 
 
 def unfold_by_index_formula(t, mode):
@@ -117,6 +118,11 @@ def test_cp_reconstruct_rejects_rank_mismatch():
         cp_reconstruct((np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2))))
 
 
+def random_symmetric(rng, m, n):
+    x = rng.standard_normal((m, m, n))
+    return x + x.transpose(1, 0, 2)
+
+
 def mttkrp_oracle(t, factors, mode):
     """matricize(T, mode) @ khatri_rao of the other factors, larger mode first."""
     small, big = (factors[m] for m in range(3) if m != mode - 1)
@@ -127,35 +133,38 @@ def mttkrp_oracle(t, factors, mode):
 @pytest.mark.parametrize("mode", (1, 2, 3))
 def test_mttkrp_matches_matricized_oracle(mode, rank):
     rng = np.random.default_rng(7 + rank)
-    t = rng.standard_normal((5, 4, 6))  # I != J, slices not symmetric
-    factors = [rng.standard_normal((d, rank)) for d in t.shape]
+    t = random_symmetric(rng, 5, 6)
+    factors = [rng.standard_normal((d, rank)) for d in t.shape]  # factors[0] != factors[1]
     expected = mttkrp_oracle(t, factors, mode)
     scale = np.abs(expected).max()
+    xp = pack_symmetric(t)
     if mode == 3:
-        got = mode3_mttkrp(t, factors[0], factors[1])
+        got = packed_mode3_mttkrp(xp, factors[0], factors[1])
     else:  # from a pass-1 product shared by modes 1 and 2
-        got = mttkrp_from_partial(partial_mttkrp(t, factors[2]), factors[2 - mode], mode)
+        got = mttkrp_from_partial(packed_partial_mttkrp(xp, factors[2]), factors[2 - mode], mode)
     assert got.shape == (t.shape[mode - 1], rank)
     assert np.abs(got - expected).max() <= 1e-12 * scale
 
 
 def test_mttkrp_rejects_bad_mode():
-    t = np.zeros((2, 2, 2))
+    xp = pack_symmetric(np.zeros((2, 2, 2)))
     factors = [np.zeros((2, 1))] * 3
     for mode in (0, 3):
         with pytest.raises(ValueError):
-            mttkrp_from_partial(partial_mttkrp(t, factors[2]), factors[0], mode)
+            mttkrp_from_partial(packed_partial_mttkrp(xp, factors[2]), factors[0], mode)
 
 
 @pytest.mark.parametrize("noise", (0.1, 1.0))
 def test_cp_squared_error_matches_dense_residual(noise):
+    # a symmetric view against a model whose first two factors differ
     rng = np.random.default_rng(19)
     for _ in range(10):
-        a, b, c = (rng.standard_normal((d, 3)) for d in (6, 5, 7))
-        x = cp_reconstruct((a, b, c)) + noise * rng.standard_normal((6, 5, 7))
-        a, b, c = (f + noise * rng.standard_normal(f.shape) for f in (a, b, c))
+        a, c = rng.standard_normal((6, 3)), rng.standard_normal((7, 3))
+        x = cp_reconstruct((a, a, c)) + noise * random_symmetric(rng, 6, 7)
+        xp = pack_symmetric(x)
+        a, b, c = (f + noise * rng.standard_normal(f.shape) for f in (a, a, c))
         dense = float(np.sum((x - cp_reconstruct((a, b, c))) ** 2))
-        got = cp_squared_error(float(np.vdot(x, x)), mode3_mttkrp(x, a, b), a, b, c)
+        got = cp_squared_error(packed_energy(xp), packed_mode3_mttkrp(xp, a, b), a, b, c)
         assert got == pytest.approx(dense, rel=1e-10)
 
 
@@ -177,24 +186,20 @@ def test_cp_squared_error_is_clamped_at_an_exact_fit():
 
 def test_mttkrp_kernel_does_not_copy_the_tensor():
     rng = np.random.default_rng(9)
-    t = rng.standard_normal((60, 50, 40))
-    a, b, c = (rng.standard_normal((d, 2)) for d in t.shape)
-    assert np.shares_memory(_unfold3(t), t)
+    t = random_symmetric(rng, 60, 40)
+    xp = pack_symmetric(t)
+    a, b, c = (rng.standard_normal((d, 2)) for d in (60, 60, 40))
     tracemalloc.start()
     try:
-        y = partial_mttkrp(t, c)
+        y = packed_partial_mttkrp(xp, c)
         mttkrp_from_partial(y, b, 1)
         mttkrp_from_partial(y, a, 2)
-        mode3_mttkrp(t, a, b)
+        packed_mode3_mttkrp(xp, a, b)
+        packed_energy(xp)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < t.nbytes / 4
-
-
-def random_symmetric(rng, m, n):
-    x = rng.standard_normal((m, m, n))
-    return x + x.transpose(1, 0, 2)
 
 
 def test_pack_symmetric_keeps_the_plain_upper_triangle():
@@ -217,6 +222,9 @@ def test_packed_kernels_match_dense(m, n):
                           (packed_mode3_mttkrp(packed, h, p), mode3_mttkrp(x, h, p))):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert packed_energy(packed) == pytest.approx(float(np.vdot(x, x)), rel=1e-14)
+    gram = np.einsum("ijk,ljk->il", x, x)
+    assert np.abs(packed_slice_gram(packed) - gram).max() <= 1e-12 * np.abs(gram).max()
 
 
 @pytest.mark.parametrize("shape", ((3, 4, 2), (3, 3), (3, 3, 2, 1)))
