@@ -21,12 +21,12 @@ A view file is read as a stream of lines. Only an empty line ends a block
 (after CRLF and CR line ends are read as LF); a whitespace-only line stays
 inside its block, where `np.loadtxt` skips it, and a block of whitespace-only
 lines is dropped. Each block is parsed when its closing empty line, or the
-end of the file, arrives, and its pair averages are packed into the one
-(M(M+1)/2, N) array that the view keeps; blocks past N are counted but not
-parsed. So a loader holds one block of text at a time, and its peak memory
-is about the packed views it returns. As the blocks arrive it records whether
-any is non-finite and each slice's asymmetry max |s[i, j] - s[j, i]|. Faults
-are reported after the last block, in this order, the first that applies:
+end of the file, arrives; blocks past N are counted but not parsed.
+`m2e.tensors.pack_slice` packs its pair averages into the one (M(M+1)/2, N)
+array that the view keeps, and gives its asymmetry max |s[i, j] - s[j, i]|
+and whether it is finite. So a loader holds one block of text at a time, and
+its peak memory is about the packed views it returns. Faults are reported
+after the last block, in this order, the first that applies:
 
 1. a missing file;
 2. a block count other than N ("found K matrix blocks, manifest says N");
@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensors import GraphViewTensor, raise_on_asymmetry, symmetric_index
+from .tensors import GraphViewTensor, pack_slice, raise_on_asymmetry, symmetric_index
 
 FORMAT_VERSION = 1
 _FLOAT_FMT = "%.17g"
@@ -149,24 +149,18 @@ def _read_view_file(path: Path, name: str, nodes: int, subjects: int) -> GraphVi
     # count never sizes an allocation.
     data = None
     if path.stat().st_size >= subjects * (2 * nodes * nodes - 1):
-        upper, lower, _ = symmetric_index(nodes)
-        data, asymmetry = np.empty((upper.size, subjects)), np.zeros(subjects)
+        data, asymmetry = np.empty((symmetric_index(nodes)[0].size, subjects)), np.zeros(subjects)
     count, fault, finite = 0, None, True
     with path.open() as fh:
         for block in _text_blocks(fh):
             if count < subjects and fault is None:
                 try:
-                    flat = _parse_block(block, name, count, nodes).ravel()
+                    matrix = _parse_block(block, name, count, nodes)
                 except DatasetError as exc:
                     fault = exc  # the block count, known at the end, is reported first
                 else:
                     if data is not None and finite:
-                        pairs, mirrored = flat.take(upper), flat.take(lower)
-                        finite = bool(np.isfinite(flat).all())
-                        asymmetry[count] = np.abs(pairs - mirrored).max()
-                        pairs += mirrored
-                        pairs /= 2.0
-                        data[:, count] = pairs
+                        asymmetry[count], finite = pack_slice(matrix, data[:, count])
             count += 1
     if count != subjects:
         raise DatasetError(f"view '{name}': found {count} matrix blocks, manifest says {subjects}")
@@ -193,7 +187,9 @@ def save_dataset(path: Path | str, views: list[GraphViewTensor],
                  labels: np.ndarray | None = None,
                  view_names: list[str] | None = None,
                  metadata: dict | None = None) -> Path:
-    """Write a dataset directory; returns the manifest path."""
+    """Write a dataset directory; returns the manifest path. Checks all before writing any."""
+    if not views:
+        raise DatasetError("need at least one view")
     names = view_names or [f"view{v + 1}" for v in range(len(views))]
     if len(names) != len(views):
         raise DatasetError("one name per view required")
@@ -201,6 +197,10 @@ def save_dataset(path: Path | str, views: list[GraphViewTensor],
     subjects = {v.subject_count for v in views}
     if len(subjects) != 1:
         raise DatasetError(f"views disagree on subject count: {sorted(subjects)}")
+    if labels is not None:
+        labels = np.asarray(labels, dtype=int)
+        if labels.shape != (views[0].subject_count,):
+            raise DatasetError("labels must hold one integer per subject")
     manifest = {
         "format_version": FORMAT_VERSION,
         "subject_count": views[0].subject_count,
@@ -219,9 +219,6 @@ def save_dataset(path: Path | str, views: list[GraphViewTensor],
             "matrix_file": fname,
         })
     if labels is not None:
-        labels = np.asarray(labels, dtype=int)
-        if labels.shape != (views[0].subject_count,):
-            raise DatasetError("labels must hold one integer per subject")
         save_labels(root / "labels.txt", labels)
         manifest["labels_file"] = "labels.txt"
     manifest_path = root / "manifest.json"

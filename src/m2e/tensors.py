@@ -5,7 +5,9 @@ A graph view is an (M, M, N) tensor X with symmetric frontal slices.
 (M(M+1)/2, N) matrix X_p with one row per pair i <= j in the order of
 :func:`symmetric_index`, which the dataset reader and writer share (the
 packed storage of Schatz, Low, van de Geijn and Kolda, SIAM J. Sci. Comput.
-2014). :class:`GraphViewTensor` stores only X_p.
+2014). :class:`GraphViewTensor` stores only X_p. :func:`pack_slice` alone checks
+and packs a symmetric slice: the dataset loader runs it on each parsed block,
+and the dense-view functions once on each frontal slice.
 
 MTTKRP kernel. For a rank-R CP model [[A, B, C]], with entries
 sum_r A[i, r] B[j, r] C[k, r], the mode-n MTTKRP contracts X with the
@@ -100,29 +102,63 @@ def _packed_node_count(rows: int) -> int:
     return m if m * (m + 1) // 2 == rows else 0
 
 
+def pack_slice(s: np.ndarray, out: np.ndarray | None = None) -> tuple[float, bool]:
+    """(max |s[i, j] - s[j, i]|, every entry finite) of an (M, M) slice; NaN if an entry is.
+
+    Gathers the pairs i <= j in the order of :func:`symmetric_index` and,
+    given an M(M+1)/2 vector `out`, writes their averages (s[i, j] + s[j, i]) / 2
+    there, so an exactly symmetric slice packs as its upper triangle, bit for
+    bit. The loader's blocks and every dense view's slices are checked here.
+    """
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise ValueError(f"expected shape (M, M), got {s.shape}")
+    upper, lower, _ = symmetric_index(s.shape[0])
+    flat = s.ravel()  # a copy only if the slice is strided
+    pairs, mirrored = flat.take(upper), flat.take(lower)
+    if out is not None:
+        np.add(pairs, mirrored, out=out)
+        out /= 2.0
+    with np.errstate(invalid="ignore", over="ignore"):  # reported as a non-finite result
+        pairs -= mirrored
+    asymmetry = float(np.abs(pairs, out=pairs).max(initial=0.0))
+    # a non-finite entry makes its pair's difference non-finite; finite ones may overflow
+    return asymmetry, math.isfinite(asymmetry) or bool(np.isfinite(flat).all())
+
+
+def _dense_view(tensor: np.ndarray) -> np.ndarray:
+    """`tensor` as a float array, which must have shape (M, M, N)."""
+    t = np.asarray(tensor, dtype=float)
+    if t.ndim != 3 or t.shape[0] != t.shape[1]:
+        raise ValueError(f"expected shape (M, M, N), got {t.shape}")
+    return t
+
+
+def _scan_slices(t: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+    """pack_slice on each frontal slice of t, one at a time, packing slice k into out[:, k]."""
+    asymmetry, finite = np.empty(t.shape[2]), True
+    for k in range(t.shape[2]):
+        asymmetry[k], slice_finite = pack_slice(t[:, :, k], None if out is None else out[:, k])
+        finite = finite and slice_finite
+    return asymmetry, finite
+
+
+def _pack_view(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(read-only packed rows, per-slice asymmetry, every entry finite) of an (M, M, N) t."""
+    # the index is built before the rows: built after them, it raised peak RSS by 1 MB
+    data = np.empty((symmetric_index(t.shape[0])[0].size, t.shape[2]))
+    asymmetry, finite = _scan_slices(t, data)
+    data.flags.writeable = False
+    return data, asymmetry, finite
+
+
 def pack_symmetric(tensor: np.ndarray) -> np.ndarray:
     """Pack each frontal slice's pair averages (s[i, j] + s[j, i]) / 2, i <= j.
 
     Returns the read-only (M(M+1)/2, N) upper triangles, in the order of
-    :func:`symmetric_index`. An exactly symmetric slice packs as its upper
-    triangle, bit for bit. One node row is averaged at a time straight into
-    the packed array, so no temporary is allocated whatever the input's
-    layout.
+    :func:`symmetric_index`, from one :func:`pack_slice` scan of each slice.
+    Unlike :class:`GraphViewTensor`, it rejects no asymmetry.
     """
-    t = np.asarray(tensor, dtype=float)
-    if t.ndim != 3 or t.shape[0] != t.shape[1]:
-        raise ValueError(f"expected shape (M, M, N), got {t.shape}")
-    m = t.shape[0]
-    # Taking the row count from the cached index builds it before the first
-    # view's rows; built after them, it raised cohort-fit's peak RSS by 1 MB.
-    data = np.empty((symmetric_index(m)[0].size, t.shape[2]))
-    start = 0
-    for i in range(m):
-        np.add(t[i, i:], t[i:, i], out=data[start:start + m - i])
-        start += m - i
-    data /= 2.0
-    data.flags.writeable = False
-    return data
+    return _pack_view(_dense_view(tensor))[0]
 
 
 def packed_partial_mttkrp(xp: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -223,18 +259,9 @@ def frobenius_norm(tensor: np.ndarray) -> float:
     return math.sqrt(float(flat.dot(flat)))
 
 
-# Scans and in-place averages over an (M, M, N) tensor take _TILE leading-axis
-# rows, or _TILE x _TILE x N tiles, at a time, so their temporaries stay a
-# small share of the tensor whatever M is. Frontal slices are strided in this
-# layout, so the scans do not loop over them.
+# packed_slice_gram unpacks _TILE slices, and all_finite scans _TILE leading-axis
+# rows, at a time, so their temporaries stay a small share of the view.
 _TILE = 8
-
-
-def _upper_tiles(m: int):
-    """(rows, cols) slices of the tiles on and above the diagonal of an m x m grid."""
-    for i in range(0, m, _TILE):
-        for j in range(i, m, _TILE):
-            yield slice(i, i + _TILE), slice(j, j + _TILE)
 
 
 def all_finite(tensor: np.ndarray) -> bool:
@@ -242,36 +269,16 @@ def all_finite(tensor: np.ndarray) -> bool:
     return all(np.isfinite(tensor[i:i + _TILE]).all() for i in range(0, len(tensor), _TILE))
 
 
-def _slice_asymmetry(t: np.ndarray) -> np.ndarray:
-    """max_ij |t[i, j, n] - t[j, i, n]| for each frontal slice n of an (M, M, N) tensor.
-
-    Each upper tile is compared with its mirror, which covers every pair
-    (i, j) once.
-    """
-    if t.ndim != 3 or t.shape[0] != t.shape[1]:
-        raise ValueError(f"expected shape (M, M, N), got {t.shape}")
-    worst = np.zeros(t.shape[2])
-    for rows, cols in _upper_tiles(t.shape[0]):
-        diff = t[rows, cols] - t[cols, rows].transpose(1, 0, 2)
-        np.maximum(worst, np.abs(diff, out=diff).max(axis=(0, 1)), out=worst)
-    return worst
-
-
 def check_partial_symmetry(tensor: np.ndarray, tol: float = SYMMETRY_TOL) -> tuple[bool, float]:
     """Check that every frontal slice of an (M, M, N) tensor is symmetric.
 
     Returns (ok, max_asymmetry) where max_asymmetry is the largest
     |t[i, j, n] - t[j, i, n]| over all entries (NaN if an entry is NaN).
-    The scan compares one 8 x 8 x N tile with its mirror at a time, so it
-    allocates no transposed copy.
+    Each slice is measured by one :func:`pack_slice` scan, so no transposed
+    copy is allocated.
     """
-    max_asym = float(_slice_asymmetry(np.asarray(tensor, dtype=float)).max(initial=0.0))
+    max_asym = float(_scan_slices(_dense_view(tensor))[0].max(initial=0.0))
     return max_asym <= tol, max_asym
-
-
-def require_symmetric(t: np.ndarray, tol: float, advice: str = "") -> None:
-    """Raise naming the most asymmetric frontal slice if it is asymmetric beyond `tol`."""
-    raise_on_asymmetry(_slice_asymmetry(t), tol, advice)
 
 
 def raise_on_asymmetry(per_slice: np.ndarray, tol: float, advice: str = "") -> None:
@@ -282,32 +289,24 @@ def raise_on_asymmetry(per_slice: np.ndarray, tol: float, advice: str = "") -> N
                          f"{asym:.3g} (tolerance {tol:.3g}){advice}")
 
 
-def average_with_transpose(t: np.ndarray) -> np.ndarray:
-    """Replace each frontal slice W of `t` by (W + W.T) / 2, in place; returns `t`.
-
-    Each upper tile and its mirror are averaged from their old values and
-    then both written, and no tile is read after it is written, so the result
-    equals (t + t.transpose(1, 0, 2)) / 2.0 bit for bit.
-    """
-    for rows, cols in _upper_tiles(t.shape[0]):
-        avg = t[rows, cols] + t[cols, rows].transpose(1, 0, 2)
-        avg /= 2.0
-        t[rows, cols] = avg
-        t[cols, rows] = avg.transpose(1, 0, 2)
-    return t
-
-
 def symmetrize_slices(tensor: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    """Return a new tensor whose frontal slices are (W + W.T) / 2 of the input's.
+    """Return a new C-contiguous tensor whose frontal slices are (W + W.T) / 2 of the input's.
 
     Rejects input whose asymmetry exceeds `tol`, naming the most asymmetric
     slice; small asymmetries are treated as float-level noise and averaged
-    away. The input is not changed, and the result is the only full-size
-    allocation: the check scans tiles, and a copy is averaged in place.
+    away. The input is not changed. One :func:`pack_slice` scan per slice
+    measures it and packs its pair averages into the result, the only
+    full-size allocation.
     """
-    t = np.asarray(tensor, dtype=float)
-    require_symmetric(t, tol)
-    return average_with_transpose(np.array(t, order="C"))
+    t = _dense_view(tensor)
+    m, _, n = t.shape
+    upper, _, sym = symmetric_index(m)
+    out, pairs, asymmetry = np.empty(t.shape), np.empty(upper.size), np.empty(n)
+    for k in range(n):
+        asymmetry[k] = pack_slice(t[:, :, k], pairs)[0]
+        out[:, :, k] = pairs[sym].reshape(m, m)
+    raise_on_asymmetry(asymmetry, tol)
+    return out
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -316,34 +315,37 @@ class GraphViewTensor:
 
     `packed` is the only stored form: the slices' upper triangles, the
     read-only (M(M+1)/2, N) array of :func:`pack_symmetric`, about half the
-    dense bytes. Construction from a dense (M, M, N) array validates shape,
-    finiteness and per-slice symmetry to SYMMETRY_TOL, then packs the pair
-    averages (s[i, j] + s[j, i]) / 2, so an exactly symmetric view is kept
-    bit for bit. :meth:`from_packed` wraps rows that are packed already.
+    dense bytes. Construction from a dense (M, M, N) array, M and N at least 1,
+    packs the pair averages (s[i, j] + s[j, i]) / 2 in one :func:`pack_slice`
+    scan per slice, and rejects non-finite entries or asymmetry beyond
+    SYMMETRY_TOL, so an exactly symmetric view is kept bit for bit.
+    :meth:`from_packed` wraps rows that are packed already.
     Instances are immutable and safe to share.
     """
 
     packed: np.ndarray
 
     def __init__(self, data: np.ndarray):
-        t = np.asarray(data, dtype=float)
-        if t.ndim != 3 or t.shape[0] != t.shape[1]:
+        t = _dense_view(data)
+        if t.size == 0:
             raise ValueError(f"expected shape (M, M, N), got {t.shape}")
-        if not all_finite(t):
+        packed, asymmetry, finite = _pack_view(t)
+        if not finite:
             raise ValueError("affinity entries must be finite")
-        require_symmetric(t, SYMMETRY_TOL, "; symmetrize first")
-        object.__setattr__(self, "packed", pack_symmetric(t))
+        raise_on_asymmetry(asymmetry, SYMMETRY_TOL, "; symmetrize first")
+        object.__setattr__(self, "packed", packed)
 
     @classmethod
     def from_packed(cls, rows: np.ndarray) -> GraphViewTensor:
         """A view from its (M(M+1)/2, N) packed rows, the slices' plain upper triangles.
 
         Row e holds the pair i <= j of :func:`symmetric_index`, as
-        :func:`pack_symmetric` returns it. The rows must be finite. A C-contiguous float array is kept, not
-        copied, and is marked read-only.
+        :func:`pack_symmetric` returns it. The rows must be finite, with M and N
+        at least 1. A C-contiguous float array is kept, not copied, and is marked
+        read-only.
         """
         rows = np.ascontiguousarray(rows, dtype=float)
-        if rows.ndim != 2 or _packed_node_count(rows.shape[0]) == 0:
+        if rows.ndim != 2 or _packed_node_count(rows.shape[0]) == 0 or rows.shape[1] == 0:
             raise ValueError(f"expected shape (M(M+1)/2, N), got {rows.shape}")
         if not all_finite(rows):
             raise ValueError("affinity entries must be finite")

@@ -7,7 +7,7 @@ import pytest
 from m2e.datagen import SyntheticSpec, generate, hiv_shape_preset
 from m2e.dataio import (DatasetError, load_dataset, load_dataset_labels, load_dataset_view,
                         load_matrix, save_dataset, save_matrix)
-from m2e.tensors import GraphViewTensor
+from m2e.tensors import GraphViewTensor, pack_symmetric
 
 
 def _view_text(data):
@@ -69,6 +69,21 @@ def test_save_rejects_duplicate_view_names(small_dataset, tmp_path):
     with pytest.raises(DatasetError, match="duplicate view names: a"):
         save_dataset(tmp_path / "dup", views, view_names=["a", "a"])
     assert not (tmp_path / "dup").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (lambda v: {"views": v, "labels": [1, 2, 1]}, "labels must hold one integer per subject"),
+    (lambda v: {"views": v, "view_names": ["a"]}, "one name per view required"),
+    (lambda v: {"views": v, "view_names": ["a", "a"]}, "duplicate view names: a"),
+    (lambda v: {"views": []}, "need at least one view"),
+    (lambda v: {"views": [v[0], GraphViewTensor(v[1].data[:, :, :4])]},
+     r"views disagree on subject count: \[4, 8\]"),
+], ids=["label-count", "name-count", "duplicate-names", "no-views", "subject-counts"])
+def test_rejected_save_leaves_no_file_behind(small_dataset, tmp_path, args, message):
+    _, views, _ = small_dataset
+    with pytest.raises(DatasetError, match=message):
+        save_dataset(tmp_path / "out", **args(views))
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_rejects_duplicate_view_names(small_dataset):
@@ -319,3 +334,24 @@ def test_hiv_shape_round_trip_is_bit_exact(tmp_path):
     assert name == "view1"
     assert view.data.flags.c_contiguous
     assert view.data.tobytes() == views[0].data.tobytes()
+
+
+def test_loader_and_constructor_pack_and_reject_alike(tmp_path):
+    w = np.random.default_rng(12).standard_normal((6, 6, 4))
+    x = w + w.transpose(1, 0, 2)
+    x[1, 4, 1] += 1e-9  # inside both symmetry tolerances
+    x[0, 2, 3], x[2, 0, 3] = 3e-320, 5e-324  # a subnormal pair, averaged
+    path = _two_node_dataset(tmp_path / "ds", _view_text(x), nodes=6, subjects=4)
+    packed = load_dataset_view(path, 0)[1].packed
+    assert packed.tobytes() == GraphViewTensor(x).packed.tobytes()
+    assert packed.tobytes() == pack_symmetric(x).tobytes()
+
+    nan, skew = x.copy(), x.copy()
+    nan[3, 1, 2] = np.nan
+    skew[5, 0, 2] += 1e-3
+    for bad, message in ((nan, "finite"), (skew, r"frontal slice 2 is asymmetric by 0\.001 ")):
+        (path / "view1.txt").write_text(_view_text(bad))
+        with pytest.raises(DatasetError, match=message):
+            load_dataset_view(path, 0)
+        with pytest.raises(ValueError, match=message):
+            GraphViewTensor(bad)

@@ -4,12 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from m2e.tensors import (RIDGE, GraphViewTensor, all_finite, average_with_transpose,
-                         check_partial_symmetry, cp_reconstruct, cp_squared_error,
-                         frobenius_norm, khatri_rao, mttkrp_from_partial, pack_symmetric,
-                         packed_energy, packed_mode3_mttkrp, packed_partial_mttkrp,
-                         packed_slice_gram, require_symmetric, ridge_solve, scaled_identity,
-                         symmetrize_slices)
+from m2e.tensors import (RIDGE, GraphViewTensor, all_finite, check_partial_symmetry,
+                         cp_reconstruct, cp_squared_error, frobenius_norm, khatri_rao,
+                         mttkrp_from_partial, pack_slice, pack_symmetric, packed_energy,
+                         packed_mode3_mttkrp, packed_partial_mttkrp, packed_slice_gram,
+                         ridge_solve, scaled_identity, symmetric_index, symmetrize_slices)
 from oracles import matricize, mode3_mttkrp, partial_mttkrp, refold
 
 
@@ -343,6 +342,9 @@ def test_graph_view_tensor_validation():
         GraphViewTensor(np.full((2, 2, 1), np.nan))
     with pytest.raises(ValueError):
         GraphViewTensor(np.zeros((2, 3, 1)))
+    for shape in ((0, 0, 3), (2, 2, 0), (0, 0, 0)):  # no nodes or no subjects
+        with pytest.raises(ValueError, match="expected shape"):
+            GraphViewTensor(np.zeros(shape))
 
 
 @pytest.mark.parametrize("m", [1, 2, 7])
@@ -393,7 +395,7 @@ def test_graph_view_from_packed_rows():
         bad[7, 2] = value
         with pytest.raises(ValueError, match="finite"):
             GraphViewTensor.from_packed(bad)
-    for shape in ((4, 2), (0, 2), (15,), (15, 2, 1)):
+    for shape in ((4, 2), (0, 2), (0, 3), (3, 0), (15,), (15, 2, 1)):
         with pytest.raises(ValueError, match="expected shape"):
             GraphViewTensor.from_packed(np.zeros(shape))
 
@@ -408,9 +410,6 @@ def test_in_place_average_matches_the_dense_formula_bit_for_bit(m):
     x = np.random.default_rng(m).standard_normal((m, m, 5))
     expected = (x + x.transpose(1, 0, 2)) / 2.0
     for t in _layouts(x):
-        t = t.copy(order="K")
-        assert average_with_transpose(t) is t
-        assert t.tobytes() == expected.tobytes()
         assert symmetrize_slices(t, tol=np.inf).tobytes() == expected.tobytes()
 
 
@@ -422,12 +421,12 @@ def test_tiled_symmetry_scan_matches_the_dense_scan(m):
     for t in _layouts(x):
         assert check_partial_symmetry(t, 0.0) == (False, float(per_slice.max()))
         with pytest.raises(ValueError, match="frontal slice 4 is asymmetric"):
-            require_symmetric(t, 1.0)
+            symmetrize_slices(t, 1.0)
     x[m - 1, m - 1, 2] = np.nan
     ok, asym = check_partial_symmetry(x)
     assert not ok and np.isnan(asym)
     with pytest.raises(ValueError, match="frontal slice 2 is asymmetric by nan"):
-        require_symmetric(x, 1.0)
+        symmetrize_slices(x, 1.0)
 
 
 def test_all_finite_scans_every_row():
@@ -437,3 +436,38 @@ def test_all_finite_scans_every_row():
         y = x.copy()
         y[18, 0, 2] = value
         assert not all_finite(y)
+
+
+@pytest.mark.parametrize("m", [1, 2, 9])
+def test_pack_slice_measures_and_packs_one_slice(m):
+    s = np.random.default_rng(60 + m).standard_normal((m, m))
+    upper, lower, _ = symmetric_index(m)
+    out = np.full(upper.size, np.nan)
+    strided = np.repeat(s, 2, axis=1)[:, ::2]
+    for t in (s, np.asfortranarray(s), strided):
+        out[:] = np.nan
+        asymmetry, finite = pack_slice(t, out)
+        assert asymmetry == np.abs(s - s.T).max() and finite
+        assert out.tobytes() == ((s + s.T) / 2.0).ravel().take(upper).tobytes()
+        assert pack_slice(t) == (asymmetry, finite)
+    sym = s + s.T
+    assert pack_slice(sym, out) == (0.0, True)
+    assert out.tobytes() == sym.ravel().take(upper).tobytes()
+    assert out.tobytes() == sym.ravel().take(lower).tobytes()
+
+
+def test_pack_slice_flags_non_finite_entries_and_bad_shapes():
+    for value in (np.nan, np.inf, -np.inf):
+        for at in ((0, 0), (2, 1)):
+            s = np.zeros((3, 3))
+            s[at] = value
+            asymmetry, finite = pack_slice(s)
+            assert not finite and not np.isfinite(asymmetry)
+    # finite entries whose difference overflows are still finite
+    s = np.array([[0.0, 1.7e308], [-1.7e308, 0.0]])
+    assert pack_slice(s) == (np.inf, True)
+    with pytest.raises(ValueError, match="asymmetric by inf"):
+        GraphViewTensor(s[:, :, None])
+    for shape in ((2, 3), (3,), (2, 2, 1)):
+        with pytest.raises(ValueError, match=r"expected shape \(M, M\)"):
+            pack_slice(np.zeros(shape))
