@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import (GraphViewTensor, cp_reconstruct, cp_squared_error, mttkrp_from_partial,
-                      packed_energy, packed_mode3_mttkrp, packed_partial_mttkrp, ridge_solve,
-                      symmetric_index)
+from .tensors import (GraphViewTensor, as_views, cp_reconstruct, cp_squared_error,
+                      mttkrp_from_partial, packed_energy, packed_mode3_mttkrp,
+                      packed_partial_mttkrp, ridge_solve, symmetric_index)
 
 # Below this share of ||X||^2 (relative error < 1e-3) the Gram error has lost
 # half its digits, so a sweep measures its error from the residual instead.
@@ -76,11 +76,6 @@ class CpFit:
     degenerate: bool  # zero input tensor; factors are all-zero
 
 
-def _as_view(tensor) -> GraphViewTensor:
-    """A GraphViewTensor as it is; an (M, M, N) array is validated and packed."""
-    return tensor if isinstance(tensor, GraphViewTensor) else GraphViewTensor(tensor)
-
-
 def _residual_norm(xp: np.ndarray, factors) -> float:
     """||X - [[a, b, c]]||_F from the packed rows X_p of X.
 
@@ -105,7 +100,7 @@ def cp_relative_error(tensor: GraphViewTensor | np.ndarray, factors: CpFactors) 
     `tensor` is a view, or an (M, M, N) array with symmetric slices that is
     validated and packed. Neither the dense view nor the dense model is built.
     """
-    view = _as_view(tensor)
+    view = as_views([tensor])[0]
     if view.shape != factors.dims:
         raise ValueError(f"shape mismatch: tensor {view.shape} vs factors {factors.dims}")
     resid = _residual_norm(view.packed, factors)
@@ -133,7 +128,7 @@ def cp_als_fit(tensor: GraphViewTensor | np.ndarray, opts: AlsOptions) -> CpFit:
         input tensor short-circuits to all-zero factors with
         ``degenerate=True``.
     """
-    view = _as_view(tensor)
+    view = as_views([tensor])[0]
     xp = view.packed
     r = opts.rank
     energy = packed_energy(xp)

@@ -32,7 +32,7 @@ after the last block, in this order, the first that applies:
 2. a block count other than N ("found K matrix blocks, manifest says N");
 3. the first block that does not parse or is not M x M;
 4. non-finite entries;
-5. a slice asymmetric by more than LOADER_SYMMETRY_TOL, naming the worst.
+5. a slice asymmetric by more than `m2e.tensors.DRIFT_TOL`, naming the worst.
 
 Slices within that tolerance are kept as their pair averages.
 """
@@ -47,13 +47,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensors import GraphViewTensor, pack_slice, raise_on_asymmetry, symmetric_index
+from .tensors import (DRIFT_TOL, GraphViewTensor, as_views, pack_slice, raise_on_asymmetry,
+                      symmetric_index)
 
 FORMAT_VERSION = 1
 _FLOAT_FMT = "%.17g"
-# loader-side symmetry tolerance: small drift is averaged away, anything
-# larger is rejected as wrong data
-LOADER_SYMMETRY_TOL = 1e-6
 
 
 class DatasetError(ValueError):
@@ -171,36 +169,48 @@ def _read_view_file(path: Path, name: str, nodes: int, subjects: int) -> GraphVi
     if not finite:
         raise DatasetError(f"view '{name}': non-finite entries")
     try:
-        raise_on_asymmetry(asymmetry, LOADER_SYMMETRY_TOL)
+        raise_on_asymmetry(asymmetry, DRIFT_TOL)
     except ValueError as exc:
         raise DatasetError(f"view '{name}': {exc}") from exc
     return GraphViewTensor.from_packed(data)
 
 
-def _check_unique_names(names: list[str]) -> None:
+def _check_view_names(names: list[str], manifest_path: Path | None = None) -> None:
+    """View names must be unique plain file names.
+
+    A plain file name is a non-empty string with no '/' or '\\' that is not '.' or '..'.
+    """
+    for name in names:
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+            where = f"manifest {manifest_path}: " if manifest_path else ""
+            raise DatasetError(f"{where}view name {name!r} is not a plain file name")
     duplicates = sorted({n for n in names if names.count(n) > 1})
     if duplicates:
         raise DatasetError(f"duplicate view names: {', '.join(duplicates)}")
 
 
-def save_dataset(path: Path | str, views: list[GraphViewTensor],
+def save_dataset(path: Path | str, views: list[GraphViewTensor | np.ndarray],
                  labels: np.ndarray | None = None,
                  view_names: list[str] | None = None,
                  metadata: dict | None = None) -> Path:
-    """Write a dataset directory; returns the manifest path. Checks all before writing any."""
-    if not views:
-        raise DatasetError("need at least one view")
+    """Write a dataset directory; returns the manifest path. Checks all before writing any.
+
+    Views are checked, and arrays packed, by `m2e.tensors.as_views`, as the fitters do.
+    """
+    try:
+        views = as_views(views)
+    except ValueError as exc:
+        raise DatasetError(str(exc)) from exc
     names = view_names or [f"view{v + 1}" for v in range(len(views))]
     if len(names) != len(views):
         raise DatasetError("one name per view required")
-    _check_unique_names(names)
-    subjects = {v.subject_count for v in views}
-    if len(subjects) != 1:
-        raise DatasetError(f"views disagree on subject count: {sorted(subjects)}")
+    _check_view_names(names)
     if labels is not None:
         labels = np.asarray(labels, dtype=int)
         if labels.shape != (views[0].subject_count,):
             raise DatasetError("labels must hold one integer per subject")
+        if (labels < 1).any():
+            raise DatasetError("labels must be positive integers (1..K)")
     manifest = {
         "format_version": FORMAT_VERSION,
         "subject_count": views[0].subject_count,
@@ -259,7 +269,7 @@ def _read_manifest(path: Path | str):
 
     names = [_manifest_field(manifest_path, f"view {i + 1} name", e.get("name", f"view{i + 1}"),
                              str) for i, e in enumerate(entries)]
-    _check_unique_names(names)
+    _check_view_names(names, manifest_path)
     declared = {n: _manifest_field(manifest_path, f"view '{n}' subject_count",
                                    e.get("subject_count", subjects))
                 for n, e in zip(names, entries)}

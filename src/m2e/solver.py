@@ -24,9 +24,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensors import (GraphViewTensor, cp_squared_error, frobenius_norm, mttkrp_from_partial,
-                      packed_energy, packed_mode3_mttkrp, packed_partial_mttkrp,
-                      packed_slice_gram, ridge_solve, scaled_identity)
+from .tensors import (GraphViewTensor, as_views, cp_squared_error, frobenius_norm,
+                      mttkrp_from_partial, packed_energy, packed_mode3_mttkrp,
+                      packed_partial_mttkrp, packed_slice_gram, ridge_solve, scaled_identity)
 
 # Monitor callbacks receive (event, info-dict); see m2e_fit.
 Monitor = Callable[[str, dict], None]
@@ -236,12 +236,12 @@ def objective_value(views: Sequence, state: M2eState,
     which are validated and packed as the fitters do. Each view is read by
     one packed pass 2.
     """
-    lambdas = _resolve_lambdas(lambdas, len(views))
+    packed = [g.packed for g in as_views(views)]
+    lambdas = _resolve_lambdas(lambdas, len(packed))
     for name in ("node", "node_aux", "subject"):
-        if len(getattr(state, name)) != len(views):
-            raise ValueError(f"got {len(views)} views but state.{name} holds "
+        if len(getattr(state, name)) != len(packed):
+            raise ValueError(f"got {len(packed)} views but state.{name} holds "
                              f"{len(getattr(state, name))}")
-    packed = [g.packed for g in _as_views(views)]
     return _objective([packed_energy(xp) for xp in packed],
                       [packed_mode3_mttkrp(xp, h, p)
                        for xp, h, p in zip(packed, state.node, state.node_aux)],
@@ -331,24 +331,6 @@ def _init_state(views: Sequence[GraphViewTensor], config: M2eConfig,
 # fitting loop
 
 
-def _as_views(views: Sequence) -> list[GraphViewTensor]:
-    """Validated views; arrays are packed into GraphViewTensor."""
-    graphs = []
-    for i, v in enumerate(views):
-        if not isinstance(v, GraphViewTensor):
-            try:
-                v = GraphViewTensor(v)
-            except ValueError as exc:
-                raise ValueError(f"view {i}: {exc}") from exc
-        graphs.append(v)
-    if not graphs:
-        raise ValueError("need at least one view")
-    subjects = {g.subject_count for g in graphs}
-    if len(subjects) != 1:
-        raise ValueError(f"views disagree on subject count: {sorted(subjects)}")
-    return graphs
-
-
 def _resolve_lambdas(lambdas: Sequence[float] | None, n_views: int) -> tuple[float, ...]:
     if lambdas is None:
         return (1.0,) * n_views
@@ -414,7 +396,7 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
     node column the spectral start's norm balanced_column_norm(||X_v||^2, R).
     Under "shared" the factor is common to all views and is left as solved.
     """
-    graphs = _as_views(views)
+    graphs = as_views(views)
     lambdas = _resolve_lambdas(config.lambdas, len(graphs))
     st, energies = _init_state(graphs, config, lambdas)
     if subjects == "shared":  # every view holds view 0's start

@@ -1,13 +1,15 @@
 """Third-order tensor kernels on packed symmetric slices, and small-matrix helpers.
 
 A graph view is an (M, M, N) tensor X with symmetric frontal slices.
-:func:`pack_symmetric` keeps each slice's plain upper triangle, an
+:class:`GraphViewTensor` stores only each slice's plain upper triangle, an
 (M(M+1)/2, N) matrix X_p with one row per pair i <= j in the order of
 :func:`symmetric_index`, which the dataset reader and writer share (the
 packed storage of Schatz, Low, van de Geijn and Kolda, SIAM J. Sci. Comput.
-2014). :class:`GraphViewTensor` stores only X_p. :func:`pack_slice` alone checks
-and packs a symmetric slice: the dataset loader runs it on each parsed block,
-and the dense-view functions once on each frontal slice.
+2014). This module alone decides what a valid view is. :func:`as_views`
+checks and packs the views that the fitters, CP-ALS and the dataset writer
+take. :func:`pack_slice` checks and packs every symmetric slice: each block
+the dataset loader parses, and each frontal slice of a dense view. The
+loader and :func:`symmetrize_slices` average away drift up to DRIFT_TOL.
 
 MTTKRP kernel. For a rank-R CP model [[A, B, C]], with entries
 sum_r A[i, r] B[j, r] C[k, r], the mode-n MTTKRP contracts X with the
@@ -46,6 +48,9 @@ import numpy as np
 
 # Frontal slices of a stacked graph view must be symmetric to this tolerance.
 SYMMETRY_TOL = 1e-8
+# Asymmetry up to this is float drift that the loader and symmetrize_slices
+# average away; anything larger is rejected as wrong data.
+DRIFT_TOL = 1e-6
 # added to the R x R Gram before each least-squares solve
 RIDGE = 1e-10
 
@@ -140,25 +145,6 @@ def _scan_slices(t: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarr
         asymmetry[k], slice_finite = pack_slice(t[:, :, k], None if out is None else out[:, k])
         finite = finite and slice_finite
     return asymmetry, finite
-
-
-def _pack_view(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(read-only packed rows, per-slice asymmetry, every entry finite) of an (M, M, N) t."""
-    # the index is built before the rows: built after them, it raised peak RSS by 1 MB
-    data = np.empty((symmetric_index(t.shape[0])[0].size, t.shape[2]))
-    asymmetry, finite = _scan_slices(t, data)
-    data.flags.writeable = False
-    return data, asymmetry, finite
-
-
-def pack_symmetric(tensor: np.ndarray) -> np.ndarray:
-    """Pack each frontal slice's pair averages (s[i, j] + s[j, i]) / 2, i <= j.
-
-    Returns the read-only (M(M+1)/2, N) upper triangles, in the order of
-    :func:`symmetric_index`, from one :func:`pack_slice` scan of each slice.
-    Unlike :class:`GraphViewTensor`, it rejects no asymmetry.
-    """
-    return _pack_view(_dense_view(tensor))[0]
 
 
 def packed_partial_mttkrp(xp: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -289,7 +275,7 @@ def raise_on_asymmetry(per_slice: np.ndarray, tol: float, advice: str = "") -> N
                          f"{asym:.3g} (tolerance {tol:.3g}){advice}")
 
 
-def symmetrize_slices(tensor: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+def symmetrize_slices(tensor: np.ndarray, tol: float = DRIFT_TOL) -> np.ndarray:
     """Return a new C-contiguous tensor whose frontal slices are (W + W.T) / 2 of the input's.
 
     Rejects input whose asymmetry exceeds `tol`, naming the most asymmetric
@@ -313,10 +299,10 @@ def symmetrize_slices(tensor: np.ndarray, tol: float = 1e-6) -> np.ndarray:
 class GraphViewTensor:
     """One view: N symmetric M x M affinity matrices stacked along axis 2, held packed.
 
-    `packed` is the only stored form: the slices' upper triangles, the
-    read-only (M(M+1)/2, N) array of :func:`pack_symmetric`, about half the
-    dense bytes. Construction from a dense (M, M, N) array, M and N at least 1,
-    packs the pair averages (s[i, j] + s[j, i]) / 2 in one :func:`pack_slice`
+    `packed` is the only stored form: the slices' upper triangles, a read-only
+    (M(M+1)/2, N) array in the order of :func:`symmetric_index`, about half
+    the dense bytes. Construction from a dense (M, M, N) array, M and N at
+    least 1, packs the pair averages (s[i, j] + s[j, i]) / 2 in one :func:`pack_slice`
     scan per slice, and rejects non-finite entries or asymmetry beyond
     SYMMETRY_TOL, so an exactly symmetric view is kept bit for bit.
     :meth:`from_packed` wraps rows that are packed already.
@@ -329,10 +315,13 @@ class GraphViewTensor:
         t = _dense_view(data)
         if t.size == 0:
             raise ValueError(f"expected shape (M, M, N), got {t.shape}")
-        packed, asymmetry, finite = _pack_view(t)
+        # the index is built before the rows: built after them, it raised peak RSS by 1 MB
+        packed = np.empty((symmetric_index(t.shape[0])[0].size, t.shape[2]))
+        asymmetry, finite = _scan_slices(t, packed)
         if not finite:
             raise ValueError("affinity entries must be finite")
         raise_on_asymmetry(asymmetry, SYMMETRY_TOL, "; symmetrize first")
+        packed.flags.writeable = False
         object.__setattr__(self, "packed", packed)
 
     @classmethod
@@ -340,7 +329,7 @@ class GraphViewTensor:
         """A view from its (M(M+1)/2, N) packed rows, the slices' plain upper triangles.
 
         Row e holds the pair i <= j of :func:`symmetric_index`, as
-        :func:`pack_symmetric` returns it. The rows must be finite, with M and N
+        :attr:`packed` does. The rows must be finite, with M and N
         at least 1. A C-contiguous float array is kept, not copied, and is marked
         read-only.
         """
@@ -376,3 +365,21 @@ class GraphViewTensor:
     @property
     def subject_count(self) -> int:
         return self.packed.shape[1]
+
+
+def as_views(views: Sequence) -> list[GraphViewTensor]:
+    """Validated views; arrays are packed into GraphViewTensor."""
+    graphs = []
+    for i, v in enumerate(views):
+        if not isinstance(v, GraphViewTensor):
+            try:
+                v = GraphViewTensor(v)
+            except ValueError as exc:
+                raise ValueError(f"view {i}: {exc}") from exc
+        graphs.append(v)
+    if not graphs:
+        raise ValueError("need at least one view")
+    subjects = {g.subject_count for g in graphs}
+    if len(subjects) != 1:
+        raise ValueError(f"views disagree on subject count: {sorted(subjects)}")
+    return graphs

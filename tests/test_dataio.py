@@ -7,7 +7,7 @@ import pytest
 from m2e.datagen import SyntheticSpec, generate, hiv_shape_preset
 from m2e.dataio import (DatasetError, load_dataset, load_dataset_labels, load_dataset_view,
                         load_matrix, save_dataset, save_matrix)
-from m2e.tensors import GraphViewTensor, pack_symmetric
+from m2e.tensors import GraphViewTensor
 
 
 def _view_text(data):
@@ -73,17 +73,51 @@ def test_save_rejects_duplicate_view_names(small_dataset, tmp_path):
 
 @pytest.mark.parametrize("args, message", [
     (lambda v: {"views": v, "labels": [1, 2, 1]}, "labels must hold one integer per subject"),
+    (lambda v: {"views": v, "labels": np.arange(8) % 2},
+     r"labels must be positive integers \(1\.\.K\)"),
     (lambda v: {"views": v, "view_names": ["a"]}, "one name per view required"),
     (lambda v: {"views": v, "view_names": ["a", "a"]}, "duplicate view names: a"),
+    (lambda v: {"views": v, "view_names": ["../escape", "v2"]},
+     "view name '../escape' is not a plain file name"),
+    (lambda v: {"views": v, "view_names": ["", "v2"]}, "view name '' is not a plain file name"),
+    (lambda v: {"views": v, "view_names": ["v1", ".."]}, "view name '..' is not a plain file name"),
+    (lambda v: {"views": v, "view_names": ["a\\b", "v2"]},
+     r"view name 'a\\\\b' is not a plain file name"),
+    (lambda v: {"views": v, "view_names": [1, 2]}, "view name 1 is not a plain file name"),
     (lambda v: {"views": []}, "need at least one view"),
     (lambda v: {"views": [v[0], GraphViewTensor(v[1].data[:, :, :4])]},
      r"views disagree on subject count: \[4, 8\]"),
-], ids=["label-count", "name-count", "duplicate-names", "no-views", "subject-counts"])
+], ids=["label-count", "label-range", "name-count", "duplicate-names", "name-escape",
+        "name-empty", "name-dotdot", "name-backslash", "name-not-str", "no-views",
+        "subject-counts"])
 def test_rejected_save_leaves_no_file_behind(small_dataset, tmp_path, args, message):
     _, views, _ = small_dataset
     with pytest.raises(DatasetError, match=message):
-        save_dataset(tmp_path / "out", **args(views))
+        save_dataset(tmp_path / "out" / "ds", **args(views))
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../../outside", "a/b", "a\\b", "/abs"])
+def test_load_rejects_a_view_name_that_is_not_a_plain_file_name(small_dataset, name):
+    path, _, _ = small_dataset
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["views"][1]["name"] = name
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    for load in (load_dataset, load_dataset_labels, lambda p: load_dataset_view(p, 0)):
+        with pytest.raises(DatasetError) as err:
+            load(path)
+        assert str(err.value) == (f"manifest {path / 'manifest.json'}: "
+                                  f"view name {name!r} is not a plain file name")
+
+
+def test_save_packs_an_array_as_it_packs_the_same_graph_view(tmp_path):
+    w = np.random.default_rng(61).standard_normal((5, 5, 3))
+    x = w + w.transpose(1, 0, 2)
+    x[0, 3, 1] += 1e-9  # inside the symmetry tolerance: written as the pair average
+    save_dataset(tmp_path / "array", [x], labels=[1, 2, 1])
+    save_dataset(tmp_path / "view", [GraphViewTensor(x)], labels=[1, 2, 1])
+    for name in ("manifest.json", "view1.txt", "labels.txt"):
+        assert (tmp_path / "array" / name).read_bytes() == (tmp_path / "view" / name).read_bytes()
 
 
 def test_load_rejects_duplicate_view_names(small_dataset):
@@ -344,7 +378,6 @@ def test_loader_and_constructor_pack_and_reject_alike(tmp_path):
     path = _two_node_dataset(tmp_path / "ds", _view_text(x), nodes=6, subjects=4)
     packed = load_dataset_view(path, 0)[1].packed
     assert packed.tobytes() == GraphViewTensor(x).packed.tobytes()
-    assert packed.tobytes() == pack_symmetric(x).tobytes()
 
     nan, skew = x.copy(), x.copy()
     nan[3, 1, 2] = np.nan

@@ -11,7 +11,7 @@ from m2e.solver import (M2eConfig, M2eState, SolverNumericsError, _ensure_finite
                         _objective, aux_system, m2e_ds_fit, m2e_fit, m2e_ts_fit,
                         node_system, objective_value, quadratic_objective,
                         subject_system, update_consensus, update_dual)
-from m2e.tensors import (RIDGE, GraphViewTensor, pack_symmetric, packed_mode3_mttkrp,
+from m2e.tensors import (RIDGE, GraphViewTensor, packed_mode3_mttkrp,
                          packed_partial_mttkrp, ridge_solve)
 from oracles import matricize, mode3_mttkrp, partial_mttkrp
 
@@ -235,7 +235,7 @@ def test_spectral_start_and_penalty_share_the_balanced_column_norm():
     energy = float(np.vdot(x, x))
     t = solver.balanced_column_norm(energy, 3)
     assert t == pytest.approx((energy / 3) ** (1 / 6), rel=1e-15)
-    h, _ = solver.spectral_start(pack_symmetric(x), energy, 3, np.random.default_rng(0))
+    h, _ = solver.spectral_start(GraphViewTensor(x).packed, energy, 3, np.random.default_rng(0))
     np.testing.assert_allclose(np.linalg.norm(h, axis=0), t, rtol=1e-12)
     assert solver.balanced_penalty(energy, 3) == 2.0 * solver.balanced_column_norm(energy, 3, 4)
     assert solver.balanced_penalty(energy, 3) == pytest.approx(2.0 * t**4, rel=1e-14)

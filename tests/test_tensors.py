@@ -4,9 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from m2e.tensors import (RIDGE, GraphViewTensor, all_finite, check_partial_symmetry,
+from m2e.cp import AlsOptions, CpFactors, cp_als_fit, cp_relative_error
+from m2e.dataio import DatasetError, save_dataset
+from m2e.solver import M2eConfig, M2eState, m2e_ds_fit, m2e_fit, m2e_ts_fit, objective_value
+from m2e.tensors import (RIDGE, GraphViewTensor, all_finite, as_views, check_partial_symmetry,
                          cp_reconstruct, cp_squared_error, frobenius_norm, khatri_rao,
-                         mttkrp_from_partial, pack_slice, pack_symmetric, packed_energy,
+                         mttkrp_from_partial, pack_slice, packed_energy,
                          packed_mode3_mttkrp, packed_partial_mttkrp, packed_slice_gram,
                          ridge_solve, scaled_identity, symmetric_index, symmetrize_slices)
 from oracles import matricize, mode3_mttkrp, partial_mttkrp, refold
@@ -136,7 +139,7 @@ def test_mttkrp_matches_matricized_oracle(mode, rank):
     factors = [rng.standard_normal((d, rank)) for d in t.shape]  # factors[0] != factors[1]
     expected = mttkrp_oracle(t, factors, mode)
     scale = np.abs(expected).max()
-    xp = pack_symmetric(t)
+    xp = GraphViewTensor(t).packed
     if mode == 3:
         got = packed_mode3_mttkrp(xp, factors[0], factors[1])
     else:  # from a pass-1 product shared by modes 1 and 2
@@ -146,7 +149,7 @@ def test_mttkrp_matches_matricized_oracle(mode, rank):
 
 
 def test_mttkrp_rejects_bad_mode():
-    xp = pack_symmetric(np.zeros((2, 2, 2)))
+    xp = GraphViewTensor(np.zeros((2, 2, 2))).packed
     factors = [np.zeros((2, 1))] * 3
     for mode in (0, 3):
         with pytest.raises(ValueError):
@@ -160,7 +163,7 @@ def test_cp_squared_error_matches_dense_residual(noise):
     for _ in range(10):
         a, c = rng.standard_normal((6, 3)), rng.standard_normal((7, 3))
         x = cp_reconstruct((a, a, c)) + noise * random_symmetric(rng, 6, 7)
-        xp = pack_symmetric(x)
+        xp = GraphViewTensor(x).packed
         a, b, c = (f + noise * rng.standard_normal(f.shape) for f in (a, a, c))
         dense = float(np.sum((x - cp_reconstruct((a, b, c))) ** 2))
         got = cp_squared_error(packed_energy(xp), packed_mode3_mttkrp(xp, a, b), a, b, c)
@@ -186,7 +189,7 @@ def test_cp_squared_error_is_clamped_at_an_exact_fit():
 def test_mttkrp_kernel_does_not_copy_the_tensor():
     rng = np.random.default_rng(9)
     t = random_symmetric(rng, 60, 40)
-    xp = pack_symmetric(t)
+    xp = GraphViewTensor(t).packed
     a, b, c = (rng.standard_normal((d, 2)) for d in (60, 60, 40))
     tracemalloc.start()
     try:
@@ -201,9 +204,9 @@ def test_mttkrp_kernel_does_not_copy_the_tensor():
     assert peak < t.nbytes / 4
 
 
-def test_pack_symmetric_keeps_the_plain_upper_triangle():
+def test_graph_view_packs_the_plain_upper_triangle():
     x = np.array([[1.0, 2.0], [2.0, 3.0]])[:, :, None]
-    packed = pack_symmetric(x)
+    packed = GraphViewTensor(x).packed
     np.testing.assert_array_equal(packed, [[1.0], [2.0], [3.0]])
     assert not packed.flags.writeable
 
@@ -212,7 +215,7 @@ def test_pack_symmetric_keeps_the_plain_upper_triangle():
 def test_packed_kernels_match_dense(m, n):
     rng = np.random.default_rng([m, n])
     x = random_symmetric(rng, m, n)
-    packed = pack_symmetric(x)
+    packed = GraphViewTensor(x).packed
     assert packed.shape == (m * (m + 1) // 2, n)
     for r in sorted({1, 3, m + 2}):
         h, p = rng.standard_normal((2, m, r))
@@ -227,17 +230,17 @@ def test_packed_kernels_match_dense(m, n):
 
 
 @pytest.mark.parametrize("shape", ((3, 4, 2), (3, 3), (3, 3, 2, 1)))
-def test_pack_symmetric_rejects_non_square_slices(shape):
+def test_graph_view_rejects_non_square_slices(shape):
     with pytest.raises(ValueError, match="expected shape"):
-        pack_symmetric(np.zeros(shape))
+        GraphViewTensor(np.zeros(shape))
 
 
-def test_pack_symmetric_of_non_contiguous_input_matches_contiguous_copy():
+def test_graph_view_of_non_contiguous_input_matches_contiguous_copy():
     x = random_symmetric(np.random.default_rng(21), 6, 8)
     strided = np.asfortranarray(x)[:, :, ::2]
     assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
-    packed = pack_symmetric(strided)
-    np.testing.assert_array_equal(packed, pack_symmetric(np.ascontiguousarray(strided)))
+    packed = GraphViewTensor(strided).packed
+    np.testing.assert_array_equal(packed, GraphViewTensor(np.ascontiguousarray(strided)).packed)
 
 
 def test_scaled_identity_is_a_cached_read_only_scaled_eye():
@@ -359,7 +362,7 @@ def test_graph_view_data_round_trips_symmetric_input_bit_for_bit(m):
         assert data.flags.c_contiguous and data.shape == (m, m, 5)
         assert data.tobytes() == sym.tobytes()
         assert view.data is not data  # each access builds a new array
-        assert GraphViewTensor.from_packed(pack_symmetric(t)).data.tobytes() == sym.tobytes()
+        assert GraphViewTensor.from_packed(view.packed).data.tobytes() == sym.tobytes()
     assert view.packed.nbytes == m * (m + 1) // 2 * 5 * 8
 
 
@@ -471,3 +474,48 @@ def test_pack_slice_flags_non_finite_entries_and_bad_shapes():
     for shape in ((2, 3), (3,), (2, 2, 1)):
         with pytest.raises(ValueError, match=r"expected shape \(M, M\)"):
             pack_slice(np.zeros(shape))
+
+
+def _bad_views():
+    """(views, message) for each way a list of views can be wrong."""
+    w = np.random.default_rng(60).standard_normal((4, 4, 3))
+    sym = w + w.transpose(1, 0, 2)
+    skew, nan = sym.copy(), sym.copy()
+    skew[0, 1, 2] += 1e-3
+    nan[2, 3, 1] = np.nan
+    return {
+        "empty": ([], "need at least one view"),
+        "shape": ([np.zeros((3, 4, 5))], "view 0: expected shape (M, M, N), got (3, 4, 5)"),
+        "asymmetric": ([skew], "view 0: frontal slice 2 is asymmetric by 0.001 "
+                               "(tolerance 1e-08); symmetrize first"),
+        "nan": ([nan], "view 0: affinity entries must be finite"),
+        "subject-counts": ([sym, sym[:, :, :2]], "views disagree on subject count: [2, 3]"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_views()))
+def test_every_entry_point_rejects_a_bad_view_alike(case, tmp_path):
+    views, message = _bad_views()[case]
+    config = M2eConfig(rank=2)
+    state = M2eState([np.ones((4, 2))], [np.ones((4, 2))], [np.zeros((4, 2))],
+                     [np.ones((3, 2))], np.ones((3, 2)))
+    calls = {
+        "as_views": lambda: as_views(views),
+        "m2e_fit": lambda: m2e_fit(views, config),
+        "m2e_ds_fit": lambda: m2e_ds_fit(views, config),
+        "m2e_ts_fit": lambda: m2e_ts_fit(views, config),
+        "objective_value": lambda: objective_value(views, state, None),
+        "save_dataset": lambda: save_dataset(tmp_path / "ds", views),
+    }
+    if len(views) == 1:  # CP-ALS takes one view
+        factors = CpFactors(tuple(np.ones((d, 2)) for d in views[0].shape))
+        calls["cp_als_fit"] = lambda: cp_als_fit(views[0], AlsOptions(rank=2))
+        calls["cp_relative_error"] = lambda: cp_relative_error(views[0], factors)
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message, name
+    with pytest.raises(DatasetError):
+        save_dataset(tmp_path / "ds", views)
+    assert not (tmp_path / "ds").exists()
+
