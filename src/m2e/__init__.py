@@ -21,7 +21,7 @@ from .dataio import (Dataset, DatasetError, load_dataset, load_labels, load_matr
 from .runner import (GridSpec, RunConfig, run_cluster, run_cp, run_evaluate,
                      run_fit, run_gridsearch)
 from .solver import M2eConfig, M2eSolution, SolverNumericsError, m2e_ds_fit, m2e_fit, m2e_ts_fit
-from .tensors import GraphViewTensor, check_partial_symmetry, symmetrize_slices
+from .tensors import GraphViewTensor, check_partial_symmetry
 
 __version__ = "0.1.0"
 
@@ -34,5 +34,5 @@ __all__ = [
     "hiv_shape_preset", "kmeans", "load_dataset", "load_labels", "load_matrix",
     "m2e_ds_fit", "m2e_fit", "m2e_ts_fit", "match_labels", "run_cluster", "run_cp",
     "run_evaluate", "run_fit", "run_gridsearch", "save_dataset", "save_labels",
-    "save_matrix", "symmetrize_slices",
+    "save_matrix",
 ]

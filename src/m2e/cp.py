@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .solver import SolverNumericsError
 from .tensors import (GraphViewTensor, as_views, cp_reconstruct, cp_squared_error,
                       mttkrp_from_partial, packed_energy, packed_mode3_mttkrp,
                       packed_partial_mttkrp, ridge_solve, symmetric_index)
@@ -49,8 +50,8 @@ class CpFactors:
 class AlsOptions:
     """Knobs for :func:`cp_als_fit`.
 
-    `rel_tol` stops the sweep loop once the relative fit improves by less
-    than this between iterations.
+    `rel_tol`, positive and finite, stops the sweep loop once the relative
+    fit improves by less than this between iterations.
     """
 
     rank: int
@@ -63,8 +64,8 @@ class AlsOptions:
             raise ValueError("rank must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        if not 0 < self.rel_tol < np.inf:  # NaN fails too
+            raise ValueError("rel_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,12 @@ def cp_als_fit(tensor: GraphViewTensor | np.ndarray, opts: AlsOptions) -> CpFit:
         to 1e-10 per sweep), iteration count and convergence flags. A zero
         input tensor short-circuits to all-zero factors with
         ``degenerate=True``.
+
+    Raises
+    ------
+    SolverNumericsError
+        At the first sweep whose error or factors are not finite, named in
+        the message and in ``.iteration`` (0-based, as the M2E fitters count).
     """
     view = as_views([tensor])[0]
     xp = view.packed
@@ -152,6 +159,8 @@ def cp_als_fit(tensor: GraphViewTensor | np.ndarray, opts: AlsOptions) -> CpFit:
         err = np.sqrt(sq) / scale
         if sq < RESIDUAL_ERROR_BELOW * energy:
             err = _residual_norm(xp, (a, b, c)) / scale
+        if not (math.isfinite(err) and all(np.isfinite(f).all() for f in (a, b, c))):
+            raise SolverNumericsError(f"non-finite error or factors at CP-ALS sweep {it}", it)
         trace.append(err)
         if it >= 1 and abs(trace[-2] - err) < opts.rel_tol:
             converged = True

@@ -52,8 +52,8 @@ class SyntheticSpec:
             )
         if len(sizes) > self.latent_rank:
             raise ValueError("need latent_rank >= number of clusters")
-        if self.separation < 0 or self.noise_sigma < 0 or self.jitter < 0:
-            raise ValueError("separation, noise_sigma and jitter must be >= 0")
+        if not all(0 <= x < np.inf for x in (self.separation, self.noise_sigma, self.jitter)):
+            raise ValueError("separation, noise_sigma and jitter must be finite and >= 0")
 
     @property
     def n_clusters(self) -> int:

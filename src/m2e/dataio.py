@@ -31,10 +31,13 @@ after the last block, in this order, the first that applies:
 1. a missing file;
 2. a block count other than N ("found K matrix blocks, manifest says N");
 3. the first block that does not parse or is not M x M;
-4. non-finite entries;
+4. non-finite entries ("affinity entries must be finite");
 5. a slice asymmetric by more than `m2e.tensors.DRIFT_TOL`, naming the worst.
 
-Slices within that tolerance are kept as their pair averages.
+Faults 4 and 5 are raised by `m2e.tensors.raise_on_faults`, the rule that
+`GraphViewTensor` applies to an array, so a view file loads exactly when its
+slices, passed as an array, would be accepted. Slices within that tolerance
+are kept as their pair averages.
 """
 from __future__ import annotations
 
@@ -47,8 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensors import (DRIFT_TOL, GraphViewTensor, as_views, pack_slice, raise_on_asymmetry,
-                      symmetric_index)
+from .tensors import GraphViewTensor, as_views, pack_slice, raise_on_faults, symmetric_index
 
 FORMAT_VERSION = 1
 _FLOAT_FMT = "%.17g"
@@ -78,9 +80,21 @@ def load_matrix(path: Path | str) -> np.ndarray:
     return m
 
 
+def as_labels(labels) -> np.ndarray:
+    """`labels` as an int array; a value that is not an integer raises, where a cast
+    would truncate it."""
+    values = np.asarray(labels)
+    if values.dtype.kind not in "iu":
+        floats = values.astype(float)
+        fractional = ~np.isfinite(floats) | (floats != np.trunc(floats))
+        if fractional.any():
+            raise ValueError(f"labels must be integers, got {float(floats[fractional][0])!r}")
+    return values.astype(int)
+
+
 def save_labels(path: Path | str, labels: np.ndarray) -> None:
-    """Write class labels, one integer per line."""
-    np.savetxt(path, np.asarray(labels, dtype=int), fmt="%d")
+    """Write class labels, one integer per line; see :func:`as_labels`."""
+    np.savetxt(path, as_labels(labels), fmt="%d")
 
 
 def load_labels(path: Path | str) -> np.ndarray:
@@ -166,10 +180,8 @@ def _read_view_file(path: Path, name: str, nodes: int, subjects: int) -> GraphVi
         raise fault
     if data is None:  # the file grew while it was read
         raise DatasetError(f"view '{name}': matrix file {path} changed while it was read")
-    if not finite:
-        raise DatasetError(f"view '{name}': non-finite entries")
     try:
-        raise_on_asymmetry(asymmetry, DRIFT_TOL)
+        raise_on_faults(asymmetry, finite)
     except ValueError as exc:
         raise DatasetError(f"view '{name}': {exc}") from exc
     return GraphViewTensor.from_packed(data)
@@ -206,7 +218,10 @@ def save_dataset(path: Path | str, views: list[GraphViewTensor | np.ndarray],
         raise DatasetError("one name per view required")
     _check_view_names(names)
     if labels is not None:
-        labels = np.asarray(labels, dtype=int)
+        try:
+            labels = as_labels(labels)
+        except ValueError as exc:
+            raise DatasetError(str(exc)) from exc
         if labels.shape != (views[0].subject_count,):
             raise DatasetError("labels must hold one integer per subject")
         if (labels < 1).any():

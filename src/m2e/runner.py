@@ -18,7 +18,8 @@ import numpy as np
 
 from .cluster import cluster_and_score, kmeans
 from .cp import AlsOptions, cp_als_fit, cp_relative_error
-from .dataio import Dataset, load_dataset, load_dataset_view, save_labels, save_matrix
+from .dataio import (Dataset, as_labels, load_dataset, load_dataset_view, save_labels,
+                     save_matrix)
 from .solver import (M2eConfig, M2eSolution, SolverNumericsError, m2e_ds_fit, m2e_fit,
                      m2e_ts_fit)
 
@@ -59,8 +60,9 @@ class GridSpec:
     def __post_init__(self):
         if not self.lambda_grid or not self.rank_grid:
             raise ValueError("grids must be non-empty")
-        if any(x <= 0 for x in self.lambda_grid) or any(r < 1 for r in self.rank_grid):
-            raise ValueError("grid values must be positive")
+        if (not all(0 < x < np.inf for x in self.lambda_grid)
+                or any(r < 1 for r in self.rank_grid)):
+            raise ValueError("grid values must be positive and finite")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -155,7 +157,7 @@ def run_evaluate(embedding: np.ndarray, labels: np.ndarray, config: RunConfig,
     with their mean and standard deviation.
     """
     embedding = np.asarray(embedding, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = as_labels(labels)
     if embedding.shape[0] != labels.shape[0]:
         raise ValueError(
             f"embedding has {embedding.shape[0]} rows but {labels.shape[0]} labels"

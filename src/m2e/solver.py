@@ -48,7 +48,7 @@ class SolverNumericsError(RuntimeError):
 class M2eConfig:
     """Solver configuration.
 
-    `lambdas` holds one positive view weight per view; None means equal
+    `lambdas` holds one positive, finite view weight per view; None means equal
     weights (1.0 each). A fit stops after `max_outer_iters` iterations, or
     earlier with `converged` set once the coupling residual is <= STOP_RESIDUAL
     and |obj_{k-1} - obj_k| <= STOP_OBJ_CHANGE * sum_v ||X_v||^2. `seed` seeds
@@ -65,8 +65,8 @@ class M2eConfig:
             raise ValueError("rank must be >= 1")
         if self.lambdas is not None:
             lam = tuple(float(x) for x in self.lambdas)
-            if not lam or any(x <= 0 for x in lam):
-                raise ValueError("view weights must be positive")
+            if not lam or not all(0 < x < np.inf for x in lam):  # NaN fails too
+                raise ValueError("view weights must be positive and finite")
             object.__setattr__(self, "lambdas", lam)
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")

@@ -5,11 +5,14 @@ A graph view is an (M, M, N) tensor X with symmetric frontal slices.
 (M(M+1)/2, N) matrix X_p with one row per pair i <= j in the order of
 :func:`symmetric_index`, which the dataset reader and writer share (the
 packed storage of Schatz, Low, van de Geijn and Kolda, SIAM J. Sci. Comput.
-2014). This module alone decides what a valid view is. :func:`as_views`
-checks and packs the views that the fitters, CP-ALS and the dataset writer
-take. :func:`pack_slice` checks and packs every symmetric slice: each block
-the dataset loader parses, and each frontal slice of a dense view. The
-loader and :func:`symmetrize_slices` average away drift up to DRIFT_TOL.
+2014). This module alone decides what a valid view is: its entries are
+finite, and each frontal slice is asymmetric by at most DRIFT_TOL, float
+drift that is averaged away, since every slice is stored as its pair
+averages. :func:`as_views` checks and packs the views that the fitters,
+CP-ALS and the dataset writer take. :func:`pack_slice` measures and packs
+every symmetric slice: each block the dataset loader parses, and each
+frontal slice of a dense view. :func:`raise_on_faults` rejects both kinds
+of invalid view, for the loader and for :class:`GraphViewTensor` alike.
 
 MTTKRP kernel. For a rank-R CP model [[A, B, C]], with entries
 sum_r A[i, r] B[j, r] C[k, r], the mode-n MTTKRP contracts X with the
@@ -46,10 +49,8 @@ from typing import Sequence
 
 import numpy as np
 
-# Frontal slices of a stacked graph view must be symmetric to this tolerance.
-SYMMETRY_TOL = 1e-8
-# Asymmetry up to this is float drift that the loader and symmetrize_slices
-# average away; anything larger is rejected as wrong data.
+# Asymmetry of a view's frontal slice up to this is float drift, averaged away;
+# anything larger is rejected as wrong data, whichever path the view comes by.
 DRIFT_TOL = 1e-6
 # added to the R x R Gram before each least-squares solve
 RIDGE = 1e-10
@@ -255,44 +256,30 @@ def all_finite(tensor: np.ndarray) -> bool:
     return all(np.isfinite(tensor[i:i + _TILE]).all() for i in range(0, len(tensor), _TILE))
 
 
-def check_partial_symmetry(tensor: np.ndarray, tol: float = SYMMETRY_TOL) -> tuple[bool, float]:
-    """Check that every frontal slice of an (M, M, N) tensor is symmetric.
+def check_partial_symmetry(tensor: np.ndarray, tol: float = DRIFT_TOL) -> tuple[bool, float]:
+    """Check that every frontal slice of an (M, M, N) tensor is symmetric to `tol`.
 
     Returns (ok, max_asymmetry) where max_asymmetry is the largest
     |t[i, j, n] - t[j, i, n]| over all entries (NaN if an entry is NaN).
     Each slice is measured by one :func:`pack_slice` scan, so no transposed
-    copy is allocated.
+    copy is allocated. Unlike :func:`raise_on_faults`, it never raises.
     """
     max_asym = float(_scan_slices(_dense_view(tensor))[0].max(initial=0.0))
     return max_asym <= tol, max_asym
 
 
-def raise_on_asymmetry(per_slice: np.ndarray, tol: float, advice: str = "") -> None:
-    """Raise naming the worst slice if any of the per-slice asymmetries exceeds `tol`."""
-    asym = float(per_slice.max(initial=0.0))
-    if not asym <= tol:
-        raise ValueError(f"frontal slice {int(np.argmax(per_slice))} is asymmetric by "
-                         f"{asym:.3g} (tolerance {tol:.3g}){advice}")
+def raise_on_faults(per_slice: np.ndarray, finite: bool) -> None:
+    """Raise for a scanned view's first fault: a non-finite entry, then asymmetry.
 
-
-def symmetrize_slices(tensor: np.ndarray, tol: float = DRIFT_TOL) -> np.ndarray:
-    """Return a new C-contiguous tensor whose frontal slices are (W + W.T) / 2 of the input's.
-
-    Rejects input whose asymmetry exceeds `tol`, naming the most asymmetric
-    slice; small asymmetries are treated as float-level noise and averaged
-    away. The input is not changed. One :func:`pack_slice` scan per slice
-    measures it and packs its pair averages into the result, the only
-    full-size allocation.
+    `per_slice` and `finite` are what :func:`pack_slice` gives for each
+    slice. Asymmetry beyond DRIFT_TOL names the worst slice.
     """
-    t = _dense_view(tensor)
-    m, _, n = t.shape
-    upper, _, sym = symmetric_index(m)
-    out, pairs, asymmetry = np.empty(t.shape), np.empty(upper.size), np.empty(n)
-    for k in range(n):
-        asymmetry[k] = pack_slice(t[:, :, k], pairs)[0]
-        out[:, :, k] = pairs[sym].reshape(m, m)
-    raise_on_asymmetry(asymmetry, tol)
-    return out
+    if not finite:
+        raise ValueError("affinity entries must be finite")
+    asym = float(per_slice.max(initial=0.0))
+    if not asym <= DRIFT_TOL:
+        raise ValueError(f"frontal slice {int(np.argmax(per_slice))} is asymmetric by "
+                         f"{asym:.3g} (tolerance {DRIFT_TOL:.3g})")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -304,9 +291,10 @@ class GraphViewTensor:
     the dense bytes. Construction from a dense (M, M, N) array, M and N at
     least 1, packs the pair averages (s[i, j] + s[j, i]) / 2 in one :func:`pack_slice`
     scan per slice, and rejects non-finite entries or asymmetry beyond
-    SYMMETRY_TOL, so an exactly symmetric view is kept bit for bit.
-    :meth:`from_packed` wraps rows that are packed already.
-    Instances are immutable and safe to share.
+    DRIFT_TOL (:func:`raise_on_faults`), as the dataset loader does; an
+    exactly symmetric view is kept bit for bit, and `GraphViewTensor(x).data`
+    is x with each slice's drift averaged away. :meth:`from_packed` wraps rows
+    that are packed already. Instances are immutable and safe to share.
     """
 
     packed: np.ndarray
@@ -317,10 +305,7 @@ class GraphViewTensor:
             raise ValueError(f"expected shape (M, M, N), got {t.shape}")
         # the index is built before the rows: built after them, it raised peak RSS by 1 MB
         packed = np.empty((symmetric_index(t.shape[0])[0].size, t.shape[2]))
-        asymmetry, finite = _scan_slices(t, packed)
-        if not finite:
-            raise ValueError("affinity entries must be finite")
-        raise_on_asymmetry(asymmetry, SYMMETRY_TOL, "; symmetrize first")
+        raise_on_faults(*_scan_slices(t, packed))
         packed.flags.writeable = False
         object.__setattr__(self, "packed", packed)
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import m2e.cp as cp
 from m2e.cp import AlsOptions, CpFactors, cp_als_fit, cp_relative_error
+from m2e.solver import SolverNumericsError
 from m2e.tensors import GraphViewTensor, cp_reconstruct, frobenius_norm, khatri_rao, ridge_solve
 from oracles import matricize
 
@@ -136,6 +138,26 @@ def test_rejects_bad_inputs():
         cp_als_fit(np.zeros((2, 2)), AlsOptions(rank=1))
     with pytest.raises(ValueError, match="asymmetric"):
         cp_als_fit(np.random.default_rng(0).standard_normal((3, 3, 2)), AlsOptions(rank=1))
+
+
+def test_non_finite_sweep_raises_naming_it(monkeypatch):
+    t, _ = rank_r_tensor(np.random.default_rng(15), 6, 5, 2)
+    with np.errstate(all="ignore"), pytest.raises(SolverNumericsError) as err:
+        cp_als_fit(t * 1e160, AlsOptions(rank=3))  # ||X||^2 overflows
+    assert str(err.value) == "non-finite error or factors at CP-ALS sweep 0"
+    assert err.value.iteration == 0
+
+    calls, mode3 = [], cp.packed_mode3_mttkrp
+
+    def nan_at_the_third_sweep(xp, a, b):  # once per sweep
+        calls.append(1)
+        return mode3(xp, a, b) * (np.nan if len(calls) == 3 else 1.0)
+
+    monkeypatch.setattr(cp, "packed_mode3_mttkrp", nan_at_the_third_sweep)
+    with pytest.raises(SolverNumericsError) as err:
+        cp_als_fit(t, AlsOptions(rank=2, rel_tol=1e-300))
+    assert str(err.value) == "non-finite error or factors at CP-ALS sweep 2"
+    assert err.value.iteration == 2 and len(calls) == 3
 
 
 def test_relative_error_matches_the_dense_formula():

@@ -7,6 +7,7 @@ import pytest
 from m2e.datagen import SyntheticSpec, generate, hiv_shape_preset
 from m2e.dataio import (DatasetError, load_dataset, load_dataset_labels, load_dataset_view,
                         load_matrix, save_dataset, save_matrix)
+from m2e.solver import M2eConfig, m2e_fit
 from m2e.tensors import GraphViewTensor
 
 
@@ -75,6 +76,8 @@ def test_save_rejects_duplicate_view_names(small_dataset, tmp_path):
     (lambda v: {"views": v, "labels": [1, 2, 1]}, "labels must hold one integer per subject"),
     (lambda v: {"views": v, "labels": np.arange(8) % 2},
      r"labels must be positive integers \(1\.\.K\)"),
+    (lambda v: {"views": v, "labels": np.array([1.7, 2.2, 1, 1, 2, 2, 1, 2])},
+     r"labels must be integers, got 1\.7"),
     (lambda v: {"views": v, "view_names": ["a"]}, "one name per view required"),
     (lambda v: {"views": v, "view_names": ["a", "a"]}, "duplicate view names: a"),
     (lambda v: {"views": v, "view_names": ["../escape", "v2"]},
@@ -87,8 +90,8 @@ def test_save_rejects_duplicate_view_names(small_dataset, tmp_path):
     (lambda v: {"views": []}, "need at least one view"),
     (lambda v: {"views": [v[0], GraphViewTensor(v[1].data[:, :, :4])]},
      r"views disagree on subject count: \[4, 8\]"),
-], ids=["label-count", "label-range", "name-count", "duplicate-names", "name-escape",
-        "name-empty", "name-dotdot", "name-backslash", "name-not-str", "no-views",
+], ids=["label-count", "label-range", "label-fraction", "name-count", "duplicate-names",
+        "name-escape", "name-empty", "name-dotdot", "name-backslash", "name-not-str", "no-views",
         "subject-counts"])
 def test_rejected_save_leaves_no_file_behind(small_dataset, tmp_path, args, message):
     _, views, _ = small_dataset
@@ -388,3 +391,61 @@ def test_loader_and_constructor_pack_and_reject_alike(tmp_path):
             load_dataset_view(path, 0)
         with pytest.raises(ValueError, match=message):
             GraphViewTensor(bad)
+
+
+# the fault each case of slice 2's defect gives, or None where the view is valid
+SLICE_FAULTS = {
+    "0": (0.0, None), "1e-9": (1e-9, None), "5e-7": (5e-7, None), "1e-6": (1e-6, None),
+    "2e-6": (2e-6, "frontal slice 2 is asymmetric by 2e-06 (tolerance 1e-06)"),
+    "1e-3": (1e-3, "frontal slice 2 is asymmetric by 0.001 (tolerance 1e-06)"),
+    "nan": (np.nan, "affinity entries must be finite"),
+    "inf": (np.inf, "affinity entries must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(SLICE_FAULTS))
+def test_every_path_accepts_and_packs_the_same_slices_alike(tmp_path, case):
+    defect, fault = SLICE_FAULTS[case]
+    w = np.random.default_rng(13).standard_normal((5, 5, 3))
+    x = w + w.transpose(1, 0, 2)
+    if np.isfinite(defect):
+        x[1, 4, 2], x[4, 1, 2] = defect, 0.0  # asymmetric by exactly `defect`
+    else:
+        x[3, 1, 2] = defect
+    text = _two_node_dataset(tmp_path / "text", _view_text(x), nodes=5, subjects=3)
+    config = M2eConfig(rank=2, max_outer_iters=3)
+
+    def saved():
+        save_dataset(tmp_path / "saved", [x])
+        return load_dataset(tmp_path / "saved").views[0].packed
+
+    def fitted():
+        fit = m2e_fit([x], config)
+        return fit.consensus, *fit.node_factors, fit.objective_trace
+
+    # path -> (the prefix its faults carry, what it returns for a valid view)
+    paths = {
+        "GraphViewTensor": ("", lambda: GraphViewTensor(x).packed),
+        "m2e_fit": ("view 0: ", fitted),
+        "save_dataset": ("view 0: ", saved),
+        "load_dataset_view": ("view 'view1': ", lambda: load_dataset_view(text, 0)[1].packed),
+    }
+    results = {}
+    for name, (prefix, call) in paths.items():
+        if fault is None:
+            results[name] = call()
+            continue
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == prefix + fault, name
+        assert isinstance(err.value, DatasetError) == ("dataset" in name), name
+    if fault is not None:
+        assert not (tmp_path / "saved").exists()
+        return
+    packed = results["GraphViewTensor"]
+    for name in ("save_dataset", "load_dataset_view"):
+        assert results[name].tobytes() == packed.tobytes(), name
+    expected = m2e_fit([GraphViewTensor.from_packed(packed)], config)
+    for got, want in zip(results["m2e_fit"], (expected.consensus, *expected.node_factors,
+                                              expected.objective_trace)):
+        assert got.tobytes() == want.tobytes()

@@ -164,6 +164,17 @@ def test_evaluate_metrics_satisfy_f1_identity(dataset_dir, tmp_path):
             assert rep["f1"] == 0.0
 
 
+def test_evaluate_rejects_non_integer_labels():
+    emb = np.repeat([[0.0, 0.0], [10.0, 10.0]], 3, axis=0)
+    labels = np.repeat([1, 2], 3)
+    for bad, shown in ((labels + 0.7, "1.7"), (np.where(labels == 2, np.nan, 1.0), "nan")):
+        with pytest.raises(ValueError) as err:
+            run_evaluate(emb, bad, quick_config())
+        assert str(err.value) == f"labels must be integers, got {shown}"
+    doc = run_evaluate(emb, labels.astype(float), quick_config())  # whole floats are integers
+    assert doc["mean"]["accuracy"] == 1.0
+
+
 def test_evaluate_rejects_row_mismatch():
     with pytest.raises(ValueError, match="rows"):
         run_evaluate(np.zeros((5, 2)), np.ones(4, dtype=int), quick_config())
@@ -481,6 +492,34 @@ def test_cli_bad_lambda_flag(tmp_path, dataset_dir):
                  "--lambda", "oops"])
     assert code == 1
     assert (out / "error.json").exists()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: M2eConfig(lambdas=(np.nan, 1.0)), "view weights must be positive and finite"),
+    (lambda: M2eConfig(lambdas=(1.0, np.inf)), "view weights must be positive and finite"),
+    (lambda: GridSpec(lambda_grid=(np.nan,)), "grid values must be positive and finite"),
+    (lambda: GridSpec(lambda_grid=(1.0, np.inf)), "grid values must be positive and finite"),
+    (lambda: AlsOptions(rank=2, rel_tol=np.nan), "rel_tol must be positive and finite"),
+    (lambda: AlsOptions(rank=2, rel_tol=np.inf), "rel_tol must be positive and finite"),
+    (lambda: SyntheticSpec(separation=np.nan), "must be finite and >= 0"),
+    (lambda: SyntheticSpec(noise_sigma=np.nan), "must be finite and >= 0"),
+    (lambda: SyntheticSpec(jitter=np.nan), "must be finite and >= 0"),
+    (lambda: SyntheticSpec(separation=np.inf), "must be finite and >= 0"),
+], ids=["lambdas-nan", "lambdas-inf", "grid-nan", "grid-inf", "rel-tol-nan", "rel-tol-inf",
+        "separation-nan", "noise-nan", "jitter-nan", "separation-inf"])
+def test_configs_reject_non_finite_numbers(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_cli_non_finite_lambda_fails_with_document(tmp_path, dataset_dir):
+    out = tmp_path / "fit"
+    code = main(["fit", "--dataset", str(dataset_dir), "--out", str(out),
+                 "--lambda", "1=nan", "--lambda", "2=1"])
+    assert code == 1
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "ValueError"
+    assert error["message"] == "view weights must be positive and finite"
 
 
 def test_cli_repeated_lambda_view_fails_with_document(tmp_path, dataset_dir):

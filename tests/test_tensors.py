@@ -11,7 +11,7 @@ from m2e.tensors import (RIDGE, GraphViewTensor, all_finite, as_views, check_par
                          cp_reconstruct, cp_squared_error, frobenius_norm, khatri_rao,
                          mttkrp_from_partial, pack_slice, packed_energy,
                          packed_mode3_mttkrp, packed_partial_mttkrp, packed_slice_gram,
-                         ridge_solve, scaled_identity, symmetric_index, symmetrize_slices)
+                         ridge_solve, scaled_identity, symmetric_index)
 from oracles import matricize, mode3_mttkrp, partial_mttkrp, refold
 
 
@@ -302,31 +302,30 @@ def test_check_partial_symmetry_rejects_non_square():
         check_partial_symmetry(np.zeros((2, 3, 4)), 1e-8)
 
 
-def test_symmetrize_slices_tolerance():
+def test_graph_view_averages_drift_up_to_the_tolerance():
     rng = np.random.default_rng(5)
     w = rng.standard_normal((3, 3, 2))
     sym = (w + w.transpose(1, 0, 2)) / 2
     drifted = sym.copy()
     drifted[0, 1, 0] += 1e-8
-    fixed = symmetrize_slices(drifted, tol=1e-6)
+    fixed = GraphViewTensor(drifted).data
     ok, asym = check_partial_symmetry(fixed, 0.0)
     assert ok and asym == 0.0
 
     bad = sym.copy()
     bad[0, 1, 1] += 1e-3
     with pytest.raises(ValueError, match="slice 1"):
-        symmetrize_slices(bad, tol=1e-6)
+        GraphViewTensor(bad)
 
 
 def test_asymmetry_errors_name_the_worst_slice():
     t = np.zeros((3, 3, 4))
     t[0, 1, 0] = 1e-3
     t[1, 2, 2] = 0.1
-    with pytest.raises(ValueError, match=r"frontal slice 2 is asymmetric by 0\.1 "
-                                         r"\(tolerance 1e-08\); symmetrize first"):
+    with pytest.raises(ValueError) as err:
         GraphViewTensor(t)
-    with pytest.raises(ValueError, match=r"frontal slice 2 is asymmetric by 0\.1 "):
-        symmetrize_slices(t, tol=1e-6)
+    assert str(err.value) == "frontal slice 2 is asymmetric by 0.1 (tolerance 1e-06)"
+    assert check_partial_symmetry(t) == (False, 0.1)
 
 
 def test_graph_view_tensor_validation():
@@ -410,10 +409,19 @@ def _layouts(x):
 
 @pytest.mark.parametrize("m", [1, 8, 19])
 def test_in_place_average_matches_the_dense_formula_bit_for_bit(m):
-    x = np.random.default_rng(m).standard_normal((m, m, 5))
+    rng = np.random.default_rng(m)
+    x = rng.standard_normal((m, m, 5))
     expected = (x + x.transpose(1, 0, 2)) / 2.0
+    upper = symmetric_index(m)[0]
+    out = np.empty(upper.size)
     for t in _layouts(x):
-        assert symmetrize_slices(t, tol=np.inf).tobytes() == expected.tobytes()
+        for k in range(x.shape[2]):
+            pack_slice(t[:, :, k], out)
+            assert out.tobytes() == expected[:, :, k].ravel().take(upper).tobytes()
+    drifted = expected + rng.uniform(-4e-7, 4e-7, x.shape)  # within DRIFT_TOL
+    expected = (drifted + drifted.transpose(1, 0, 2)) / 2.0
+    for t in _layouts(drifted):
+        assert GraphViewTensor(t).data.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("m", [3, 19])
@@ -424,12 +432,12 @@ def test_tiled_symmetry_scan_matches_the_dense_scan(m):
     for t in _layouts(x):
         assert check_partial_symmetry(t, 0.0) == (False, float(per_slice.max()))
         with pytest.raises(ValueError, match="frontal slice 4 is asymmetric"):
-            symmetrize_slices(t, 1.0)
+            GraphViewTensor(t)
     x[m - 1, m - 1, 2] = np.nan
     ok, asym = check_partial_symmetry(x)
     assert not ok and np.isnan(asym)
-    with pytest.raises(ValueError, match="frontal slice 2 is asymmetric by nan"):
-        symmetrize_slices(x, 1.0)
+    with pytest.raises(ValueError, match="affinity entries must be finite"):
+        GraphViewTensor(x)
 
 
 def test_all_finite_scans_every_row():
@@ -487,7 +495,7 @@ def _bad_views():
         "empty": ([], "need at least one view"),
         "shape": ([np.zeros((3, 4, 5))], "view 0: expected shape (M, M, N), got (3, 4, 5)"),
         "asymmetric": ([skew], "view 0: frontal slice 2 is asymmetric by 0.001 "
-                               "(tolerance 1e-08); symmetrize first"),
+                               "(tolerance 1e-06)"),
         "nan": ([nan], "view 0: affinity entries must be finite"),
         "subject-counts": ([sym, sym[:, :, :2]], "views disagree on subject count: [2, 3]"),
     }
