@@ -30,8 +30,9 @@ metrics = binary_metrics(match.matched_labels, truth, positive_class=1)
 print(f"precision={metrics.precision:.3f} recall={metrics.recall:.3f} "
       f"f1={metrics.f1:.3f} accuracy={metrics.accuracy:.3f}")
 
-# With K up to 6 the matching enumerates permutations; beyond that it
-# solves an assignment problem. Either way relabeling never changes the
+# The matching solves one exact assignment problem for any K (ties go to the
+# lexicographically first mapping). The best number of hits does not depend
+# on how the predicted ids are named, so relabeling never changes the
 # matched accuracy:
 shuffled = 3 - result.labels  # swap ids 1 and 2
 assert match_labels(shuffled, truth, k=2).accuracy == match.accuracy

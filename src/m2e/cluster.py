@@ -5,13 +5,10 @@ label convention.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# exhaustive permutation search is cheap up to this many clusters
-_EXHAUSTIVE_K = 6
 LLOYD_MAX_ITERS = 100  # per k-means restart
 
 
@@ -49,6 +46,18 @@ class ClusteringReport:
     inertias: np.ndarray = field(repr=False)
     best_restart: int
     degenerate: bool = False
+
+
+def as_labels(labels) -> np.ndarray:
+    """`labels` as an int array; a value that is not an integer raises, where a cast
+    would truncate it."""
+    values = np.asarray(labels)
+    if values.dtype.kind not in "iu":
+        floats = values.astype(float)
+        fractional = ~np.isfinite(floats) | (floats != np.trunc(floats))
+        if fractional.any():
+            raise ValueError(f"labels must be integers, got {float(floats[fractional][0])!r}")
+    return values.astype(int)
 
 
 def lloyd(points: np.ndarray, centroids: np.ndarray):
@@ -121,34 +130,60 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 20, seed: int = 0) -> Kme
     return KmeansResult(best_labels + 1, inertias, best_restart)
 
 
+def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
+    """Column of each row in a minimum-cost assignment of a square cost table.
+
+    The Hungarian method (Kuhn 1955) in the shortest-augmenting-path form of
+    Jonker & Volgenant (1987): O(n^3), exact on Python integers.
+    """
+    n, inf = len(cost), float("inf")
+    u, v = [0] * (n + 1), [0] * (n + 1)   # dual potentials; column 0 is the search root
+    owner, way = [0] * (n + 1), [0] * (n + 1)  # 1-based row on each column; path links
+    for row in range(1, n + 1):
+        owner[0], col = row, 0
+        slack, used = [inf] * (n + 1), [False] * (n + 1)
+        while owner[col]:  # grow shortest paths over reduced costs until a free column
+            used[col] = True
+            i, delta, nxt = owner[col], inf, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    reduced = cost[i - 1][j - 1] - u[i] - v[j]
+                    if reduced < slack[j]:
+                        slack[j], way[j] = reduced, col
+                    if slack[j] < delta:
+                        delta, nxt = slack[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            col = nxt
+        while col:  # flip the augmenting path
+            owner[col], col = owner[way[col]], way[col]
+    return [j for _, j in sorted(zip(owner[1:], range(n)))]
+
+
 def match_labels(pred: np.ndarray, truth: np.ndarray, k: int) -> LabelMatch:
     """Permute predicted cluster ids to best agree with the ground truth.
 
-    Exhaustive search for k <= 6, otherwise an assignment solve on the
-    contingency matrix (scipy, imported only then). Ties prefer the
-    lexicographically first permutation, which puts the identity ahead of
-    any relabeling; the assignment solve breaks ties its own way.
+    One exact assignment solve on the contingency table, for every k. Ties
+    go to the lexicographically first optimal mapping (the smallest
+    mapping[0], then mapping[1], ...), which puts the identity ahead of any
+    relabeling: the solve minimises -hits * k**k + sum_i (mapping[i] - 1) *
+    k**(k-1-i), whose tie term, below k**k, never outweighs one hit.
     """
-    pred = np.asarray(pred, dtype=int)
-    truth = np.asarray(truth, dtype=int)
+    pred = as_labels(pred)
+    truth = as_labels(truth)
     if pred.shape != truth.shape or pred.ndim != 1:
         raise ValueError("pred and truth must be equal-length 1-D arrays")
     for name, arr in (("pred", pred), ("truth", truth)):
         if arr.size and (arr.min() < 1 or arr.max() > k):
             raise ValueError(f"{name} labels must lie in 1..{k}")
     contingency = np.bincount((pred - 1) * k + (truth - 1), minlength=k * k).reshape(k, k)
-    if k <= _EXHAUSTIVE_K:
-        best_perm, best_hits = None, -1
-        for perm in itertools.permutations(range(k)):
-            hits = sum(contingency[i, perm[i]] for i in range(k))
-            if hits > best_hits:
-                best_perm, best_hits = perm, hits
-        mapping = np.asarray(best_perm) + 1
-    else:
-        from scipy.optimize import linear_sum_assignment
-        rows, cols = linear_sum_assignment(-contingency)
-        mapping = np.empty(k, dtype=int)
-        mapping[rows] = cols + 1
+    cost = [[-hits * k ** k + j * k ** (k - 1 - i) for j, hits in enumerate(row)]
+            for i, row in enumerate(contingency.tolist())]
+    mapping = np.asarray(_min_cost_assignment(cost)) + 1
     matched = mapping[pred - 1]
     accuracy = float((matched == truth).mean()) if pred.size else 0.0
     return LabelMatch(mapping, matched, accuracy)
@@ -162,8 +197,8 @@ def binary_metrics(matched_labels: np.ndarray, truth: np.ndarray,
     the result is flagged degenerate; f1 is the harmonic mean when both are
     positive and 0 otherwise.
     """
-    matched = np.asarray(matched_labels, dtype=int)
-    truth = np.asarray(truth, dtype=int)
+    matched = as_labels(matched_labels)
+    truth = as_labels(truth)
     if matched.shape != truth.shape:
         raise ValueError("matched labels and truth must have equal length")
     pred_pos = matched == positive_class
@@ -188,8 +223,8 @@ def cluster_and_score(embedding: np.ndarray, truth: np.ndarray, k: int = 2,
     with more classes than k still scores (the surplus classes simply
     cannot be hit).
     """
+    truth = as_labels(truth)
     result = kmeans(embedding, k, restarts=restarts, seed=seed)
-    truth = np.asarray(truth, dtype=int)
     match = match_labels(result.labels, truth, max(k, int(truth.max(initial=1))))
     metrics = binary_metrics(match.matched_labels, truth, positive_class)
     return ClusteringReport(

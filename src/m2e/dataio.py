@@ -50,6 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cluster import as_labels
 from .tensors import GraphViewTensor, as_views, pack_slice, raise_on_faults, symmetric_index
 
 FORMAT_VERSION = 1
@@ -78,18 +79,6 @@ def save_matrix(path: Path | str, matrix: np.ndarray, comment: str = "") -> None
 def load_matrix(path: Path | str) -> np.ndarray:
     m = np.loadtxt(path, ndmin=2)
     return m
-
-
-def as_labels(labels) -> np.ndarray:
-    """`labels` as an int array; a value that is not an integer raises, where a cast
-    would truncate it."""
-    values = np.asarray(labels)
-    if values.dtype.kind not in "iu":
-        floats = values.astype(float)
-        fractional = ~np.isfinite(floats) | (floats != np.trunc(floats))
-        if fractional.any():
-            raise ValueError(f"labels must be integers, got {float(floats[fractional][0])!r}")
-    return values.astype(int)
 
 
 def save_labels(path: Path | str, labels: np.ndarray) -> None:

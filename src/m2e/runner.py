@@ -16,10 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster import cluster_and_score, kmeans
+from .cluster import as_labels, cluster_and_score, kmeans
 from .cp import AlsOptions, cp_als_fit, cp_relative_error
-from .dataio import (Dataset, as_labels, load_dataset, load_dataset_view, save_labels,
-                     save_matrix)
+from .dataio import Dataset, load_dataset, load_dataset_view, save_labels, save_matrix
 from .solver import (M2eConfig, M2eSolution, SolverNumericsError, m2e_ds_fit, m2e_fit,
                      m2e_ts_fit)
 

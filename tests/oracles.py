@@ -1,9 +1,12 @@
-"""Dense reference forms that the tests check the packed kernels against.
+"""Reference forms that the tests check the package against.
 
 The package holds every graph view packed and has no dense unfolding or
 dense MTTKRP. These are the textbook definitions, on dense (I, J, K)
-tensors whose slices need not be symmetric.
+tensors whose slices need not be symmetric. The label matcher solves one
+assignment problem; the exhaustive searches below are its references.
 """
+import itertools
+
 import numpy as np
 
 
@@ -38,3 +41,31 @@ def partial_mttkrp(x, c):
 def mode3_mttkrp(x, a, b):
     """The mode-3 MTTKRP sum_ij X[i, j, k] A[i, r] B[j, r], shape (K, R)."""
     return np.einsum("ijk,ir,jr->kr", x, a, b)
+
+
+def exhaustive_label_mapping(contingency):
+    """Walk all k! permutations in lexicographic order and keep the first
+    with the most hits: mapping[i] = truth id assigned to predicted id i+1."""
+    k = len(contingency)
+    best_perm, best_hits = None, -1
+    for perm in itertools.permutations(range(k)):
+        hits = sum(contingency[i, perm[i]] for i in range(k))
+        if hits > best_hits:
+            best_perm, best_hits = perm, hits
+    return np.asarray(best_perm) + 1
+
+
+def best_assignment_hits(contingency):
+    """The most hits any one-to-one mapping of rows to columns scores, found
+    by exhaustive search over the sets of columns the first rows take."""
+    k = len(contingency)
+    best = {0: 0}  # columns taken by rows 0..i-1 (bit mask) -> most hits
+    for i in range(k):
+        grown = {}
+        for mask, hits in best.items():
+            for j in range(k):
+                if not mask >> j & 1:
+                    key = mask | 1 << j
+                    grown[key] = max(grown.get(key, -1), hits + int(contingency[i, j]))
+        best = grown
+    return best[(1 << k) - 1]

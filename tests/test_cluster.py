@@ -5,12 +5,22 @@ import pytest
 
 from m2e.cluster import (binary_metrics, cluster_and_score, kmeans, lloyd,
                          match_labels)
+from oracles import best_assignment_hits, exhaustive_label_mapping
 
 
 def two_clouds(rng, n_per=4, dist=50.0, dim=2):
     a = rng.standard_normal((n_per, dim))
     b = rng.standard_normal((n_per, dim)) + dist
     return np.vstack([a, b])
+
+
+def labels_from_contingency(table):
+    """(pred, truth) whose contingency table is `table`: table[i, j] points
+    carry predicted id i+1 and true id j+1."""
+    k = len(table)
+    ids = np.arange(1, k + 1)
+    counts = np.asarray(table).ravel()
+    return np.repeat(np.repeat(ids, k), counts), np.repeat(np.tile(ids, k), counts)
 
 
 def brute_force_best_inertia(points, k=2):
@@ -138,6 +148,30 @@ def test_match_labels_large_k_uses_assignment():
     pred = perm[truth - 1]
     match = match_labels(pred, truth, k)
     assert match.accuracy == 1.0
+    # on random tables with ties, the hits equal the exhaustive optimum at
+    # k = 7-9, and at k = 7 the mapping is the exhaustive oracle's
+    for k in (7, 8, 9):
+        for t in range(100):
+            table = rng.integers(0, 4, (k, k))
+            pred, truth = labels_from_contingency(table)
+            match = match_labels(pred, truth, k)
+            assert sorted(match.mapping.tolist()) == list(range(1, k + 1))
+            assert (match.matched_labels == truth).sum() == best_assignment_hits(table)
+            if k == 7 and t < 20:
+                assert match.mapping.tolist() == exhaustive_label_mapping(table).tolist()
+
+
+def test_match_labels_ties_follow_the_exhaustive_oracle():
+    # lexicographically first optimal mapping: every table with entries 0-2
+    # for k <= 3, then random tables with ties for k = 4-6
+    tables = [np.reshape(entries, (k, k)) for k in (1, 2, 3)
+              for entries in itertools.product(range(3), repeat=k * k)]
+    rng = np.random.default_rng(51)
+    tables += [rng.integers(0, 3, (k, k)) for k in (4, 5, 6) for _ in range(300)]
+    for table in tables:
+        pred, truth = labels_from_contingency(table)
+        mapping = match_labels(pred, truth, len(table)).mapping
+        assert mapping.tolist() == exhaustive_label_mapping(table).tolist(), table
 
 
 def test_match_labels_relabeling_invariance():
@@ -155,6 +189,24 @@ def test_match_labels_rejects_out_of_range():
         match_labels(np.array([0, 1]), np.array([1, 1]), 2)
     with pytest.raises(ValueError):
         match_labels(np.array([1, 3]), np.array([1, 2]), 2)
+
+
+FRACTIONAL_LABEL_CALLS = {
+    "match_labels-pred": lambda: match_labels([1.9, 2.2], [1, 2], 2),
+    "match_labels-truth": lambda: match_labels([1, 2], [1.9, 2.2], 2),
+    "binary_metrics-matched": lambda: binary_metrics([1.5, 2.5], [1, 2]),
+    "binary_metrics-truth": lambda: binary_metrics([1, 2], [1.5, 2.5]),
+    "cluster_and_score-truth": lambda: cluster_and_score(
+        two_clouds(np.random.default_rng(52), n_per=5), np.repeat([1, 2], 5) + 0.7,
+        k=2, restarts=2),
+}
+
+
+@pytest.mark.parametrize("call", FRACTIONAL_LABEL_CALLS.values(),
+                         ids=FRACTIONAL_LABEL_CALLS.keys())
+def test_fractional_labels_raise_instead_of_truncating(call):
+    with pytest.raises(ValueError, match="labels must be integers"):
+        call()
 
 
 def test_binary_metrics_perfect():

@@ -38,9 +38,22 @@ def test_readme_library_snippet_runs(tmp_path):
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy serves only the label matcher for more than six clusters
+    # the package needs numpy alone: with scipy made unimportable, label
+    # matching and evaluation at k = 8 succeed, and no scipy module loads
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = "import m2e, sys; assert 'scipy.optimize' not in sys.modules"
+    code = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+import m2e
+truth = np.repeat(np.arange(1, 9), 3)
+assert m2e.match_labels(9 - truth, truth, 8).accuracy == 1.0
+embedding = np.repeat(np.arange(8.0)[:, None] * 10, 3, axis=0)
+doc = m2e.run_evaluate(embedding, truth, m2e.RunConfig(kmeans_k=8, eval_repeats=2))
+assert doc["mean"]["accuracy"] == 1.0, doc["mean"]
+assert [name for name, module in sys.modules.items()
+        if name.split(".")[0] == "scipy" and module is not None] == []
+"""
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
