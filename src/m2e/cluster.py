@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 LLOYD_MAX_ITERS = 100  # per k-means restart
+LABEL_MAX = 2**63 - 1  # the largest int64
 
 
 @dataclass(frozen=True)
@@ -49,15 +50,22 @@ class ClusteringReport:
 
 
 def as_labels(labels) -> np.ndarray:
-    """`labels` as an int array; a value that is not an integer raises, where a cast
-    would truncate it."""
+    """`labels` as a 1-D int64 array of class ids, each an integer in 1..LABEL_MAX.
+
+    A whole float such as 2.0 counts as an integer. Any other value raises
+    ValueError naming the first bad value, exactly as given, where a cast
+    would truncate or wrap it. Every function that takes labels checks them here.
+    """
     values = np.asarray(labels)
-    if values.dtype.kind not in "iu":
-        floats = values.astype(float)
-        fractional = ~np.isfinite(floats) | (floats != np.trunc(floats))
-        if fractional.any():
-            raise ValueError(f"labels must be integers, got {float(floats[fractional][0])!r}")
-    return values.astype(int)
+    if values.ndim != 1:
+        raise ValueError(f"labels must be a 1-D sequence, got shape {values.shape}")
+    if values.dtype.kind != "i" or not (values >= 1).all():
+        for x in values.tolist():  # Python numbers compare exactly at any size
+            if not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
+                raise ValueError(f"labels must be integers, got {x!r}")
+            if not 1 <= x <= LABEL_MAX:
+                raise ValueError(f"labels must be positive integers (1..K), got {x!r}")
+    return values.astype(np.int64)
 
 
 def lloyd(points: np.ndarray, centroids: np.ndarray):
@@ -175,10 +183,10 @@ def match_labels(pred: np.ndarray, truth: np.ndarray, k: int) -> LabelMatch:
     """
     pred = as_labels(pred)
     truth = as_labels(truth)
-    if pred.shape != truth.shape or pred.ndim != 1:
-        raise ValueError("pred and truth must be equal-length 1-D arrays")
+    if pred.shape != truth.shape:
+        raise ValueError("pred and truth must have equal length")
     for name, arr in (("pred", pred), ("truth", truth)):
-        if arr.size and (arr.min() < 1 or arr.max() > k):
+        if arr.max(initial=1) > k:
             raise ValueError(f"{name} labels must lie in 1..{k}")
     contingency = np.bincount((pred - 1) * k + (truth - 1), minlength=k * k).reshape(k, k)
     cost = [[-hits * k ** k + j * k ** (k - 1 - i) for j, hits in enumerate(row)]

@@ -4,7 +4,8 @@ A dataset directory contains `manifest.json` and one matrix file per view.
 Each matrix file holds N blocks (one per subject) of M whitespace-separated
 rows, with a blank line between blocks. Numbers are written with 17
 significant digits so that every emitted value re-parses bit-exactly.
-Labels, when present, are one integer (1..K) per line.
+Labels, when present, are one integer per line, checked by
+`m2e.cluster.as_labels`.
 
 Views are held packed (`m2e.tensors.GraphViewTensor`): each slice's plain
 upper triangle, entry (i, j) for i <= j holding the pair average
@@ -45,6 +46,7 @@ import collections
 import itertools
 import json
 import operator
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,22 +84,31 @@ def load_matrix(path: Path | str) -> np.ndarray:
 
 
 def save_labels(path: Path | str, labels: np.ndarray) -> None:
-    """Write class labels, one integer per line; see :func:`as_labels`."""
+    """Write class labels, one integer per line, as :func:`load_labels` reads them.
+
+    Labels are checked by :func:`m2e.cluster.as_labels` before the file is opened.
+    """
     np.savetxt(path, as_labels(labels), fmt="%d")
 
 
 def load_labels(path: Path | str) -> np.ndarray:
-    """Read a labels file: one integer class id (1..K) per line."""
+    """Read a labels file: one integer class id per line, checked by :func:`as_labels`.
+
+    A token must be an optional sign and decimal digits; `int` alone would also
+    take `1_0` or non-ASCII digits.
+    """
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"labels file {path} is missing")
     try:
-        labels = np.array([int(x) for x in path.read_text().split()], dtype=int)
-    except ValueError as exc:
-        raise DatasetError(f"labels file {path}: labels must be integers: {exc}") from exc
-    if (labels < 1).any():
-        raise DatasetError(f"labels file {path}: labels must be positive integers (1..K)")
-    return labels
+        tokens = path.read_text().split()
+        bad = next((t for t in tokens if not re.fullmatch(r"[+-]?[0-9]+", t)), None)
+        if bad is not None:
+            raise ValueError(f"labels must be integers, got {bad!r}")
+        # Python ints, so that as_labels names a value beyond int64 exactly
+        return as_labels(np.array([int(t) for t in tokens], dtype=object))
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError too
+        raise DatasetError(f"labels file {path}: {exc}") from exc
 
 
 def _write_view_file(path: Path, view: GraphViewTensor) -> None:
@@ -213,8 +224,6 @@ def save_dataset(path: Path | str, views: list[GraphViewTensor | np.ndarray],
             raise DatasetError(str(exc)) from exc
         if labels.shape != (views[0].subject_count,):
             raise DatasetError("labels must hold one integer per subject")
-        if (labels < 1).any():
-            raise DatasetError("labels must be positive integers (1..K)")
     manifest = {
         "format_version": FORMAT_VERSION,
         "subject_count": views[0].subject_count,

@@ -114,7 +114,9 @@ def pack_slice(s: np.ndarray, out: np.ndarray | None = None) -> tuple[float, boo
     Gathers the pairs i <= j in the order of :func:`symmetric_index` and,
     given an M(M+1)/2 vector `out`, writes their averages (s[i, j] + s[j, i]) / 2
     there, so an exactly symmetric slice packs as its upper triangle, bit for
-    bit. The loader's blocks and every dense view's slices are checked here.
+    bit. Where a sum of two finite entries overflows, the average is taken as
+    s[i, j] / 2 + s[j, i] / 2, so it stays finite. The loader's blocks and every
+    dense view's slices are checked here.
     """
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"expected shape (M, M), got {s.shape}")
@@ -122,8 +124,14 @@ def pack_slice(s: np.ndarray, out: np.ndarray | None = None) -> tuple[float, boo
     flat = s.ravel()  # a copy only if the slice is strided
     pairs, mirrored = flat.take(upper), flat.take(lower)
     if out is not None:
-        np.add(pairs, mirrored, out=out)
-        out /= 2.0
+        try:
+            with np.errstate(over="raise"):  # raised after `out` is written in full
+                np.add(pairs, mirrored, out=out)
+            out /= 2.0
+        except FloatingPointError:  # two finite entries whose sum is beyond the float range
+            spill = np.isinf(out)
+            out /= 2.0
+            out[spill] = pairs[spill] / 2.0 + mirrored[spill] / 2.0
     with np.errstate(invalid="ignore", over="ignore"):  # reported as a non-finite result
         pairs -= mirrored
     asymmetry = float(np.abs(pairs, out=pairs).max(initial=0.0))

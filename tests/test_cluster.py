@@ -5,6 +5,8 @@ import pytest
 
 from m2e.cluster import (binary_metrics, cluster_and_score, kmeans, lloyd,
                          match_labels)
+from m2e.dataio import save_dataset, save_labels
+from m2e.runner import RunConfig, run_evaluate
 from oracles import best_assignment_hits, exhaustive_label_mapping
 
 
@@ -191,22 +193,49 @@ def test_match_labels_rejects_out_of_range():
         match_labels(np.array([1, 3]), np.array([1, 2]), 2)
 
 
-FRACTIONAL_LABEL_CALLS = {
-    "match_labels-pred": lambda: match_labels([1.9, 2.2], [1, 2], 2),
-    "match_labels-truth": lambda: match_labels([1, 2], [1.9, 2.2], 2),
-    "binary_metrics-matched": lambda: binary_metrics([1.5, 2.5], [1, 2]),
-    "binary_metrics-truth": lambda: binary_metrics([1, 2], [1.5, 2.5]),
-    "cluster_and_score-truth": lambda: cluster_and_score(
-        two_clouds(np.random.default_rng(52), n_per=5), np.repeat([1, 2], 5) + 0.7,
-        k=2, restarts=2),
+# every entry point that takes labels, called with two labels in the checked argument
+LABEL_ENTRY_POINTS = {
+    "match_labels-pred": lambda labels, _: match_labels(labels, [1, 2], 2),
+    "match_labels-truth": lambda labels, _: match_labels([1, 2], labels, 2),
+    "binary_metrics-matched": lambda labels, _: binary_metrics(labels, [1, 2]),
+    "binary_metrics-truth": lambda labels, _: binary_metrics([1, 2], labels),
+    "cluster_and_score-truth": lambda labels, _: cluster_and_score(np.eye(2), labels, k=2,
+                                                                   restarts=2),
+    "run_evaluate": lambda labels, _: run_evaluate(np.eye(2), labels, RunConfig()),
+    "save_labels": lambda labels, root: save_labels(root / "labels.txt", labels),
+    "save_dataset": lambda labels, root: save_dataset(root / "ds", [np.ones((1, 1, 2))], labels),
 }
 
 
-@pytest.mark.parametrize("call", FRACTIONAL_LABEL_CALLS.values(),
-                         ids=FRACTIONAL_LABEL_CALLS.keys())
-def test_fractional_labels_raise_instead_of_truncating(call):
-    with pytest.raises(ValueError, match="labels must be integers"):
-        call()
+@pytest.mark.parametrize("call", list(LABEL_ENTRY_POINTS))
+def test_fractional_labels_raise_instead_of_truncating(call, tmp_path):
+    with pytest.raises(ValueError, match="labels must be integers, got 1.7"):
+        LABEL_ENTRY_POINTS[call](np.array([1.7, 2.0]), tmp_path)
+
+
+OUT_OF_RANGE_LABELS = {
+    "zero": ([0, 2], "0"),
+    "negative": ([-1, 2], "-1"),
+    "1e20": ([1e20, 2.0], "1e+20"),
+    "uint64-max": (np.array([2**64 - 1, 2], dtype=np.uint64), "18446744073709551615"),
+}
+
+
+@pytest.mark.parametrize("bad", list(OUT_OF_RANGE_LABELS))
+@pytest.mark.parametrize("call", list(LABEL_ENTRY_POINTS))
+def test_out_of_range_labels_raise_naming_the_value(call, bad, tmp_path):
+    labels, shown = OUT_OF_RANGE_LABELS[bad]
+    with pytest.raises(ValueError) as err:
+        LABEL_ENTRY_POINTS[call](labels, tmp_path)
+    assert str(err.value) == f"labels must be positive integers (1..K), got {shown}"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("call", list(LABEL_ENTRY_POINTS))
+def test_labels_that_are_not_one_dimensional_raise(call, tmp_path):
+    with pytest.raises(ValueError, match=r"labels must be a 1-D sequence, got shape \(1, 2\)"):
+        LABEL_ENTRY_POINTS[call]([[1, 2]], tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
 def test_binary_metrics_perfect():

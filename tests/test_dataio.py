@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from m2e.cluster import as_labels
 from m2e.datagen import SyntheticSpec, generate, hiv_shape_preset
 from m2e.dataio import (DatasetError, load_dataset, load_dataset_labels, load_dataset_view,
-                        load_matrix, save_dataset, save_matrix)
+                        load_labels, load_matrix, save_dataset, save_labels, save_matrix)
 from m2e.solver import M2eConfig, m2e_fit
 from m2e.tensors import GraphViewTensor
 
@@ -215,15 +216,35 @@ def test_comment_text_in_view_file_rejected(small_dataset):
         load_dataset(path)
 
 
-@pytest.mark.parametrize("bad", ["0", "1.5"])
+@pytest.mark.parametrize("bad", ["0", "1.5", "1_0", "99999999999999999999"])
 def test_label_out_of_range_or_non_integer_names_file(small_dataset, bad):
     path, _, _ = small_dataset
     labels = (path / "labels.txt").read_text().split("\n")
     labels[1] = bad
     (path / "labels.txt").write_text("\n".join(labels))
-    for load in (load_dataset, load_dataset_labels):
-        with pytest.raises(DatasetError, match="labels.txt"):
+    for load in (load_dataset, load_dataset_labels, lambda p: load_labels(p / "labels.txt")):
+        with pytest.raises(DatasetError) as err:
             load(path)
+        assert str(err.value).startswith(f"labels file {path / 'labels.txt'}: ")
+        assert str(err.value).endswith(f", got {bad}" if bad.isdigit() else f", got {bad!r}")
+
+
+def test_labels_that_save_accepts_load_unchanged(tmp_path):
+    values = [-1, 0, 1, 2, 2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1, 1.0, 1.5, 2.0**62, 1e20]
+    rng = np.random.default_rng(14)
+    saved = 0
+    for _ in range(300):
+        given = [values[i] for i in rng.integers(len(values), size=rng.integers(1, 4))]
+        for labels in (given, np.asarray(given)):
+            path = tmp_path / f"labels{saved}.txt"
+            try:
+                save_labels(path, labels)
+            except ValueError:
+                assert not path.exists()
+                continue
+            assert load_labels(path).tolist() == as_labels(labels).tolist()
+            saved += 1
+    assert 100 < saved < 500
 
 
 def test_non_finite_entries_rejected(small_dataset):
@@ -378,9 +399,12 @@ def test_loader_and_constructor_pack_and_reject_alike(tmp_path):
     x = w + w.transpose(1, 0, 2)
     x[1, 4, 1] += 1e-9  # inside both symmetry tolerances
     x[0, 2, 3], x[2, 0, 3] = 3e-320, 5e-324  # a subnormal pair, averaged
+    x[1, 5, 3] = x[5, 1, 3] = 1.5e308  # a finite pair whose sum overflows
     path = _two_node_dataset(tmp_path / "ds", _view_text(x), nodes=6, subjects=4)
     packed = load_dataset_view(path, 0)[1].packed
     assert packed.tobytes() == GraphViewTensor(x).packed.tobytes()
+    dense = GraphViewTensor.from_packed(packed).data
+    assert (dense[0, 2, 3], dense[1, 5, 3]) == ((3e-320 + 5e-324) / 2.0, 1.5e308)
 
     nan, skew = x.copy(), x.copy()
     nan[3, 1, 2] = np.nan
