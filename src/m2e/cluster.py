@@ -54,13 +54,17 @@ def as_labels(labels) -> np.ndarray:
 
     A whole float such as 2.0 counts as an integer. Any other value raises
     ValueError naming the first bad value, exactly as given, where a cast
-    would truncate or wrap it. Every function that takes labels checks them here.
+    would truncate or wrap it. A sequence that is not an array is checked on
+    its own values, before any cast: np.asarray would round an int of 2**53
+    or more to float64 when a float sits beside it. Every function that takes
+    labels checks them here.
     """
-    values = np.asarray(labels)
+    values = labels if isinstance(labels, np.ndarray) else np.array(labels, dtype=object)
     if values.ndim != 1:
         raise ValueError(f"labels must be a 1-D sequence, got shape {values.shape}")
     if values.dtype.kind != "i" or not (values >= 1).all():
         for x in values.tolist():  # Python numbers compare exactly at any size
+            x = x.item() if isinstance(x, np.generic) else x
             if not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
                 raise ValueError(f"labels must be integers, got {x!r}")
             if not 1 <= x <= LABEL_MAX:

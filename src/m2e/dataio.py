@@ -1,51 +1,32 @@
-"""On-disk dataset format: a JSON manifest plus plain-text matrix files.
+"""On-disk dataset format: a JSON manifest plus plain-text files.
 
-A dataset directory contains `manifest.json` and one matrix file per view.
-Each matrix file holds N blocks (one per subject) of M whitespace-separated
-rows, with a blank line between blocks. Numbers are written with 17
-significant digits so that every emitted value re-parses bit-exactly.
-Labels, when present, are one integer per line, checked by
-`m2e.cluster.as_labels`.
+A dataset directory contains `manifest.json` (`format_version` 2, the one
+version read) and one text file per view. A view file holds the view's packed
+rows, `GraphViewTensor.packed`: M(M+1)/2 lines, line e holding the pair e
+(i <= j, in the order of `m2e.tensors.symmetric_index`) as N space-separated
+numbers, one per subject. Numbers are written with 17 significant digits so
+that every value re-parses bit-exactly. Each pair is stored once, so a view
+file cannot be asymmetric. Labels, when present, are one integer per line,
+checked by `m2e.cluster.as_labels`.
 
-Views are held packed (`m2e.tensors.GraphViewTensor`): each slice's plain
-upper triangle, entry (i, j) for i <= j holding the pair average
-(s[i, j] + s[j, i]) / 2.0. Neither the writer nor the loader builds a dense
-(M, M, N) view. The writer formats each block's M(M+1)/2 packed entries
-once, straight from its packed column, and writes each string at both
-(i, j) and (j, i), so an exactly symmetric slice gives the bytes of
-`np.savetxt`, which writes the other matrices and the labels. Matrices are
-parsed by `np.loadtxt`. View blocks are parsed with `comments=None`: a view
-file holds numbers only, and numpy would otherwise drop any `# ...` text
-without a word.
+The writer is `np.savetxt`. The reader fills one (M(M+1)/2, N) array by
+`np.loadtxt` over a few lines at a time, so its peak memory is about the
+packed views it returns. It parses with `comments=None`: a view file holds
+numbers only, and numpy would otherwise drop any `# ...` text without a word.
+A view file fails to load, with a DatasetError naming the view, when
 
-A view file is read as a stream of lines. Only an empty line ends a block
-(after CRLF and CR line ends are read as LF); a whitespace-only line stays
-inside its block, where `np.loadtxt` skips it, and a block of whitespace-only
-lines is dropped. Each block is parsed when its closing empty line, or the
-end of the file, arrives; blocks past N are counted but not parsed.
-`m2e.tensors.pack_slice` packs its pair averages into the one (M(M+1)/2, N)
-array that the view keeps, and gives its asymmetry max |s[i, j] - s[j, i]|
-and whether it is finite. So a loader holds one block of text at a time, and
-its peak memory is about the packed views it returns. Faults are reported
-after the last block, in this order, the first that applies:
-
-1. a missing file;
-2. a block count other than N ("found K matrix blocks, manifest says N");
-3. the first block that does not parse or is not M x M;
-4. non-finite entries ("affinity entries must be finite");
-5. a slice asymmetric by more than `m2e.tensors.DRIFT_TOL`, naming the worst.
-
-Faults 4 and 5 are raised by `m2e.tensors.raise_on_faults`, the rule that
-`GraphViewTensor` applies to an array, so a view file loads exactly when its
-slices, passed as an array, would be accepted. Slices within that tolerance
-are kept as their pair averages.
+1. it is missing;
+2. it is too short for the manifest's counts, at 2N bytes a row; this is
+   checked before the rows are allocated;
+3. a line is not N numbers: a ragged row, `#` text, a non-ASCII byte
+   or a blank line;
+4. it holds other than M(M+1)/2 rows;
+5. an entry is not finite.
 """
 from __future__ import annotations
 
-import collections
 import itertools
 import json
-import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,10 +34,12 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import as_labels
-from .tensors import GraphViewTensor, as_views, pack_slice, raise_on_faults, symmetric_index
+from .tensors import GraphViewTensor, as_views
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _FLOAT_FMT = "%.17g"
+# view file lines per np.loadtxt call, so that the text held is small beside the rows
+_PARSE_LINES = 16
 
 
 class DatasetError(ValueError):
@@ -105,86 +88,55 @@ def load_labels(path: Path | str) -> np.ndarray:
         bad = next((t for t in tokens if not re.fullmatch(r"[+-]?[0-9]+", t)), None)
         if bad is not None:
             raise ValueError(f"labels must be integers, got {bad!r}")
-        # Python ints, so that as_labels names a value beyond int64 exactly
-        return as_labels(np.array([int(t) for t in tokens], dtype=object))
+        return as_labels([int(t) for t in tokens])
     except ValueError as exc:  # UnicodeDecodeError is a ValueError too
         raise DatasetError(f"labels file {path}: {exc}") from exc
 
 
-def _write_view_file(path: Path, view: GraphViewTensor) -> None:
-    """Write one block per subject from the packed rows; see the module docstring."""
-    m = view.node_count
-    mirror = operator.itemgetter(*symmetric_index(m)[2].tolist())  # a bare string when m == 1
-    block = "\n".join([" ".join(["%s"] * m)] * m) + "\n"
-    with open(path, "w") as fh:
-        for n in range(view.subject_count):
-            if n:
-                fh.write("\n")
-            fh.write(block % mirror(list(map(_FLOAT_FMT.__mod__, view.packed[:, n].tolist()))))
+def _parse_rows(lines: list[str], name: str, first: int, subjects: int) -> np.ndarray:
+    """Lines first + 1, ... of a view file as a (len(lines), subjects) array.
 
-
-def _text_blocks(lines):
-    """Each block of `lines` that holds text, as an iterator over its lines.
-
-    Only an empty line ends a block. A whitespace-only line stays inside its
-    block, and a block of whitespace-only lines is dropped; the lines before
-    a block's first text are not yielded. Each block must be read, fully or
-    not at all, before the next is drawn.
+    A blank line is a fault, which np.loadtxt would skip; the fault names the first bad line.
     """
-    for line in lines:
-        if not line.isspace():
-            block = itertools.chain([line], itertools.takewhile(lambda s: s != "\n", lines))
-            yield block
-            collections.deque(block, maxlen=0)  # skip what the caller did not read
-
-
-def _parse_block(block, name: str, n: int, nodes: int) -> np.ndarray:
     try:
-        matrix = np.loadtxt(itertools.chain.from_iterable(map(str.splitlines, block)),
-                            ndmin=2, comments=None)
-    except ValueError as exc:
-        raise DatasetError(f"view '{name}': unparsable block {n}: {exc}") from exc
-    if matrix.shape != (nodes, nodes):
-        raise DatasetError(
-            f"view '{name}': block {n} has shape {matrix.shape}, "
-            f"manifest says ({nodes}, {nodes})"
-        )
-    return matrix
+        rows = None if any(map(str.isspace, lines)) else np.loadtxt(lines, ndmin=2, comments=None)
+    except ValueError:
+        rows = None
+    if rows is not None and rows.shape == (len(lines), subjects):
+        return rows
+    if len(lines) > 1:  # parse line by line, to name the first at fault
+        for k, line in enumerate(lines):
+            _parse_rows([line], name, first + k, subjects)
+    raise DatasetError(f"view '{name}': line {first + 1} is not {subjects} numbers")
 
 
 def _read_view_file(path: Path, name: str, nodes: int, subjects: int) -> GraphViewTensor:
-    """Stream a view file into its packed rows; see the module docstring."""
+    """Read a view file into its packed rows; see the module docstring."""
     if not path.exists():
         raise DatasetError(f"view '{name}': matrix file {path} is missing")
-    # N blocks of M*M numbers take at least N(2M^2 - 1) bytes. A shorter file
-    # cannot load and is read only to name its fault, so that a wrong manifest
-    # count never sizes an allocation.
-    data = None
-    if path.stat().st_size >= subjects * (2 * nodes * nodes - 1):
-        data, asymmetry = np.empty((symmetric_index(nodes)[0].size, subjects)), np.zeros(subjects)
-    count, fault, finite = 0, None, True
-    with path.open() as fh:
-        for block in _text_blocks(fh):
-            if count < subjects and fault is None:
-                try:
-                    matrix = _parse_block(block, name, count, nodes)
-                except DatasetError as exc:
-                    fault = exc  # the block count, known at the end, is reported first
-                else:
-                    if data is not None and finite:
-                        asymmetry[count], finite = pack_slice(matrix, data[:, count])
-            count += 1
-    if count != subjects:
-        raise DatasetError(f"view '{name}': found {count} matrix blocks, manifest says {subjects}")
-    if fault is not None:
-        raise fault
-    if data is None:  # the file grew while it was read
-        raise DatasetError(f"view '{name}': matrix file {path} changed while it was read")
+    pairs = nodes * (nodes + 1) // 2
+    # a row of N numbers takes at least 2N bytes with its line end, so a shorter
+    # file is rejected unread, and a wrong manifest count never sizes an allocation
+    if path.stat().st_size < 2 * pairs * subjects - 1:
+        raise DatasetError(f"view '{name}': matrix file {path} is too short for "
+                           f"{pairs} rows of {subjects} numbers")
+    rows, count = np.empty((pairs, subjects)), 0
+    # numbers are ASCII: any other byte reads as U+FFFD, so its line fails to parse
+    with path.open(encoding="ascii", errors="replace") as fh:
+        while lines := list(itertools.islice(fh, _PARSE_LINES)):
+            chunk = _parse_rows(lines, name, count, subjects)
+            if count + len(lines) > pairs:
+                count += len(lines) + sum(1 for _ in fh)
+                break
+            rows[count:count + len(lines)] = chunk
+            count += len(lines)
+    if count != pairs:
+        raise DatasetError(f"view '{name}': found {count} rows, manifest says "
+                           f"{pairs} ({nodes} nodes)")
     try:
-        raise_on_faults(asymmetry, finite)
+        return GraphViewTensor.from_packed(rows)
     except ValueError as exc:
         raise DatasetError(f"view '{name}': {exc}") from exc
-    return GraphViewTensor.from_packed(data)
 
 
 def _check_view_names(names: list[str], manifest_path: Path | None = None) -> None:
@@ -234,7 +186,7 @@ def save_dataset(path: Path | str, views: list[GraphViewTensor | np.ndarray],
     root.mkdir(parents=True, exist_ok=True)
     for name, view in zip(names, views):
         fname = f"{name}.txt"
-        _write_view_file(root / fname, view)
+        np.savetxt(root / fname, view.packed, fmt=_FLOAT_FMT)
         manifest["views"].append({
             "name": name,
             "node_count": view.node_count,
@@ -273,6 +225,10 @@ def _read_manifest(path: Path | str):
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise DatasetError(f"manifest does not parse: {exc}") from exc
+    version = manifest.get("format_version")
+    if version != FORMAT_VERSION:
+        raise DatasetError(f"manifest {manifest_path}: format_version {version!r} is not "
+                           f"supported; this version reads format_version {FORMAT_VERSION}")
     subjects = _manifest_field(manifest_path, "subject_count", manifest.get("subject_count", 0))
     entries = manifest.get("views", [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):

@@ -3,16 +3,14 @@
 A graph view is an (M, M, N) tensor X with symmetric frontal slices.
 :class:`GraphViewTensor` stores only each slice's plain upper triangle, an
 (M(M+1)/2, N) matrix X_p with one row per pair i <= j in the order of
-:func:`symmetric_index`, which the dataset reader and writer share (the
-packed storage of Schatz, Low, van de Geijn and Kolda, SIAM J. Sci. Comput.
-2014). This module alone decides what a valid view is: its entries are
-finite, and each frontal slice is asymmetric by at most DRIFT_TOL, float
-drift that is averaged away, since every slice is stored as its pair
-averages. :func:`as_views` checks and packs the views that the fitters,
-CP-ALS and the dataset writer take. :func:`pack_slice` measures and packs
-every symmetric slice: each block the dataset loader parses, and each
-frontal slice of a dense view. :func:`raise_on_faults` rejects both kinds
-of invalid view, for the loader and for :class:`GraphViewTensor` alike.
+:func:`symmetric_index` (the packed storage of Schatz, Low, van de Geijn and
+Kolda, SIAM J. Sci. Comput. 2014); a dataset's view file holds X_p as text,
+one row per line. This module alone decides what a valid view is: its
+entries are finite, and each frontal slice of a dense array is asymmetric by
+at most DRIFT_TOL, float drift that is averaged away, since every slice is
+stored as its pair averages. :func:`as_views` checks and packs the views
+that the fitters, CP-ALS and the dataset writer take. :func:`pack_slice`
+measures and packs each frontal slice of a dense view.
 
 MTTKRP kernel. For a rank-R CP model [[A, B, C]], with entries
 sum_r A[i, r] B[j, r] C[k, r], the mode-n MTTKRP contracts X with the
@@ -115,8 +113,7 @@ def pack_slice(s: np.ndarray, out: np.ndarray | None = None) -> tuple[float, boo
     given an M(M+1)/2 vector `out`, writes their averages (s[i, j] + s[j, i]) / 2
     there, so an exactly symmetric slice packs as its upper triangle, bit for
     bit. Where a sum of two finite entries overflows, the average is taken as
-    s[i, j] / 2 + s[j, i] / 2, so it stays finite. The loader's blocks and every
-    dense view's slices are checked here.
+    s[i, j] / 2 + s[j, i] / 2, so it stays finite.
     """
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"expected shape (M, M), got {s.shape}")
@@ -270,24 +267,10 @@ def check_partial_symmetry(tensor: np.ndarray, tol: float = DRIFT_TOL) -> tuple[
     Returns (ok, max_asymmetry) where max_asymmetry is the largest
     |t[i, j, n] - t[j, i, n]| over all entries (NaN if an entry is NaN).
     Each slice is measured by one :func:`pack_slice` scan, so no transposed
-    copy is allocated. Unlike :func:`raise_on_faults`, it never raises.
+    copy is allocated. Unlike :class:`GraphViewTensor`, it never raises.
     """
     max_asym = float(_scan_slices(_dense_view(tensor))[0].max(initial=0.0))
     return max_asym <= tol, max_asym
-
-
-def raise_on_faults(per_slice: np.ndarray, finite: bool) -> None:
-    """Raise for a scanned view's first fault: a non-finite entry, then asymmetry.
-
-    `per_slice` and `finite` are what :func:`pack_slice` gives for each
-    slice. Asymmetry beyond DRIFT_TOL names the worst slice.
-    """
-    if not finite:
-        raise ValueError("affinity entries must be finite")
-    asym = float(per_slice.max(initial=0.0))
-    if not asym <= DRIFT_TOL:
-        raise ValueError(f"frontal slice {int(np.argmax(per_slice))} is asymmetric by "
-                         f"{asym:.3g} (tolerance {DRIFT_TOL:.3g})")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -298,11 +281,11 @@ class GraphViewTensor:
     (M(M+1)/2, N) array in the order of :func:`symmetric_index`, about half
     the dense bytes. Construction from a dense (M, M, N) array, M and N at
     least 1, packs the pair averages (s[i, j] + s[j, i]) / 2 in one :func:`pack_slice`
-    scan per slice, and rejects non-finite entries or asymmetry beyond
-    DRIFT_TOL (:func:`raise_on_faults`), as the dataset loader does; an
-    exactly symmetric view is kept bit for bit, and `GraphViewTensor(x).data`
-    is x with each slice's drift averaged away. :meth:`from_packed` wraps rows
-    that are packed already. Instances are immutable and safe to share.
+    scan per slice, and rejects non-finite entries, then asymmetry beyond
+    DRIFT_TOL, naming the worst slice. An exactly symmetric view is kept bit
+    for bit, and `GraphViewTensor(x).data` is x with each slice's drift
+    averaged away. :meth:`from_packed` wraps rows that are packed already.
+    Instances are immutable and safe to share.
     """
 
     packed: np.ndarray
@@ -313,7 +296,13 @@ class GraphViewTensor:
             raise ValueError(f"expected shape (M, M, N), got {t.shape}")
         # the index is built before the rows: built after them, it raised peak RSS by 1 MB
         packed = np.empty((symmetric_index(t.shape[0])[0].size, t.shape[2]))
-        raise_on_faults(*_scan_slices(t, packed))
+        per_slice, finite = _scan_slices(t, packed)
+        if not finite:
+            raise ValueError("affinity entries must be finite")
+        asym = float(per_slice.max(initial=0.0))
+        if not asym <= DRIFT_TOL:
+            raise ValueError(f"frontal slice {int(np.argmax(per_slice))} is asymmetric by "
+                             f"{asym:.3g} (tolerance {DRIFT_TOL:.3g})")
         packed.flags.writeable = False
         object.__setattr__(self, "packed", packed)
 

@@ -13,10 +13,10 @@ from m2e.tensors import GraphViewTensor
 
 
 def _view_text(data):
-    """A view file in the documented format: blocks of "%.17g" rows, blank line between."""
-    blocks = ["\n".join(" ".join("%.17g" % x for x in row) for row in data[:, :, n])
-              for n in range(data.shape[2])]
-    return "\n\n".join(blocks) + "\n"
+    """A view file in the documented format: for each pair i <= j, a line of N "%.17g" numbers."""
+    m = data.shape[0]
+    return "".join(" ".join("%.17g" % x for x in data[i, j]) + "\n"
+                   for i in range(m) for j in range(i, m))
 
 
 @pytest.fixture
@@ -135,29 +135,10 @@ def test_load_rejects_duplicate_view_names(small_dataset):
 
 def test_block_count_mismatch_detected(small_dataset):
     path, _, _ = small_dataset
-    text = (path / "view1.txt").read_text()
-    blocks = text.strip().split("\n\n")
-    (path / "view1.txt").write_text("\n\n".join(blocks[:-1]) + "\n")
-    with pytest.raises(DatasetError, match="view1"):
+    rows = (path / "view1.txt").read_text().splitlines(keepends=True)
+    (path / "view1.txt").write_text("".join(rows[:-1]))
+    with pytest.raises(DatasetError, match=r"view 'view1': found 20 rows, manifest says 21 "):
         load_dataset(path)
-
-
-def test_asymmetric_slice_rejected_with_index(small_dataset):
-    path, views, _ = small_dataset
-    data = views[0].data.copy()
-    data[0, 1, 3] += 1.0  # break symmetry of block 3 only
-    (path / "view1.txt").write_text(_view_text(data))
-    with pytest.raises(DatasetError, match="slice 3"):
-        load_dataset(path)
-
-
-def test_small_asymmetry_is_symmetrized(small_dataset):
-    path, views, _ = small_dataset
-    data = views[0].data.copy()
-    data[0, 1, 0] += 1e-8
-    (path / "view1.txt").write_text(_view_text(data))
-    ds = load_dataset(path)
-    assert (ds.views[0].data == ds.views[0].data.transpose(1, 0, 2)).all()
 
 
 def test_view_file_bytes_follow_documented_format(small_dataset, tmp_path):
@@ -175,12 +156,8 @@ def test_near_symmetric_view_is_saved_as_its_pair_average(small_dataset, tmp_pat
     data = views[0].data.copy()
     data[0, 1, 2] += 1e-10
     save_dataset(tmp_path / "near", [GraphViewTensor(data)])
-    text = (tmp_path / "near" / "view1.txt").read_text()
-    for block in text.split("\n\n"):
-        tokens = [row.split() for row in block.splitlines()]
-        assert tokens == [list(col) for col in zip(*tokens)]
     average = (data + data.transpose(1, 0, 2)) / 2
-    assert text == _view_text(average)
+    assert (tmp_path / "near" / "view1.txt").read_text() == _view_text(average)
     loaded = load_dataset(tmp_path / "near").views[0].data
     assert loaded.tobytes() == average.tobytes()
 
@@ -199,12 +176,10 @@ def test_labels_file_bytes_are_one_integer_per_line(small_dataset):
 
 def test_ragged_row_rejected_with_view_and_block(small_dataset):
     path, _, _ = small_dataset
-    blocks = (path / "view1.txt").read_text().split("\n\n")
-    rows = blocks[2].split("\n")
-    rows[1] = rows[1].rsplit(" ", 1)[0]  # drop the last number of one row
-    blocks[2] = "\n".join(rows)
-    (path / "view1.txt").write_text("\n\n".join(blocks))
-    with pytest.raises(DatasetError, match="view 'view1': unparsable block 2"):
+    rows = (path / "view1.txt").read_text().split("\n")
+    rows[17] = rows[17].rsplit(" ", 1)[0]  # drop the last number of a row past the first parse
+    (path / "view1.txt").write_text("\n".join(rows))
+    with pytest.raises(DatasetError, match="view 'view1': line 18 is not 8 numbers"):
         load_dataset(path)
 
 
@@ -212,7 +187,7 @@ def test_comment_text_in_view_file_rejected(small_dataset):
     path, _, _ = small_dataset
     text = (path / "view1.txt").read_text()
     (path / "view1.txt").write_text(text.replace("\n", " # note\n", 1))
-    with pytest.raises(DatasetError, match="view 'view1': unparsable block 0"):
+    with pytest.raises(DatasetError, match="view 'view1': line 1 is not 8 numbers"):
         load_dataset(path)
 
 
@@ -232,9 +207,11 @@ def test_label_out_of_range_or_non_integer_names_file(small_dataset, bad):
 def test_labels_that_save_accepts_load_unchanged(tmp_path):
     values = [-1, 0, 1, 2, 2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1, 1.0, 1.5, 2.0**62, 1e20]
     rng = np.random.default_rng(14)
+    draws = [[2**53 + 1, 1.0]] + [[values[i] for i in rng.integers(len(values),
+                                                                  size=rng.integers(1, 4))]
+                                  for _ in range(300)]
     saved = 0
-    for _ in range(300):
-        given = [values[i] for i in rng.integers(len(values), size=rng.integers(1, 4))]
+    for given in draws:
         for labels in (given, np.asarray(given)):
             path = tmp_path / f"labels{saved}.txt"
             try:
@@ -242,7 +219,11 @@ def test_labels_that_save_accepts_load_unchanged(tmp_path):
             except ValueError:
                 assert not path.exists()
                 continue
-            assert load_labels(path).tolist() == as_labels(labels).tolist()
+            # a list keeps its values exactly; an array holds what its dtype made of them
+            expected = [int(x) for x in (labels.tolist() if isinstance(labels, np.ndarray)
+                                         else labels)]
+            assert as_labels(labels).tolist() == expected
+            assert load_labels(path).tolist() == expected
             saved += 1
     assert 100 < saved < 500
 
@@ -281,7 +262,8 @@ def test_manifest_entry_without_matrix_file(small_dataset):
 def test_manifest_without_views(tmp_path):
     d = tmp_path / "empty"
     d.mkdir()
-    (d / "manifest.json").write_text(json.dumps({"subject_count": 3, "views": []}))
+    (d / "manifest.json").write_text(json.dumps({"format_version": 2, "subject_count": 3,
+                                                 "views": []}))
     with pytest.raises(DatasetError, match="views"):
         load_dataset(d)
 
@@ -335,15 +317,16 @@ def test_dataset_view_files_reparse_exactly(small_dataset):
 
 
 # --------------------------------------------------------------------------
-# the streaming view parser: outcomes it shares with a whole-file parse
+# view file layouts and faults, on a 2-node, 2-subject view: slices [[1, 2], [2, 3]]
+# and [[4, 5], [5, 6]], whose pairs (0, 0), (0, 1), (1, 1) are the rows below
 
-A2, B2 = "1 2\n2 3\n", "4 5\n5 6\n"  # two 2 x 2 blocks
+ROWS = "1.0 4.0\n2.0 5.0\n3.0 6.0\n"
 
 
-def _two_node_dataset(root, text, nodes=2, subjects=2):
+def _two_node_dataset(root, text, nodes=2, subjects=2, version=2):
     root.mkdir()
     (root / "manifest.json").write_text(json.dumps({
-        "format_version": 1, "subject_count": subjects,
+        "format_version": version, "subject_count": subjects,
         "views": [{"name": "view1", "node_count": nodes, "subject_count": subjects,
                    "matrix_file": "view1.txt"}],
     }))
@@ -352,14 +335,10 @@ def _two_node_dataset(root, text, nodes=2, subjects=2):
 
 
 @pytest.mark.parametrize("text", [
-    (A2 + "\n" + B2).replace("\n", "\r\n"),
-    "1 2\n  \t\n2 3\n\n4 5\n5 6\n",
-    A2 + "\n\n" + B2,
-    A2 + "\n\n\n\n" + B2,
-    "\n\n" + A2 + "\n" + B2 + "\n\n",
-    "  \n" + A2 + "\n" + B2.rstrip("\n"),
-], ids=["crlf", "whitespace-line-inside-a-block", "two-empty-lines", "four-empty-lines",
-        "leading-and-trailing-empty-lines", "leading-whitespace-line-no-final-newline"])
+    ROWS.replace("\n", "\r\n"),
+    ROWS.rstrip("\n"),
+    " 1.0\t4.0 \n2.0  5.0\n\t3.0 6.0\n",
+], ids=["crlf", "no-final-newline", "spaces-and-tabs-around-numbers"])
 def test_view_file_layouts_that_load(tmp_path, text):
     ds = load_dataset(_two_node_dataset(tmp_path / "ds", text))
     np.testing.assert_array_equal(ds.views[0].data[:, :, 0], [[1, 2], [2, 3]])
@@ -367,22 +346,38 @@ def test_view_file_layouts_that_load(tmp_path, text):
 
 
 @pytest.mark.parametrize("text, nodes, subjects, message", [
-    (A2 + " \n" + B2, 2, 2, "found 1 matrix blocks, manifest says 2"),
-    (A2 + "\n" + B2 + "\n" + A2, 2, 2, "found 3 matrix blocks, manifest says 2"),
-    (A2 + "\n" + B2 + "\nx y\n", 2, 2, "found 3 matrix blocks, manifest says 2"),
-    ("1 2\n\n" + B2, 2, 2, r"block 0 has shape \(1, 2\), manifest says \(2, 2\)"),
-    ("1 2\n2\n\n" + B2, 2, 2, "unparsable block 0: "),
-    ("1 2 # x\n2 3\n\n" + B2, 2, 2, "unparsable block 0: "),
-    (A2 + "\n" + B2, 2, 10 ** 12, "found 2 matrix blocks, manifest says 1000000000000"),
-    (A2 + "\n" + B2, 10 ** 6, 2, r"block 0 has shape \(2, 2\), manifest says \(1000000, "),
-], ids=["whitespace-line-between-blocks", "three-blocks", "unparsed-third-block",
-        "one-row-block", "ragged-row", "comment-text", "huge-subject-count",
-        "huge-node-count"])
+    ("1.0 4.0\n\n2.0 5.0\n3.0 6.0\n", 2, 2, "line 2 is not 2 numbers"),
+    ("1.0 4.0\n \t\n2.0 5.0\n3.0 6.0\n", 2, 2, "line 2 is not 2 numbers"),
+    (ROWS + "\n", 2, 2, "line 4 is not 2 numbers"),
+    ("1.0 4.0\n2.0\n3.0 6.0\n", 2, 2, "line 2 is not 2 numbers"),
+    ("1.0 4.0 # x\n2.0 5.0\n3.0 6.0\n", 2, 2, "line 1 is not 2 numbers"),
+    ("1.0 4.0\n2.0 x\n3.0 6.0\n", 2, 2, "line 2 is not 2 numbers"),
+    ("1.0 4.0\n2.0 5.0\n3.0 \xff6.0\n", 2, 2, "line 3 is not 2 numbers"),
+    ("1 4 7\n2 5 8\n3 6 9\n", 2, 2, "line 1 is not 2 numbers"),
+    (ROWS + "7.0 8.0\n", 2, 2, r"found 4 rows, manifest says 3 \(2 nodes\)"),
+    ("1.0 4.0\n2.0 5.0\n", 2, 2, r"found 2 rows, manifest says 3 \(2 nodes\)"),
+    ("1 4\n2 5\n", 2, 2, "matrix file .* is too short for 3 rows of 2 numbers"),
+    (ROWS, 2, 10 ** 12, "matrix file .* is too short for 3 rows of 1000000000000 numbers"),
+    (ROWS, 10 ** 6, 2, "matrix file .* is too short for 500000500000 rows of 2 numbers"),
+], ids=["blank-line", "whitespace-line", "trailing-blank-line", "ragged-row", "comment-text",
+        "unparsable-number", "non-ascii-byte", "wrong-subject-count", "too-many-rows", "too-few-rows",
+        "too-short", "huge-subject-count", "huge-node-count"])
 def test_view_file_faults_and_their_messages(tmp_path, text, nodes, subjects, message):
     path = _two_node_dataset(tmp_path / "ds", text, nodes, subjects)
     for load in (load_dataset, lambda p: load_dataset_view(p, 0)):
         with pytest.raises(DatasetError, match=f"view 'view1': {message}"):
             load(path)
+
+
+@pytest.mark.parametrize("version", [1, 3, "2", None], ids=["1", "3", "text-2", "missing"])
+def test_manifest_of_another_format_version_is_rejected(tmp_path, version):
+    path = _two_node_dataset(tmp_path / "ds", ROWS, version=version)
+    for load in (load_dataset, load_dataset_labels, lambda p: load_dataset_view(p, 0)):
+        with pytest.raises(DatasetError) as err:
+            load(path)
+        assert str(err.value) == (f"manifest {path / 'manifest.json'}: format_version "
+                                  f"{version!r} is not supported; this version reads "
+                                  f"format_version 2")
 
 
 def test_hiv_shape_round_trip_is_bit_exact(tmp_path):
@@ -397,11 +392,11 @@ def test_hiv_shape_round_trip_is_bit_exact(tmp_path):
 def test_loader_and_constructor_pack_and_reject_alike(tmp_path):
     w = np.random.default_rng(12).standard_normal((6, 6, 4))
     x = w + w.transpose(1, 0, 2)
-    x[1, 4, 1] += 1e-9  # inside both symmetry tolerances
+    x[1, 4, 1] += 1e-9  # inside the symmetry tolerance
     x[0, 2, 3], x[2, 0, 3] = 3e-320, 5e-324  # a subnormal pair, averaged
     x[1, 5, 3] = x[5, 1, 3] = 1.5e308  # a finite pair whose sum overflows
-    path = _two_node_dataset(tmp_path / "ds", _view_text(x), nodes=6, subjects=4)
-    packed = load_dataset_view(path, 0)[1].packed
+    save_dataset(tmp_path / "ds", [x])
+    packed = load_dataset_view(tmp_path / "ds", 0)[1].packed
     assert packed.tobytes() == GraphViewTensor(x).packed.tobytes()
     dense = GraphViewTensor.from_packed(packed).data
     assert (dense[0, 2, 3], dense[1, 5, 3]) == ((3e-320 + 5e-324) / 2.0, 1.5e308)
@@ -409,10 +404,11 @@ def test_loader_and_constructor_pack_and_reject_alike(tmp_path):
     nan, skew = x.copy(), x.copy()
     nan[3, 1, 2] = np.nan
     skew[5, 0, 2] += 1e-3
-    for bad, message in ((nan, "finite"), (skew, r"frontal slice 2 is asymmetric by 0\.001 ")):
-        (path / "view1.txt").write_text(_view_text(bad))
-        with pytest.raises(DatasetError, match=message):
-            load_dataset_view(path, 0)
+    for bad, message in ((nan, "affinity entries must be finite"),
+                         (skew, r"frontal slice 2 is asymmetric by 0\.001 ")):
+        with pytest.raises(DatasetError, match=f"view 0: {message}"):
+            save_dataset(tmp_path / "bad", [bad])
+        assert not (tmp_path / "bad").exists()
         with pytest.raises(ValueError, match=message):
             GraphViewTensor(bad)
 
@@ -436,12 +432,11 @@ def test_every_path_accepts_and_packs_the_same_slices_alike(tmp_path, case):
         x[1, 4, 2], x[4, 1, 2] = defect, 0.0  # asymmetric by exactly `defect`
     else:
         x[3, 1, 2] = defect
-    text = _two_node_dataset(tmp_path / "text", _view_text(x), nodes=5, subjects=3)
     config = M2eConfig(rank=2, max_outer_iters=3)
 
-    def saved():
+    def saved(load):
         save_dataset(tmp_path / "saved", [x])
-        return load_dataset(tmp_path / "saved").views[0].packed
+        return load(tmp_path / "saved").packed
 
     def fitted():
         fit = m2e_fit([x], config)
@@ -451,8 +446,8 @@ def test_every_path_accepts_and_packs_the_same_slices_alike(tmp_path, case):
     paths = {
         "GraphViewTensor": ("", lambda: GraphViewTensor(x).packed),
         "m2e_fit": ("view 0: ", fitted),
-        "save_dataset": ("view 0: ", saved),
-        "load_dataset_view": ("view 'view1': ", lambda: load_dataset_view(text, 0)[1].packed),
+        "load_dataset": ("view 0: ", lambda: saved(lambda p: load_dataset(p).views[0])),
+        "load_dataset_view": ("view 0: ", lambda: saved(lambda p: load_dataset_view(p, 0)[1])),
     }
     results = {}
     for name, (prefix, call) in paths.items():
@@ -467,7 +462,7 @@ def test_every_path_accepts_and_packs_the_same_slices_alike(tmp_path, case):
         assert not (tmp_path / "saved").exists()
         return
     packed = results["GraphViewTensor"]
-    for name in ("save_dataset", "load_dataset_view"):
+    for name in ("load_dataset", "load_dataset_view"):
         assert results[name].tobytes() == packed.tobytes(), name
     expected = m2e_fit([GraphViewTensor.from_packed(packed)], config)
     for got, want in zip(results["m2e_fit"], (expected.consensus, *expected.node_factors,
