@@ -8,9 +8,10 @@ rows, checked against its einsum definition.
 """
 import numpy as np
 
-from m2e import GraphViewTensor, check_partial_symmetry
-from m2e.tensors import (cp_reconstruct, frobenius_norm, khatri_rao, mttkrp_from_partial,
-                         packed_energy, packed_mode3_mttkrp, packed_partial_mttkrp)
+from m2e import GraphViewTensor
+from m2e.tensors import (check_partial_symmetry, cp_reconstruct, frobenius_norm, khatri_rao,
+                         mttkrp_from_partial, packed_energy, packed_mode3_mttkrp,
+                         packed_partial_mttkrp)
 
 rng = np.random.default_rng(0)
 

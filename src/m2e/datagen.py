@@ -2,10 +2,11 @@
 
 Each view draws its own node factor and its own cluster centroids in
 subject-factor space; only the cluster memberships are shared across
-views. Affinities follow the low-rank model W_n = H diag(f_n) H^T with
-additive symmetrized noise, so every generated slice is exactly symmetric
-and, in the noiseless limit, the generating factors are an exact optimum
-for the solver.
+views. Affinities follow the low-rank model W_n = H diag(f_n) H^T plus
+symmetric noise, each pair i <= j drawn once: N(0, sigma^2) on the diagonal
+and N(0, sigma^2 / 2) off it, the law of the pair average (z_ij + z_ji) / 2 of
+i.i.d. N(0, sigma^2) noise. So every slice is exactly symmetric and, in the
+noiseless limit, the generating factors are an exact optimum for the solver.
 """
 from __future__ import annotations
 
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import GraphViewTensor, symmetric_index
+from .tensors import GraphViewTensor
 
-_SIGNAL_ROWS = 8  # node rows, and columns, of the signal computed at a time
+_NOISE_ROWS = 256  # packed rows of noise drawn at a time; the view does not depend on it
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,8 @@ class SyntheticSpec:
     `cluster_sizes` must sum to `subjects`; `separation` is the exact
     pairwise distance between cluster centroids in subject-factor space,
     `jitter` the per-subject factor spread around its centroid and
-    `noise_sigma` the std of the additive affinity noise (applied before
-    symmetrization).
+    `noise_sigma` the std of the additive affinity noise before its pair
+    average: a diagonal entry has std sigma, an off-diagonal one sigma / sqrt(2).
     """
 
     views: int = 2
@@ -78,46 +79,23 @@ def generate(spec: SyntheticSpec) -> tuple[list[GraphViewTensor], np.ndarray]:
 
 
 def _draw_view(spec: SyntheticSpec, v: int, labels: np.ndarray) -> GraphViewTensor:
-    """View v of `spec`, written straight into its packed rows.
+    """View v of `spec`, drawn straight into its packed rows.
 
-    Bit for bit x_ij = ((s_ij + a_ij) + (s_ji + a_ij)) / 2 for the signal
-    s = einsum("ir,jr,nr->ijn", h, h, f) and the noise average
-    a_ij = (z_ij + z_ji) / 2 of one (M, M, N) draw z, as the dense form
-    computes it, holding one node row of z and _SIGNAL_ROWS of s at a time.
+    Row e is the pair (i, j), i <= j, of `np.triu_indices`, the order of
+    `symmetric_index`: sum_r h_ir h_jr f_nr for each subject n, one GEMM, plus noise.
     """
     rng = np.random.default_rng([spec.seed, v])
     h = rng.standard_normal((spec.nodes, spec.latent_rank))
     centroids = _centroids(rng, spec.n_clusters, spec.latent_rank, spec.separation)
     subject_factors = centroids[labels - 1] + spec.jitter * rng.standard_normal(
         (spec.subjects, spec.latent_rank))
-    m = spec.nodes
-    sym = symmetric_index(m)[2]
-    starts = sym[::m + 1]  # the packed row of pair (i, i); pairs (i, j > i) follow it
-    rows = np.empty((m * (m + 1) // 2, spec.subjects))
+    i, j = np.triu_indices(spec.nodes)
+    rows = (h[i] * h[j]) @ subject_factors.T
     if spec.noise_sigma > 0:
-        # z_ij lands on pair (i, j) for j >= i and is added to pair (j, i) for j < i
-        for i in range(m):
-            z = rng.normal(0.0, spec.noise_sigma, (m, spec.subjects))
-            rows[starts[i]:starts[i] + m - i] = z[i:]
-            rows[sym[i * m:i * m + i]] += z[:i]
-        rows[starts] *= 2.0  # z_ii + z_ii
-        rows /= 2.0
-    # the path einsum picks for the full shapes: on a block it may pick
-    # another, and s is not bitwise symmetric, so s_ji is taken as computed
-    path = np.einsum_path("ir,jr,nr->ijn", h, h, subject_factors, optimize=True)[0]
-    for i0 in range(0, m, _SIGNAL_ROWS):
-        block = slice(i0, i0 + _SIGNAL_ROWS)
-        s_rows = np.einsum("ir,jr,nr->ijn", h[block], h, subject_factors, optimize=path)
-        s_cols = np.einsum("ir,jr,nr->ijn", h, h[block], subject_factors, optimize=path)
-        for i in range(i0, min(i0 + _SIGNAL_ROWS, m)):
-            out = rows[starts[i]:starts[i] + m - i]
-            s_ij, s_ji = s_rows[i - i0, i:], s_cols[i:, i - i0]
-            if spec.noise_sigma > 0:
-                np.add(s_ij + out, s_ji + out, out=out)
-            else:
-                np.add(s_ij, s_ji, out=out)
-            out /= 2.0
-        del s_rows, s_cols, s_ij, s_ji  # freed before the next block's are computed
+        std = np.where(i == j, spec.noise_sigma, spec.noise_sigma / np.sqrt(2.0))[:, None]
+        for start in range(0, len(rows), _NOISE_ROWS):
+            sd = std[start:start + _NOISE_ROWS]
+            rows[start:start + len(sd)] += sd * rng.standard_normal((len(sd), spec.subjects))
     return GraphViewTensor.from_packed(rows)
 
 

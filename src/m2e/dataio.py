@@ -222,9 +222,11 @@ def _read_manifest(path: Path | str):
     if not manifest_path.exists():
         raise DatasetError(f"manifest {manifest_path} is missing")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"manifest does not parse: {exc}") from exc
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise DatasetError(f"manifest {manifest_path}: does not parse as JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DatasetError(f"manifest {manifest_path}: the top level must be a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise DatasetError(f"manifest {manifest_path}: format_version {version!r} is not "

@@ -3,11 +3,14 @@
 The package holds every graph view packed and has no dense unfolding or
 dense MTTKRP. These are the textbook definitions, on dense (I, J, K)
 tensors whose slices need not be symmetric. The label matcher solves one
-assignment problem; the exhaustive searches below are its references.
+assignment problem; the exhaustive searches below are its references. The
+generator draws packed rows; `dense_generate` builds the same views densely.
 """
 import itertools
 
 import numpy as np
+
+from m2e.datagen import _centroids
 
 
 def matricize(tensor, mode):
@@ -69,3 +72,30 @@ def best_assignment_hits(contingency):
                     grown[key] = max(grown.get(key, -1), hits + int(contingency[i, j]))
         best = grown
     return best[(1 << k) - 1]
+
+
+def dense_generate(spec):
+    """`m2e.datagen.generate`'s (views, labels) from the same draws, as dense (M, M, N) arrays.
+
+    Slice n is H diag(f_n) H^T, by einsum, plus noise whose pair i <= j takes
+    the next N(0, 1) draw in the order of `np.triu_indices`, times sigma on
+    the diagonal and sigma / sqrt(2) off it, in both (i, j) and (j, i).
+    """
+    labels = np.repeat(np.arange(1, spec.n_clusters + 1), np.asarray(spec.cluster_sizes))
+    views = []
+    for v in range(spec.views):
+        rng = np.random.default_rng([spec.seed, v])
+        h = rng.standard_normal((spec.nodes, spec.latent_rank))
+        centroids = _centroids(rng, spec.n_clusters, spec.latent_rank, spec.separation)
+        subject_factors = centroids[labels - 1] + spec.jitter * rng.standard_normal(
+            (spec.subjects, spec.latent_rank))
+        x = np.einsum("ir,jr,nr->ijn", h, h, subject_factors)
+        if spec.noise_sigma > 0:
+            i, j = np.triu_indices(spec.nodes)
+            z = rng.standard_normal((i.size, spec.subjects))
+            noise = np.empty_like(x)
+            noise[i, j] = noise[j, i] = np.where(i == j, 1.0, np.sqrt(0.5))[:, None] * (
+                spec.noise_sigma * z)
+            x += noise
+        views.append(x)
+    return views, labels

@@ -2,8 +2,8 @@
 
 Each bound is in units of the dense view bytes a call takes or returns. The
 shape, 64 nodes x 48 subjects, makes a view 1.5 MB, so numpy's fixed buffers
-and one parsed block are small beside it. A GraphViewTensor holds its view
-packed, in PACKED of those bytes.
+and the few lines of text the loader parses at a time are small beside it. A
+GraphViewTensor holds its view packed, in PACKED of those bytes.
 """
 import tracemalloc
 
@@ -54,7 +54,7 @@ def factors(views):
 # or stacked copy, breaks each bound.
 BOUNDS = {
     "load_dataset": (lambda d, v, x, f: load_dataset(d), 1.2 * 2),
-    # the packed rows it returns, plus one block of text
+    # the packed rows it returns, plus a few lines of text
     "load_dataset_view": (lambda d, v, x, f: load_dataset_view(d, 1), 0.6),
     "save_dataset": (lambda d, v, x, f: save_dataset(d.parent / "out", v[:1]), 0.5),
     "check_partial_symmetry": (lambda d, v, x, f: check_partial_symmetry(x), 0.25),
@@ -62,10 +62,10 @@ BOUNDS = {
     # a few node rows of the residual at a time; no dense view or model
     "cp_relative_error": (lambda d, v, x, f: cp_relative_error(v[0], f), 0.2),
     "cp_als_fit": (lambda d, v, x, f: cp_als_fit(v[0], AlsOptions(rank=3, max_iters=5)), 0.3),
-    # the packed view it loads, plus one block of text, then the fit and its error
+    # the packed view it loads, plus a few lines of text, then the fit and its error
     "run_cp": (lambda d, v, x, f: run_cp(d, 1, AlsOptions(rank=3, max_iters=5),
                                          d.parent / "cp"), 0.8),
-    # the two packed views it returns, plus a few node rows of signal
+    # the two packed views it returns, plus the pair products and a block of noise rows
     "generate": (lambda d, v, x, f: generate(SPEC), 2 * PACKED + 0.45),
     # the passes, and the spectral start's Gram over a few slices at a time
     "m2e_fit": (lambda d, v, x, f: m2e_fit(v, M2eConfig(rank=SPEC.latent_rank, seed=4,

@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from m2e import datagen
 from m2e.datagen import (SyntheticSpec, _centroids, bp_shape_preset, generate,
                          hiv_shape_preset)
 from m2e.solver import M2eConfig, m2e_fit
 from m2e.tensors import check_partial_symmetry
+from oracles import dense_generate
 
 
 def test_single_cluster_no_noise_gives_identical_slices():
@@ -97,24 +99,6 @@ def test_spec_validation():
         SyntheticSpec(separation=-1.0)
 
 
-def dense_generate(spec):
-    """The generator's arithmetic with full-size temporaries: the reference for `generate`."""
-    labels = np.repeat(np.arange(1, spec.n_clusters + 1), np.asarray(spec.cluster_sizes))
-    views = []
-    for v in range(spec.views):
-        rng = np.random.default_rng([spec.seed, v])
-        h = rng.standard_normal((spec.nodes, spec.latent_rank))
-        centroids = _centroids(rng, spec.n_clusters, spec.latent_rank, spec.separation)
-        subject_factors = centroids[labels - 1] + spec.jitter * rng.standard_normal(
-            (spec.subjects, spec.latent_rank))
-        x = np.einsum("ir,jr,nr->ijn", h, h, subject_factors, optimize=True)
-        if spec.noise_sigma > 0:
-            noise = rng.normal(0.0, spec.noise_sigma, (spec.nodes, spec.nodes, spec.subjects))
-            x = x + (noise + noise.transpose(1, 0, 2)) / 2.0
-        views.append((x + x.transpose(1, 0, 2)) / 2.0)
-    return views, labels
-
-
 @pytest.mark.parametrize("spec", [
     SyntheticSpec(seed=7),
     SyntheticSpec(noise_sigma=0.0, seed=7),
@@ -124,9 +108,27 @@ def dense_generate(spec):
     dataclasses.replace(bp_shape_preset(), seed=10),
 ], ids=["default", "noiseless", "nodes-19", "hiv", "hiv-noiseless", "bp"])
 def test_generate_matches_the_dense_arithmetic_bit_for_bit(spec):
+    # the labels bit for bit; the views to rounding, as the signal sums in another order
     views, labels = generate(spec)
     expected, expected_labels = dense_generate(spec)
     np.testing.assert_array_equal(labels, expected_labels)
     for got, want in zip(views, expected):
-        assert got.data.tobytes() == want.tobytes()
-        assert got.data.flags.c_contiguous  # the oracle's noiseless hiv view is not
+        assert np.abs(got.data - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_noise_is_sigma_on_the_diagonal_and_sigma_over_root_two_off_it():
+    spec = dataclasses.replace(hiv_shape_preset(), separation=0.0, jitter=0.0, seed=11)
+    views, _ = generate(spec)  # the signal is 0, so the rows are noise alone
+    i, j = np.triu_indices(spec.nodes)
+    rows = np.hstack([v.packed for v in views])
+    for pairs, variance in ((i == j, spec.noise_sigma ** 2),
+                            (i != j, spec.noise_sigma ** 2 / 2)):
+        assert np.mean(rows[pairs] ** 2) == pytest.approx(variance, rel=0.05)
+
+
+def test_views_do_not_depend_on_the_noise_block_size(monkeypatch):
+    spec = dataclasses.replace(hiv_shape_preset(), seed=12)
+    expected = [v.packed.tobytes() for v in generate(spec)[0]]
+    for rows in (1, 10 ** 9):
+        monkeypatch.setattr(datagen, "_NOISE_ROWS", rows)
+        assert [v.packed.tobytes() for v in generate(spec)[0]] == expected

@@ -268,6 +268,23 @@ def test_manifest_without_views(tmp_path):
         load_dataset(d)
 
 
+@pytest.mark.parametrize("content, fault", [
+    (b"[]", "the top level must be a JSON object"),
+    (b"null", "the top level must be a JSON object"),
+    (b"2", "the top level must be a JSON object"),
+    (b'"manifest"', "the top level must be a JSON object"),
+    (b"{", "does not parse as JSON: "),
+    (b'\xff{"format_version": 2}', "does not parse as JSON: "),
+], ids=["list", "null", "number", "string", "truncated", "not-utf-8"])
+def test_manifest_that_is_not_a_json_object_names_the_manifest(small_dataset, content, fault):
+    path, _, _ = small_dataset
+    (path / "manifest.json").write_bytes(content)
+    for load in (load_dataset, load_dataset_labels, lambda p: load_dataset_view(p, 0)):
+        with pytest.raises(DatasetError) as err:
+            load(path)
+        assert str(err.value).startswith(f"manifest {path / 'manifest.json'}: {fault}")
+
+
 @pytest.mark.parametrize("field, value", [
     ("subject_count", "four"),
     ("subject_count", [4]),
