@@ -9,9 +9,8 @@ rows, checked against its einsum definition.
 import numpy as np
 
 from m2e import GraphViewTensor
-from m2e.tensors import (check_partial_symmetry, cp_reconstruct, frobenius_norm, khatri_rao,
-                         mttkrp_from_partial, packed_energy, packed_mode3_mttkrp,
-                         packed_partial_mttkrp)
+from m2e.tensors import (cp_reconstruct, frobenius_norm, khatri_rao, mttkrp_from_partial,
+                         packed_energy, packed_mode3_mttkrp, packed_partial_mttkrp)
 
 rng = np.random.default_rng(0)
 
@@ -43,15 +42,16 @@ print(f"khatri-rao gram identity: max gap {gap:.2e}")
 
 # MTTKRP (tensor times Khatri-Rao product) is where every fit spends its
 # time. The kernel reads a view's packed rows twice per sweep: pass 1
-# contracts the subject mode once and serves both node modes, pass 2 is
-# one GEMM for the subject mode. Each matches its einsum definition, also
-# when the first two factors differ, as CP-ALS's do.
+# contracts the subject mode once, and its slices are symmetric, so one
+# contraction of it serves either node mode, given the other node mode's
+# factor; pass 2 is one GEMM for the subject mode. Each matches its einsum
+# definition, also when the first two factors differ, as CP-ALS's do.
 x = rng.standard_normal((6, 6, 5))
 x = x + x.transpose(1, 0, 2)
 xp = GraphViewTensor(x).packed
 f1, f2, f3 = rng.standard_normal((6, 3)), rng.standard_normal((6, 3)), rng.standard_normal((5, 3))
 y = packed_partial_mttkrp(xp, f3)  # pass 1, shape (R, M, M)
-kernel = {1: mttkrp_from_partial(y, f2, 1), 2: mttkrp_from_partial(y, f1, 2),
+kernel = {1: mttkrp_from_partial(y, f2), 2: mttkrp_from_partial(y, f1),
           3: packed_mode3_mttkrp(xp, f1, f2)}  # pass 2 for mode 3
 oracle = {1: np.einsum("ijk,jr,kr->ir", x, f2, f3), 2: np.einsum("ijk,ir,kr->jr", x, f1, f3),
           3: np.einsum("ijk,ir,jr->kr", x, f1, f2)}
@@ -61,8 +61,12 @@ for mode in (1, 2, 3):
 print(f"energy from packed rows vs dense: {packed_energy(xp):.6f} vs {np.vdot(x, x):.6f}")
 
 # Equal factors in the first two modes give symmetric slices, which is the
-# invariant every graph view must satisfy.
+# invariant every graph view must satisfy: GraphViewTensor accepts such a
+# model, and rejects one whose first two factors differ, naming its worst slice.
 sym_model = cp_reconstruct((a, a, c))
-ok, asym = check_partial_symmetry(sym_model, 1e-12)
-print(f"slices symmetric: {ok} (max asymmetry {asym:.1e}, "
-      f"norm {frobenius_norm(sym_model):.3f})")
+print(f"model with a = b accepted as a view of shape {GraphViewTensor(sym_model).shape}, "
+      f"norm {frobenius_norm(sym_model):.3f}")
+try:
+    GraphViewTensor(model)
+except ValueError as exc:
+    print(f"model with a != b rejected: {exc}")

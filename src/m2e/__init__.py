@@ -6,10 +6,9 @@ model, and clusters the shared subject embedding. The root exports what a
 user calls: the fitters and their results, CP-ALS, clustering and
 metrics, the synthetic generator, dataset I/O and the experiment drivers.
 Kernels and block-level helpers stay importable from their modules:
-Khatri-Rao, the MTTKRP passes and the view checks :func:`as_views` and
-:func:`check_partial_symmetry` from :mod:`m2e.tensors`; the iterate, the
-objective, block systems and the spectral start from :mod:`m2e.solver`;
-Lloyd iterations from :mod:`m2e.cluster`.
+Khatri-Rao, the MTTKRP passes and the view check :func:`as_views` from
+:mod:`m2e.tensors`; the iterate, the objective, block systems and the
+spectral start from :mod:`m2e.solver`; Lloyd iterations from :mod:`m2e.cluster`.
 """
 
 from .cluster import (BinaryMetrics, ClusteringReport, KmeansResult, LabelMatch,

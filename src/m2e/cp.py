@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import SolverNumericsError
+from .solver import SolverNumericsError, _require_integers
 from .tensors import (GraphViewTensor, as_views, cp_reconstruct, cp_squared_error,
                       mttkrp_from_partial, packed_energy, packed_mode3_mttkrp,
                       packed_partial_mttkrp, ridge_solve, symmetric_index)
@@ -60,6 +60,7 @@ class AlsOptions:
     seed: int = 0
 
     def __post_init__(self):
+        _require_integers(self, "rank", "max_iters", "seed")
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if self.max_iters < 1:
@@ -151,8 +152,8 @@ def cp_als_fit(tensor: GraphViewTensor | np.ndarray, opts: AlsOptions) -> CpFit:
     converged = False
     for it in range(opts.max_iters):
         y = packed_partial_mttkrp(xp, c)  # modes 1 and 2 leave c fixed
-        a = ridge_solve((c.T @ c) * (b.T @ b), mttkrp_from_partial(y, b, 1))
-        b = ridge_solve((c.T @ c) * (a.T @ a), mttkrp_from_partial(y, a, 2))
+        a = ridge_solve((c.T @ c) * (b.T @ b), mttkrp_from_partial(y, b))
+        b = ridge_solve((c.T @ c) * (a.T @ a), mttkrp_from_partial(y, a))
         g = packed_mode3_mttkrp(xp, a, b)
         c = ridge_solve((b.T @ b) * (a.T @ a), g)
         sq = cp_squared_error(energy, g, a, b, c)

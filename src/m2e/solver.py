@@ -44,6 +44,14 @@ class SolverNumericsError(RuntimeError):
         self.iteration = iteration
 
 
+def _require_integers(config, *names: str) -> None:
+    """Raise ValueError naming the first field of `names` that is not an integer; 4.0 is not."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class M2eConfig:
     """Solver configuration.
@@ -61,6 +69,7 @@ class M2eConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_integers(self, "rank", "max_outer_iters", "seed")
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if self.lambdas is not None:
@@ -118,9 +127,9 @@ class M2eSolution:
 # equations M A = B and is ridge_solve(A, B). The systems take the view's
 # MTTKRPs from the two-pass kernel in m2e.tensors, so each outer iteration
 # reads a view's packed rows X_p twice: pass 1, packed_partial_mttkrp(X_p, F),
-# serves the node and aux systems, since F is fixed during both; pass 2,
-# packed_mode3_mttkrp(X_p, H, P), serves the subject system and the
-# objective's cross term.
+# serves node_system in both the node and the aux step, since F is fixed
+# during both; pass 2, packed_mode3_mttkrp(X_p, H, P), serves the subject
+# system and the objective's cross term.
 
 
 def quadratic_objective(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -128,25 +137,17 @@ def quadratic_objective(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("ij,jk,ik->", m, a, m) - 2.0 * np.einsum("ij,ij->", b, m))
 
 
-def node_system(y: np.ndarray, p: np.ndarray, f: np.ndarray, u: np.ndarray, mu: float):
-    """Quadratic (A, B) for the node-factor block given aux copy p, subject f.
+def node_system(y: np.ndarray, other: np.ndarray, f: np.ndarray, u: np.ndarray, mu: float):
+    """Quadratic (A, B) for one copy of a view's node factor, given the other copy and subject f.
 
-    `y` is the view's pass-1 product packed_partial_mttkrp(X_p, f).
+    `y` is the view's pass-1 product packed_partial_mttkrp(X_p, f). With symmetric
+    slices the data term ||X - [[h, p, f]]||^2 is unchanged when the copies h
+    and p swap, and the coupling term only flips the sign of u: the node step
+    passes (p, u), the aux step (h, -u).
     """
-    r = p.shape[1]
-    a = (f.T @ f) * (p.T @ p) + scaled_identity(r, 0.5 * mu)
-    b = mttkrp_from_partial(y, p, 1) + 0.5 * (mu * p - u)
-    return a, b
-
-
-def aux_system(y: np.ndarray, h: np.ndarray, f: np.ndarray, u: np.ndarray, mu: float):
-    """Quadratic (A, B) for the auxiliary node copy given node factor h.
-
-    `y` is the view's pass-1 product packed_partial_mttkrp(X_p, f).
-    """
-    r = h.shape[1]
-    a = (f.T @ f) * (h.T @ h) + scaled_identity(r, 0.5 * mu)
-    b = mttkrp_from_partial(y, h, 2) + 0.5 * (mu * h + u)
+    r = other.shape[1]
+    a = (f.T @ f) * (other.T @ other) + scaled_identity(r, 0.5 * mu)
+    b = mttkrp_from_partial(y, other) + 0.5 * (mu * other - u)
     return a, b
 
 
@@ -418,7 +419,7 @@ def _fit(views: Sequence, config: M2eConfig, monitor: Monitor | None,
                 *node_system(y, st.node_aux[v], st.subject[v], st.dual[v], mus[v]))
             st.node_aux[v] = _block_solve(
                 monitor, it, v, "aux", st.node_aux[v],
-                *aux_system(y, st.node[v], st.subject[v], st.dual[v], mus[v]))
+                *node_system(y, st.node[v], st.subject[v], -st.dual[v], mus[v]))
             st.dual[v] = update_dual(st.dual[v], st.node[v], st.node_aux[v], mus[v])
             mttkrps.append(packed_mode3_mttkrp(xp, st.node[v], st.node_aux[v]))
             if subjects != "shared":

@@ -8,9 +8,9 @@ Kolda, SIAM J. Sci. Comput. 2014); a dataset's view file holds X_p as text,
 one row per line. This module alone decides what a valid view is: its
 entries are finite, and each frontal slice of a dense array is asymmetric by
 at most DRIFT_TOL, float drift that is averaged away, since every slice is
-stored as its pair averages. :func:`as_views` checks and packs the views
-that the fitters, CP-ALS and the dataset writer take. :func:`pack_slice`
-measures and packs each frontal slice of a dense view.
+stored as its pair averages. :class:`GraphViewTensor` is the one check of
+a dense view, and :func:`as_views` checks and packs the views that the
+fitters, CP-ALS and the dataset writer take.
 
 MTTKRP kernel. For a rank-R CP model [[A, B, C]], with entries
 sum_r A[i, r] B[j, r] C[k, r], the mode-n MTTKRP contracts X with the
@@ -20,10 +20,11 @@ X_p, in two passes that reuse work across modes (the dimension-tree MTTKRP
 of Phan, Tichavsky and Cichocki, IEEE TSP 2013):
 
 * pass 1, :func:`packed_partial_mttkrp`: Y[r, i, j] = sum_k X[i, j, k] C[k, r],
-  computed as C^T X_p^T and unpacked to (R, M, M) by one gather. The mode-1
-  and mode-2 MTTKRPs both contract Y at O(M^2 R) (:func:`mttkrp_from_partial`);
-  C must stay fixed between the two, as it does in an ALS sweep and in the
-  M2E node and aux steps.
+  computed as C^T X_p^T and unpacked to (R, M, M) by one gather that reads
+  Y[r, i, j] and Y[r, j, i] from one packed entry. So each Y[r] is symmetric
+  bit for bit, and the mode-1 and mode-2 MTTKRPs are one O(M^2 R) contraction
+  of Y (:func:`mttkrp_from_partial`); C stays fixed between the two, as in an
+  ALS sweep and the M2E node and aux steps.
 * pass 2, :func:`packed_mode3_mttkrp`: G3 = (W^T X_p)^T with the packed
   weights W = a_i b_j + a_j b_i for i < j and a_i b_i for i = j. The model
   cross term <X, [[A, B, C]]> is then <G3, C>, and :func:`cp_squared_error`
@@ -68,17 +69,14 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ir,jr->ijr", a, b, order="C").reshape(a.shape[0] * b.shape[0], a.shape[1])
 
 
-def mttkrp_from_partial(y: np.ndarray, factor: np.ndarray, mode: int) -> np.ndarray:
+def mttkrp_from_partial(y: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """Mode-1 or mode-2 MTTKRP from the pass-1 product `y` of packed_partial_mttkrp.
 
-    Mode 1 contracts y with the mode-2 factor over j, giving (M, R); mode 2
-    contracts it with the mode-1 factor over i, giving (M, R). X is not read.
+    Contracts each symmetric y[r] with column r of the other node mode's
+    factor, giving (M, R): the mode-1 MTTKRP given the mode-2 factor, or the
+    mode-2 MTTKRP given the mode-1 factor. X is not read.
     """
-    if mode == 1:
-        return (y @ factor.T[:, :, None])[:, :, 0].T
-    if mode == 2:
-        return (factor.T[:, None, :] @ y)[:, 0, :].T
-    raise ValueError(f"mode must be 1 or 2, got {mode}")
+    return (factor.T[:, None, :] @ y)[:, 0, :].T
 
 
 @functools.lru_cache(maxsize=16)
@@ -106,12 +104,12 @@ def _packed_node_count(rows: int) -> int:
     return m if m * (m + 1) // 2 == rows else 0
 
 
-def pack_slice(s: np.ndarray, out: np.ndarray | None = None) -> tuple[float, bool]:
+def pack_slice(s: np.ndarray, out: np.ndarray) -> tuple[float, bool]:
     """(max |s[i, j] - s[j, i]|, every entry finite) of an (M, M) slice; NaN if an entry is.
 
-    Gathers the pairs i <= j in the order of :func:`symmetric_index` and,
-    given an M(M+1)/2 vector `out`, writes their averages (s[i, j] + s[j, i]) / 2
-    there, so an exactly symmetric slice packs as its upper triangle, bit for
+    Gathers the pairs i <= j in the order of :func:`symmetric_index` and
+    writes their averages (s[i, j] + s[j, i]) / 2 to the M(M+1)/2 vector
+    `out`, so an exactly symmetric slice packs as its upper triangle, bit for
     bit. Where a sum of two finite entries overflows, the average is taken as
     s[i, j] / 2 + s[j, i] / 2, so it stays finite.
     """
@@ -120,37 +118,19 @@ def pack_slice(s: np.ndarray, out: np.ndarray | None = None) -> tuple[float, boo
     upper, lower, _ = symmetric_index(s.shape[0])
     flat = s.ravel()  # a copy only if the slice is strided
     pairs, mirrored = flat.take(upper), flat.take(lower)
-    if out is not None:
-        try:
-            with np.errstate(over="raise"):  # raised after `out` is written in full
-                np.add(pairs, mirrored, out=out)
-            out /= 2.0
-        except FloatingPointError:  # two finite entries whose sum is beyond the float range
-            spill = np.isinf(out)
-            out /= 2.0
-            out[spill] = pairs[spill] / 2.0 + mirrored[spill] / 2.0
+    try:
+        with np.errstate(over="raise"):  # raised after `out` is written in full
+            np.add(pairs, mirrored, out=out)
+        out /= 2.0
+    except FloatingPointError:  # two finite entries whose sum is beyond the float range
+        spill = np.isinf(out)
+        out /= 2.0
+        out[spill] = pairs[spill] / 2.0 + mirrored[spill] / 2.0
     with np.errstate(invalid="ignore", over="ignore"):  # reported as a non-finite result
         pairs -= mirrored
     asymmetry = float(np.abs(pairs, out=pairs).max(initial=0.0))
     # a non-finite entry makes its pair's difference non-finite; finite ones may overflow
     return asymmetry, math.isfinite(asymmetry) or bool(np.isfinite(flat).all())
-
-
-def _dense_view(tensor: np.ndarray) -> np.ndarray:
-    """`tensor` as a float array, which must have shape (M, M, N)."""
-    t = np.asarray(tensor, dtype=float)
-    if t.ndim != 3 or t.shape[0] != t.shape[1]:
-        raise ValueError(f"expected shape (M, M, N), got {t.shape}")
-    return t
-
-
-def _scan_slices(t: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
-    """pack_slice on each frontal slice of t, one at a time, packing slice k into out[:, k]."""
-    asymmetry, finite = np.empty(t.shape[2]), True
-    for k in range(t.shape[2]):
-        asymmetry[k], slice_finite = pack_slice(t[:, :, k], None if out is None else out[:, k])
-        finite = finite and slice_finite
-    return asymmetry, finite
 
 
 def packed_partial_mttkrp(xp: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -261,18 +241,6 @@ def all_finite(tensor: np.ndarray) -> bool:
     return all(np.isfinite(tensor[i:i + _TILE]).all() for i in range(0, len(tensor), _TILE))
 
 
-def check_partial_symmetry(tensor: np.ndarray, tol: float = DRIFT_TOL) -> tuple[bool, float]:
-    """Check that every frontal slice of an (M, M, N) tensor is symmetric to `tol`.
-
-    Returns (ok, max_asymmetry) where max_asymmetry is the largest
-    |t[i, j, n] - t[j, i, n]| over all entries (NaN if an entry is NaN).
-    Each slice is measured by one :func:`pack_slice` scan, so no transposed
-    copy is allocated. Unlike :class:`GraphViewTensor`, it never raises.
-    """
-    max_asym = float(_scan_slices(_dense_view(tensor))[0].max(initial=0.0))
-    return max_asym <= tol, max_asym
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class GraphViewTensor:
     """One view: N symmetric M x M affinity matrices stacked along axis 2, held packed.
@@ -291,18 +259,19 @@ class GraphViewTensor:
     packed: np.ndarray
 
     def __init__(self, data: np.ndarray):
-        t = _dense_view(data)
-        if t.size == 0:
+        t = np.asarray(data, dtype=float)
+        if t.ndim != 3 or t.shape[0] != t.shape[1] or t.size == 0:
             raise ValueError(f"expected shape (M, M, N), got {t.shape}")
         # the index is built before the rows: built after them, it raised peak RSS by 1 MB
         packed = np.empty((symmetric_index(t.shape[0])[0].size, t.shape[2]))
-        per_slice, finite = _scan_slices(t, packed)
-        if not finite:
+        asymmetry, finite = zip(*(pack_slice(t[:, :, k], packed[:, k])
+                                  for k in range(t.shape[2])))
+        if not all(finite):
             raise ValueError("affinity entries must be finite")
-        asym = float(per_slice.max(initial=0.0))
-        if not asym <= DRIFT_TOL:
-            raise ValueError(f"frontal slice {int(np.argmax(per_slice))} is asymmetric by "
-                             f"{asym:.3g} (tolerance {DRIFT_TOL:.3g})")
+        worst = int(np.argmax(asymmetry))
+        if not asymmetry[worst] <= DRIFT_TOL:
+            raise ValueError(f"frontal slice {worst} is asymmetric by "
+                             f"{asymmetry[worst]:.3g} (tolerance {DRIFT_TOL:.3g})")
         packed.flags.writeable = False
         object.__setattr__(self, "packed", packed)
 

@@ -15,7 +15,7 @@ from m2e.datagen import SyntheticSpec, generate
 from m2e.dataio import load_dataset, load_dataset_view, save_dataset
 from m2e.runner import run_cp
 from m2e.solver import M2eConfig, m2e_fit
-from m2e.tensors import GraphViewTensor, check_partial_symmetry, khatri_rao
+from m2e.tensors import GraphViewTensor, khatri_rao
 
 SPEC = SyntheticSpec(views=2, nodes=64, subjects=48, cluster_sizes=(24, 24), seed=4)
 PACKED = (SPEC.nodes + 1) / (2 * SPEC.nodes)  # M(M+1)/2 of M^2 entries
@@ -57,7 +57,6 @@ BOUNDS = {
     # the packed rows it returns, plus a few lines of text
     "load_dataset_view": (lambda d, v, x, f: load_dataset_view(d, 1), 0.6),
     "save_dataset": (lambda d, v, x, f: save_dataset(d.parent / "out", v[:1]), 0.5),
-    "check_partial_symmetry": (lambda d, v, x, f: check_partial_symmetry(x), 0.25),
     "GraphViewTensor": (lambda d, v, x, f: GraphViewTensor(x), PACKED + 0.25),
     # a few node rows of the residual at a time; no dense view or model
     "cp_relative_error": (lambda d, v, x, f: cp_relative_error(v[0], f), 0.2),

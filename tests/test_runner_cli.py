@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -510,6 +511,42 @@ def test_cli_bad_lambda_flag(tmp_path, dataset_dir):
 def test_configs_reject_non_finite_numbers(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: M2eConfig(rank=2.5), "rank must be an integer, got 2.5"),
+    (lambda: M2eConfig(rank=4.0), "rank must be an integer, got 4.0"),
+    (lambda: M2eConfig(max_outer_iters=10.0), "max_outer_iters must be an integer, got 10.0"),
+    (lambda: M2eConfig(seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: M2eConfig(rank=True), "rank must be an integer, got True"),
+    (lambda: AlsOptions(rank=4.0), "rank must be an integer, got 4.0"),
+    (lambda: AlsOptions(rank=2, max_iters=2.5), "max_iters must be an integer, got 2.5"),
+    (lambda: AlsOptions(rank=2, seed=3.0), "seed must be an integer, got 3.0"),
+], ids=["rank-2.5", "rank-4.0", "max-outer-iters", "seed", "rank-bool", "als-rank",
+        "als-max-iters", "als-seed"])
+def test_configs_reject_non_integer_counts_and_seeds(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_configs_take_numpy_integers():
+    config = M2eConfig(rank=np.int64(3), max_outer_iters=np.int32(5), seed=np.uint8(2))
+    assert (config.rank, config.max_outer_iters, config.seed) == (3, 5, 2)
+    assert AlsOptions(rank=np.int64(2), max_iters=np.int16(4)).max_iters == 4
+
+
+@pytest.mark.parametrize("field, value", [("rank", 2.5), ("max_outer_iters", 10.0),
+                                          ("seed", 1.5)])
+def test_cli_non_integer_config_fails_before_the_dataset_loads(tmp_path, field, value):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"solver": {field: value}}))
+    out = tmp_path / "fit"
+    code = main(["fit", "--dataset", str(tmp_path / "missing"), "--config", str(cfg_file),
+                 "--out", str(out)])
+    assert code == 1
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "ValueError"
+    assert error["message"] == f"{field} must be an integer, got {value!r}"
 
 
 def test_cli_non_finite_lambda_fails_with_document(tmp_path, dataset_dir):

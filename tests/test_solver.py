@@ -8,7 +8,7 @@ from m2e.datagen import SyntheticSpec, generate
 from m2e.cp import AlsOptions, cp_als_fit
 from m2e import solver, tensors
 from m2e.solver import (M2eConfig, M2eState, SolverNumericsError, _ensure_finite,
-                        _objective, aux_system, m2e_ds_fit, m2e_fit, m2e_ts_fit,
+                        _objective, m2e_ds_fit, m2e_fit, m2e_ts_fit,
                         node_system, objective_value, quadratic_objective,
                         subject_system, update_consensus, update_dual)
 from m2e.tensors import (RIDGE, GraphViewTensor, packed_mode3_mttkrp,
@@ -112,7 +112,7 @@ def test_block_solves_return_exact_minimisers():
             + u + mu * (h_new - p))
     assert relative(grad, b) < 1e-10
 
-    a, b = aux_system(y, h, f, u, mu)
+    a, b = node_system(y, h, f, -u, mu)  # the aux copy: the copies swap, u changes sign
     p_new = ridge_solve(a, b)
     grad = (-2.0 * np.einsum("ijk,ir,kr->jr", resid(h, p_new, f), h, f)
             - u - mu * (h - p_new))
@@ -170,23 +170,6 @@ def test_cp_and_every_fitter_solve_through_ridge_solve(monkeypatch):
         calls["solver"] = 0
         fitter(views, cfg)
         assert calls == {"cp": 12, "solver": 2 + 3 * per_iteration}, fitter.__name__
-
-
-def test_aux_system_mirrors_node_system_on_symmetric_input():
-    # with symmetric slices and h == p, the two systems agree except that
-    # the multiplier enters with opposite sign
-    rng = np.random.default_rng(23)
-    w = rng.standard_normal((5, 5, 4))
-    x = (w + w.transpose(1, 0, 2)) / 2
-    h = rng.standard_normal((5, 2))
-    f = rng.standard_normal((4, 2))
-    u = rng.standard_normal((5, 2))
-    mu = 3.0
-    y = partial_mttkrp(x, f)
-    a_node, b_node = node_system(y, h, f, u, mu)
-    a_aux, b_aux = aux_system(y, h, f, u, mu)
-    np.testing.assert_allclose(a_node, a_aux, atol=1e-12)
-    np.testing.assert_allclose(b_node + u / 2, b_aux - u / 2, atol=1e-12)
 
 
 def test_balance_columns_keeps_the_model_and_scales_the_mode3_product():

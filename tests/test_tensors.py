@@ -7,8 +7,8 @@ import pytest
 from m2e.cp import AlsOptions, CpFactors, cp_als_fit, cp_relative_error
 from m2e.dataio import DatasetError, save_dataset
 from m2e.solver import M2eConfig, M2eState, m2e_ds_fit, m2e_fit, m2e_ts_fit, objective_value
-from m2e.tensors import (RIDGE, GraphViewTensor, all_finite, as_views, check_partial_symmetry,
-                         cp_reconstruct, cp_squared_error, frobenius_norm, khatri_rao,
+from m2e.tensors import (RIDGE, GraphViewTensor, all_finite, as_views, cp_reconstruct,
+                         cp_squared_error, frobenius_norm, khatri_rao,
                          mttkrp_from_partial, pack_slice, packed_energy,
                          packed_mode3_mttkrp, packed_partial_mttkrp, packed_slice_gram,
                          ridge_solve, scaled_identity, symmetric_index)
@@ -142,18 +142,23 @@ def test_mttkrp_matches_matricized_oracle(mode, rank):
     xp = GraphViewTensor(t).packed
     if mode == 3:
         got = packed_mode3_mttkrp(xp, factors[0], factors[1])
-    else:  # from a pass-1 product shared by modes 1 and 2
-        got = mttkrp_from_partial(packed_partial_mttkrp(xp, factors[2]), factors[2 - mode], mode)
+    else:  # one contraction of the pass-1 product, with the other node mode's factor
+        got = mttkrp_from_partial(packed_partial_mttkrp(xp, factors[2]), factors[2 - mode])
     assert got.shape == (t.shape[mode - 1], rank)
     assert np.abs(got - expected).max() <= 1e-12 * scale
 
 
-def test_mttkrp_rejects_bad_mode():
-    xp = GraphViewTensor(np.zeros((2, 2, 2))).packed
-    factors = [np.zeros((2, 1))] * 3
-    for mode in (0, 3):
-        with pytest.raises(ValueError):
-            mttkrp_from_partial(packed_partial_mttkrp(xp, factors[2]), factors[0], mode)
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("m", [1, 2, 9])
+def test_pass_one_product_is_symmetric_bit_for_bit(m, order):
+    # Y[r, i, j] and Y[r, j, i] are gathered from one packed entry, so one
+    # contraction of Y serves the mode-1 and the mode-2 MTTKRP
+    rng = np.random.default_rng(70 + m)
+    xp = rng.standard_normal((m * (m + 1) // 2, 7))
+    c = np.array(rng.standard_normal((7, 3)), order=order)
+    y = packed_partial_mttkrp(xp, c)
+    assert y.shape == (3, m, m)
+    assert y.tobytes() == np.ascontiguousarray(y.transpose(0, 2, 1)).tobytes()
 
 
 @pytest.mark.parametrize("noise", (0.1, 1.0))
@@ -194,8 +199,8 @@ def test_mttkrp_kernel_does_not_copy_the_tensor():
     tracemalloc.start()
     try:
         y = packed_partial_mttkrp(xp, c)
-        mttkrp_from_partial(y, b, 1)
-        mttkrp_from_partial(y, a, 2)
+        mttkrp_from_partial(y, b)
+        mttkrp_from_partial(y, a)
         packed_mode3_mttkrp(xp, a, b)
         packed_energy(xp)
         _, peak = tracemalloc.get_traced_memory()
@@ -273,19 +278,20 @@ def test_norm_agrees_with_matricized_norm():
         assert abs(direct - np.linalg.norm(matricize(t, mode))) < 1e-12
 
 
-def test_check_partial_symmetry():
+def test_symmetry_check_keeps_symmetric_slices_and_measures_an_asymmetric_one():
     rng = np.random.default_rng(3)
     w = rng.standard_normal((4, 4, 3))
     sym = (w + w.transpose(1, 0, 2)) / 2
-    ok, asym = check_partial_symmetry(sym, 0.0)
-    assert ok and asym == 0.0
+    assert GraphViewTensor(sym).data.tobytes() == sym.tobytes()
 
     broken = sym.copy()
     broken[0, 1, 1] = 1.0
     broken[1, 0, 1] = 0.0
-    ok, asym = check_partial_symmetry(broken, 1e-8)
-    assert not ok
-    assert asym == pytest.approx(1.0)
+    with pytest.raises(ValueError) as err:
+        GraphViewTensor(broken)
+    assert str(err.value) == "frontal slice 1 is asymmetric by 1 (tolerance 1e-06)"
+    out = np.empty(10)
+    assert [pack_slice(broken[:, :, k], out)[0] for k in range(3)] == [0.0, 1.0, 0.0]
 
 
 def test_symmetric_factors_reconstruct_symmetric():
@@ -293,13 +299,16 @@ def test_symmetric_factors_reconstruct_symmetric():
     a = rng.standard_normal((5, 2))
     c = rng.standard_normal((6, 2))
     t = cp_reconstruct((a, a, c))
-    ok, _ = check_partial_symmetry(t, 1e-12)
-    assert ok
+    out = np.empty(15)
+    assert max(pack_slice(t[:, :, k], out)[0] for k in range(6)) <= 1e-12
+    GraphViewTensor(t)  # accepted as a view
 
 
-def test_check_partial_symmetry_rejects_non_square():
-    with pytest.raises(ValueError):
-        check_partial_symmetry(np.zeros((2, 3, 4)), 1e-8)
+def test_symmetry_check_rejects_non_square_slices():
+    with pytest.raises(ValueError, match=r"expected shape \(M, M, N\), got \(2, 3, 4\)"):
+        GraphViewTensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match=r"expected shape \(M, M\), got \(2, 3\)"):
+        pack_slice(np.zeros((2, 3)), np.empty(3))
 
 
 def test_graph_view_averages_drift_up_to_the_tolerance():
@@ -309,8 +318,7 @@ def test_graph_view_averages_drift_up_to_the_tolerance():
     drifted = sym.copy()
     drifted[0, 1, 0] += 1e-8
     fixed = GraphViewTensor(drifted).data
-    ok, asym = check_partial_symmetry(fixed, 0.0)
-    assert ok and asym == 0.0
+    assert (fixed == fixed.transpose(1, 0, 2)).all()
 
     bad = sym.copy()
     bad[0, 1, 1] += 1e-3
@@ -325,7 +333,8 @@ def test_asymmetry_errors_name_the_worst_slice():
     with pytest.raises(ValueError) as err:
         GraphViewTensor(t)
     assert str(err.value) == "frontal slice 2 is asymmetric by 0.1 (tolerance 1e-06)"
-    assert check_partial_symmetry(t) == (False, 0.1)
+    out = np.empty(6)
+    assert [pack_slice(t[:, :, k], out)[0] for k in range(4)] == [1e-3, 0.0, 0.1, 0.0]
 
 
 def test_graph_view_tensor_validation():
@@ -429,13 +438,15 @@ def test_tiled_symmetry_scan_matches_the_dense_scan(m):
     x = np.random.default_rng(40 + m).standard_normal((m, m, 6))
     x[m - 1, 0, 4] += 10.0  # worst entry in the lowest, leftmost tile, slice 4
     per_slice = np.abs(x - x.transpose(1, 0, 2)).max(axis=(0, 1))
+    out = np.empty(m * (m + 1) // 2)
     for t in _layouts(x):
-        assert check_partial_symmetry(t, 0.0) == (False, float(per_slice.max()))
+        assert [pack_slice(t[:, :, k], out) for k in range(6)] == \
+            [(float(a), True) for a in per_slice]
         with pytest.raises(ValueError, match="frontal slice 4 is asymmetric"):
             GraphViewTensor(t)
     x[m - 1, m - 1, 2] = np.nan
-    ok, asym = check_partial_symmetry(x)
-    assert not ok and np.isnan(asym)
+    asym, finite = pack_slice(x[:, :, 2], out)
+    assert not finite and np.isnan(asym)
     with pytest.raises(ValueError, match="affinity entries must be finite"):
         GraphViewTensor(x)
 
@@ -460,7 +471,6 @@ def test_pack_slice_measures_and_packs_one_slice(m):
         asymmetry, finite = pack_slice(t, out)
         assert asymmetry == np.abs(s - s.T).max() and finite
         assert out.tobytes() == ((s + s.T) / 2.0).ravel().take(upper).tobytes()
-        assert pack_slice(t) == (asymmetry, finite)
     sym = s + s.T
     assert pack_slice(sym, out) == (0.0, True)
     assert out.tobytes() == sym.ravel().take(upper).tobytes()
@@ -472,16 +482,18 @@ def test_pack_slice_flags_non_finite_entries_and_bad_shapes():
         for at in ((0, 0), (2, 1)):
             s = np.zeros((3, 3))
             s[at] = value
-            asymmetry, finite = pack_slice(s)
+            asymmetry, finite = pack_slice(s, np.empty(6))
             assert not finite and not np.isfinite(asymmetry)
     # finite entries whose difference overflows are still finite
     s = np.array([[0.0, 1.7e308], [-1.7e308, 0.0]])
-    assert pack_slice(s) == (np.inf, True)
+    out = np.empty(3)
+    assert pack_slice(s, out) == (np.inf, True)
+    assert out.tolist() == [0.0, 0.0, 0.0]
     with pytest.raises(ValueError, match="asymmetric by inf"):
         GraphViewTensor(s[:, :, None])
     for shape in ((2, 3), (3,), (2, 2, 1)):
         with pytest.raises(ValueError, match=r"expected shape \(M, M\)"):
-            pack_slice(np.zeros(shape))
+            pack_slice(np.zeros(shape), np.empty(3))
 
 
 def _bad_views():
