@@ -65,8 +65,6 @@ def _flags(args, cls) -> dict:
 def _build_run_config(args) -> RunConfig:
     top = json.loads(Path(args.config).read_text()) if args.config else {}
     solver_cfg = dict(top.pop("solver", {}))
-    if solver_cfg.get("lambdas") is not None:
-        solver_cfg["lambdas"] = tuple(solver_cfg["lambdas"])
     solver_cfg.update(_flags(args, M2eConfig))
     lambdas = _parse_lambda(getattr(args, "lam", None))
     if lambdas is not None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import SolverNumericsError, _require_integers
+from .solver import SolverNumericsError, check_settings
 from .tensors import (GraphViewTensor, as_views, cp_reconstruct, cp_squared_error,
                       mttkrp_from_partial, packed_energy, packed_mode3_mttkrp,
                       packed_partial_mttkrp, ridge_solve, symmetric_index)
@@ -60,13 +60,7 @@ class AlsOptions:
     seed: int = 0
 
     def __post_init__(self):
-        _require_integers(self, "rank", "max_iters", "seed")
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not 0 < self.rel_tol < np.inf:  # NaN fails too
-            raise ValueError("rel_tol must be positive and finite")
+        check_settings(self, counts=("rank", "max_iters"), seeds=("seed",), weights=("rel_tol",))
 
 
 @dataclass(frozen=True)

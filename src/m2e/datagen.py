@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .solver import check_settings
 from .tensors import GraphViewTensor
 
 _NOISE_ROWS = 256  # packed rows of noise drawn at a time; the view does not depend on it
@@ -41,20 +42,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.cluster_sizes)
-        object.__setattr__(self, "cluster_sizes", sizes)
-        if self.views < 1 or self.nodes < 1 or self.subjects < 1 or self.latent_rank < 1:
-            raise ValueError("views, nodes, subjects and latent_rank must be positive")
-        if not sizes or any(s < 1 for s in sizes):
-            raise ValueError("cluster sizes must be positive")
+        check_settings(self, counts=("views", "nodes", "subjects", "latent_rank", "cluster_sizes"),
+                       seeds=("seed",), amounts=("separation", "noise_sigma", "jitter"))
+        sizes = self.cluster_sizes
         if sum(sizes) != self.subjects:
-            raise ValueError(
-                f"cluster sizes {sizes} sum to {sum(sizes)}, expected {self.subjects}"
-            )
+            raise ValueError(f"cluster sizes {sizes} sum to {sum(sizes)}, expected {self.subjects}")
         if len(sizes) > self.latent_rank:
             raise ValueError("need latent_rank >= number of clusters")
-        if not all(0 <= x < np.inf for x in (self.separation, self.noise_sigma, self.jitter)):
-            raise ValueError("separation, noise_sigma and jitter must be finite and >= 0")
 
     @property
     def n_clusters(self) -> int:

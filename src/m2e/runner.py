@@ -19,8 +19,8 @@ import numpy as np
 from .cluster import as_labels, cluster_and_score, kmeans
 from .cp import AlsOptions, cp_als_fit, cp_relative_error
 from .dataio import Dataset, load_dataset, load_dataset_view, save_labels, save_matrix
-from .solver import (M2eConfig, M2eSolution, SolverNumericsError, m2e_ds_fit, m2e_fit,
-                     m2e_ts_fit)
+from .solver import (M2eConfig, M2eSolution, SolverNumericsError, check_settings,
+                     m2e_ds_fit, m2e_fit, m2e_ts_fit)
 
 # method name -> fitter, named so that `_fit` finds the fitter bound in this
 # module when it is called (a profiler or a test may rebind it)
@@ -43,10 +43,11 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.kmeans_k < 1:
-            raise ValueError("kmeans_k must be >= 1")
-        if self.kmeans_restarts < 1 or self.eval_repeats < 1:
-            raise ValueError("restarts and repeats must be >= 1")
+        check_settings(self, counts=("kmeans_k", "kmeans_restarts", "eval_repeats"))
+        try:  # a label, so as_labels' rule
+            object.__setattr__(self, "positive_class", as_labels([self.positive_class]).item())
+        except ValueError as exc:
+            raise ValueError(f"positive_class: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,7 @@ class GridSpec:
     rank_grid: tuple[int, ...] = tuple(range(1, 21))
 
     def __post_init__(self):
-        if not self.lambda_grid or not self.rank_grid:
-            raise ValueError("grids must be non-empty")
-        if (not all(0 < x < np.inf for x in self.lambda_grid)
-                or any(r < 1 for r in self.rank_grid)):
-            raise ValueError("grid values must be positive and finite")
+        check_settings(self, counts=("rank_grid",), weights=("lambda_grid",))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -137,7 +134,7 @@ def run_cluster(embedding: np.ndarray, config: RunConfig, out_dir: str | Path) -
 def _single_evaluation(embedding, labels, config: RunConfig, rep: int) -> dict:
     report = cluster_and_score(
         embedding, labels, k=config.kmeans_k, restarts=config.kmeans_restarts,
-        seed=int(config.solver.seed + rep), positive_class=config.positive_class)
+        seed=config.solver.seed + rep, positive_class=config.positive_class)
     return {
         "accuracy": report.accuracy,
         "precision": report.precision,
@@ -168,6 +165,9 @@ def run_evaluate(embedding: np.ndarray, labels: np.ndarray, config: RunConfig,
             f"k={config.kmeans_k}; proceeding with the configured k",
             stacklevel=2,
         )
+    if config.positive_class not in labels:
+        warnings.warn(f"no label is positive_class {config.positive_class}; precision, "
+                      "recall and F1 will read 0", stacklevel=2)
     reps = [_single_evaluation(embedding, labels, config, rep)
             for rep in range(config.eval_repeats)]
     metric_names = ("accuracy", "precision", "recall", "f1")

@@ -19,7 +19,8 @@ the final objective and :func:`objective_value`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,12 +45,36 @@ class SolverNumericsError(RuntimeError):
         self.iteration = iteration
 
 
-def _require_integers(config, *names: str) -> None:
-    """Raise ValueError naming the first field of `names` that is not an integer; 4.0 is not."""
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+_SETTING_RULES = (  # count, seed, weight, amount: (number type, kind, stored as, test, wording)
+    (numbers.Integral, "an integer", int, lambda x: x >= 1, ">= 1"),
+    (numbers.Integral, "an integer", int, lambda x: x >= 0, ">= 0"),
+    (numbers.Real, "a number", float, lambda x: 0 < x < np.inf, "positive and finite"),
+    (numbers.Real, "a number", float, lambda x: 0 <= x < np.inf, "finite and >= 0"),
+)
+
+
+def check_settings(config, counts=(), seeds=(), weights=(), amounts=()) -> None:
+    """Check the named fields of the dataclass `config`; store each as a Python int or float.
+
+    A count is an integer >= 1, a seed an integer >= 0, a weight a positive, finite
+    number and an amount a finite number >= 0; a bool is none of them. A field
+    annotated as a tuple is a non-empty sequence, checked entry by entry. So
+    dataclasses.asdict(config) is valid JSON. A ValueError names the field.
+    """
+    tuples = {f.name for f in fields(config) if str(f.type).startswith("tuple")}
+    for names, (number, kind, cast, holds, wording) in zip((counts, seeds, weights, amounts),
+                                                          _SETTING_RULES):
+        for name in names:
+            entries = getattr(config, name) if name in tuples else (getattr(config, name),)
+            if not np.iterable(entries) or not (entries := tuple(entries)):
+                raise ValueError(f"{name} must be a non-empty sequence, got {entries!r}")
+            for x in entries:
+                if isinstance(x, bool) or not isinstance(x, number):
+                    raise ValueError(f"{name} must be {kind}, got {x!r}")
+                if not holds(cast(x)):
+                    raise ValueError(f"{name} must be {wording}, got {cast(x)!r}")
+            entries = tuple(map(cast, entries))
+            object.__setattr__(config, name, entries if name in tuples else entries[0])
 
 
 @dataclass(frozen=True)
@@ -69,16 +94,8 @@ class M2eConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_integers(self, "rank", "max_outer_iters", "seed")
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.lambdas is not None:
-            lam = tuple(float(x) for x in self.lambdas)
-            if not lam or not all(0 < x < np.inf for x in lam):  # NaN fails too
-                raise ValueError("view weights must be positive and finite")
-            object.__setattr__(self, "lambdas", lam)
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
+        check_settings(self, counts=("rank", "max_outer_iters"), seeds=("seed",),
+                       weights=() if self.lambdas is None else ("lambdas",))
 
 
 @dataclass
@@ -298,7 +315,6 @@ def spectral_start(xp: np.ndarray, energy: float, rank: int, rng: np.random.Gene
     _, vec = np.linalg.eigh(gram)
     vec = vec[:, ::-1][:, :min(rank, m)]
     sign = np.sign(vec[np.abs(vec).argmax(axis=0), np.arange(vec.shape[1])])
-    sign[sign == 0] = 1.0
     vec = vec * sign
     col_scale = balanced_column_norm(energy, rank)
     h = vec * col_scale

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import warnings
@@ -81,7 +82,6 @@ def test_run_fit_cohort_preset_rank7(tmp_path):
     # cohort-shaped synthetic data (90 nodes, 70 subjects, two views) at the
     # rank the grid search favors for it; shortened iteration budget
     from m2e.datagen import hiv_shape_preset
-    import dataclasses
 
     spec = dataclasses.replace(hiv_shape_preset(), seed=5)
     views, labels = generate(spec)
@@ -190,6 +190,19 @@ def test_evaluate_warns_on_label_arity_mismatch():
     assert len(doc["repetitions"]) == 2
 
 
+def test_evaluate_warns_when_no_label_is_the_positive_class(tmp_path):
+    emb = np.repeat([[0.0, 0.0], [10.0, 10.0]], 3, axis=0)
+    labels = np.repeat([1, 2], 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_evaluate(emb, labels, quick_config(positive_class=2), tmp_path / "two")
+    with pytest.warns(UserWarning, match="no label is positive_class 7") as caught:
+        doc = run_evaluate(emb, labels, quick_config(positive_class=7), tmp_path / "seven")
+    assert len(caught) == 1  # the arity warning stays silent: two classes, k = 2
+    assert all(r["degenerate"] for r in doc["repetitions"])
+    assert doc["mean"]["f1"] == 0.0
+
+
 # --------------------------------------------------------------------------
 # run_gridsearch
 
@@ -231,6 +244,17 @@ def test_gridsearch_guards_large_grids(dataset_dir, tmp_path):
                     rank_grid=(1,))
     with pytest.raises(ValueError, match="cells"):
         run_gridsearch(grid, dataset_dir, quick_config(), tmp_path / "gs")
+
+
+def test_cli_gridsearch_refuses_a_large_grid_before_any_fit(dataset_dir, tmp_path):
+    out = tmp_path / "gs"
+    values = ",".join(str(i + 1) for i in range(101))  # 101^2 weight pairs x 1 rank
+    code = main(["gridsearch", "--dataset", str(dataset_dir), "--out", str(out),
+                 "--lambda-grid", values, "--rank-grid", "1"])
+    assert code == 1
+    message = json.loads((out / "error.json").read_text())["message"]
+    assert "10201 cells" in message and "--force-large-grid" in message
+    assert not (out / "grid_results.txt").exists()
 
 
 def fail_at_weights(monkeypatch, failing):
@@ -313,6 +337,35 @@ def test_run_cp_rejects_zero_rank(dataset_dir, tmp_path):
 def test_run_cp_rejects_unknown_view(dataset_dir, tmp_path):
     with pytest.raises(ValueError, match="unknown view"):
         run_cp(dataset_dir, "fmri", AlsOptions(rank=2), tmp_path / "cp")
+
+
+def test_drivers_write_numpy_integer_settings_as_json_numbers(dataset_dir, tmp_path):
+    solver = M2eConfig(rank=np.int64(2), lambdas=(np.float64(1.0), np.int64(1)),
+                       max_outer_iters=np.int32(200), seed=np.int64(0))
+    config = RunConfig(solver=solver, kmeans_k=np.int64(2), kmeans_restarts=np.int64(3),
+                       eval_repeats=np.int64(2), positive_class=np.int64(1))
+    ds = load_dataset(dataset_dir)
+    solution = run_fit(config, ds, tmp_path / "fit")
+    run_evaluate(solution.consensus, ds.labels, config, tmp_path / "eval")
+    run_gridsearch(GridSpec(lambda_grid=(np.float64(1.0),), rank_grid=(np.int64(2),)),
+                   ds, config, tmp_path / "gs")
+    run_cp(dataset_dir, 0, AlsOptions(rank=np.int64(2), max_iters=np.int64(5)), tmp_path / "cp")
+    spec = dataclasses.replace(SMALL, nodes=np.int64(6), seed=np.int64(1))
+    views, labels = generate(spec)
+    save_dataset(tmp_path / "ds", views, labels, metadata=dataclasses.asdict(spec))
+
+    def read(path):
+        return json.loads((tmp_path / path).read_text())
+
+    solver_doc = {"rank": 2, "lambdas": [1.0, 1.0], "max_outer_iters": 200, "seed": 0}
+    for path in ("fit/summary.json", "eval/metrics.json", "gs/summary.json"):
+        assert read(path)["config"]["solver"] == solver_doc
+        assert read(path)["config"]["eval_repeats"] == 2
+    assert (read("gs/summary.json")["lambda_grid"], read("gs/summary.json")["rank_grid"]) == \
+        ([1.0], [2])
+    assert read("cp/summary.json")["rank"] == 2
+    assert (read("ds/manifest.json")["metadata"]["nodes"],
+            read("ds/manifest.json")["metadata"]["seed"]) == (6, 1)
 
 
 # --------------------------------------------------------------------------
@@ -496,20 +549,32 @@ def test_cli_bad_lambda_flag(tmp_path, dataset_dir):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: M2eConfig(lambdas=(np.nan, 1.0)), "view weights must be positive and finite"),
-    (lambda: M2eConfig(lambdas=(1.0, np.inf)), "view weights must be positive and finite"),
-    (lambda: GridSpec(lambda_grid=(np.nan,)), "grid values must be positive and finite"),
-    (lambda: GridSpec(lambda_grid=(1.0, np.inf)), "grid values must be positive and finite"),
-    (lambda: AlsOptions(rank=2, rel_tol=np.nan), "rel_tol must be positive and finite"),
-    (lambda: AlsOptions(rank=2, rel_tol=np.inf), "rel_tol must be positive and finite"),
-    (lambda: SyntheticSpec(separation=np.nan), "must be finite and >= 0"),
-    (lambda: SyntheticSpec(noise_sigma=np.nan), "must be finite and >= 0"),
-    (lambda: SyntheticSpec(jitter=np.nan), "must be finite and >= 0"),
-    (lambda: SyntheticSpec(separation=np.inf), "must be finite and >= 0"),
+    (lambda: M2eConfig(lambdas=(np.nan, 1.0)), "lambdas must be positive and finite, got nan"),
+    (lambda: M2eConfig(lambdas=(1.0, np.inf)), "lambdas must be positive and finite, got inf"),
+    (lambda: GridSpec(lambda_grid=(np.nan,)), "lambda_grid must be positive and finite, got nan"),
+    (lambda: GridSpec(lambda_grid=(1.0, np.inf)),
+     "lambda_grid must be positive and finite, got inf"),
+    (lambda: AlsOptions(rank=2, rel_tol=np.nan), "rel_tol must be positive and finite, got nan"),
+    (lambda: AlsOptions(rank=2, rel_tol=np.inf), "rel_tol must be positive and finite, got inf"),
+    (lambda: SyntheticSpec(separation=np.nan), "separation must be finite and >= 0, got nan"),
+    (lambda: SyntheticSpec(noise_sigma=np.nan), "noise_sigma must be finite and >= 0, got nan"),
+    (lambda: SyntheticSpec(jitter=np.nan), "jitter must be finite and >= 0, got nan"),
+    (lambda: SyntheticSpec(separation=np.inf), "separation must be finite and >= 0, got inf"),
+    (lambda: SyntheticSpec(jitter=-0.5), "jitter must be finite and >= 0, got -0.5"),
+    (lambda: M2eConfig(lambdas=(1.0, 0)), "lambdas must be positive and finite, got 0.0"),
+    (lambda: M2eConfig(lambdas=()), "lambdas must be a non-empty sequence, got ()"),
+    (lambda: M2eConfig(lambdas=2.0), "lambdas must be a non-empty sequence, got 2.0"),
+    (lambda: GridSpec(rank_grid=[]), "rank_grid must be a non-empty sequence, got ()"),
+    (lambda: M2eConfig(lambdas=(True, 1.0)), "lambdas must be a number, got True"),
+    (lambda: M2eConfig(lambdas=("1", 1.0)), "lambdas must be a number, got '1'"),
+    (lambda: AlsOptions(rank=2, rel_tol=False), "rel_tol must be a number, got False"),
+    (lambda: SyntheticSpec(separation=None), "separation must be a number, got None"),
 ], ids=["lambdas-nan", "lambdas-inf", "grid-nan", "grid-inf", "rel-tol-nan", "rel-tol-inf",
-        "separation-nan", "noise-nan", "jitter-nan", "separation-inf"])
+        "separation-nan", "noise-nan", "jitter-nan", "separation-inf", "jitter-negative",
+        "lambdas-zero", "lambdas-empty", "lambdas-scalar", "rank-grid-empty", "lambdas-bool",
+        "lambdas-str", "rel-tol-bool", "separation-none"])
 def test_configs_reject_non_finite_numbers(build, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
 
 
@@ -522,8 +587,32 @@ def test_configs_reject_non_finite_numbers(build, message):
     (lambda: AlsOptions(rank=4.0), "rank must be an integer, got 4.0"),
     (lambda: AlsOptions(rank=2, max_iters=2.5), "max_iters must be an integer, got 2.5"),
     (lambda: AlsOptions(rank=2, seed=3.0), "seed must be an integer, got 3.0"),
+    (lambda: M2eConfig(seed=-1), "seed must be >= 0, got -1"),
+    (lambda: AlsOptions(rank=2, seed=np.int64(-1)), "seed must be >= 0, got -1"),
+    (lambda: SyntheticSpec(seed=-1), "seed must be >= 0, got -1"),
+    (lambda: M2eConfig(rank=0), "rank must be >= 1, got 0"),
+    (lambda: AlsOptions(rank=2, max_iters=0), "max_iters must be >= 1, got 0"),
+    (lambda: SyntheticSpec(subjects=4, cluster_sizes=(2.7, 2.7), latent_rank=2),
+     "cluster_sizes must be an integer, got 2.7"),
+    (lambda: SyntheticSpec(cluster_sizes=(20, 20, 0)), "cluster_sizes must be >= 1, got 0"),
+    (lambda: SyntheticSpec(views=2.5), "views must be an integer, got 2.5"),
+    (lambda: SyntheticSpec(nodes=0), "nodes must be >= 1, got 0"),
+    (lambda: RunConfig(kmeans_k=2.0), "kmeans_k must be an integer, got 2.0"),
+    (lambda: RunConfig(kmeans_restarts=0), "kmeans_restarts must be >= 1, got 0"),
+    (lambda: RunConfig(eval_repeats=2.0), "eval_repeats must be an integer, got 2.0"),
+    (lambda: RunConfig(positive_class=1.5),
+     "positive_class: labels must be integers, got 1.5"),
+    (lambda: RunConfig(positive_class=0),
+     "positive_class: labels must be positive integers (1..K), got 0"),
+    (lambda: GridSpec(rank_grid=(1, 2.5)), "rank_grid must be an integer, got 2.5"),
+    (lambda: GridSpec(rank_grid=(True,)), "rank_grid must be an integer, got True"),
+    (lambda: GridSpec(rank_grid=(2, 0)), "rank_grid must be >= 1, got 0"),
 ], ids=["rank-2.5", "rank-4.0", "max-outer-iters", "seed", "rank-bool", "als-rank",
-        "als-max-iters", "als-seed"])
+        "als-max-iters", "als-seed", "seed-negative", "als-seed-negative",
+        "spec-seed-negative", "rank-zero", "als-max-iters-zero", "cluster-sizes-fraction",
+        "cluster-sizes-zero", "views", "nodes-zero", "kmeans-k", "kmeans-restarts-zero",
+        "eval-repeats", "positive-class-fraction", "positive-class-zero", "rank-grid-fraction",
+        "rank-grid-bool", "rank-grid-zero"])
 def test_configs_reject_non_integer_counts_and_seeds(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
@@ -533,20 +622,56 @@ def test_configs_take_numpy_integers():
     config = M2eConfig(rank=np.int64(3), max_outer_iters=np.int32(5), seed=np.uint8(2))
     assert (config.rank, config.max_outer_iters, config.seed) == (3, 5, 2)
     assert AlsOptions(rank=np.int64(2), max_iters=np.int16(4)).max_iters == 4
+    # stored as Python numbers, so every config dumps to JSON as it is
+    configs = [
+        config,
+        M2eConfig(lambdas=[np.float32(0.5), np.int64(2)]),
+        AlsOptions(rank=np.int64(2), rel_tol=np.float64(1e-6), seed=np.int8(1)),
+        RunConfig(solver=config, kmeans_k=np.int64(2), kmeans_restarts=np.int32(3),
+                  eval_repeats=np.uint16(4), positive_class=np.int64(2)),
+        GridSpec(lambda_grid=(np.float64(1.0), 2), rank_grid=np.arange(1, 3)),
+        SyntheticSpec(views=np.int64(1), nodes=np.int64(6), subjects=np.int64(8),
+                      cluster_sizes=np.array([4, 4]), latent_rank=np.int64(2),
+                      separation=np.float32(4.0), noise_sigma=np.int64(0), seed=np.int64(3)),
+    ]
+    for cfg in configs:
+        for value in dataclasses.astuple(cfg):
+            for x in value if isinstance(value, tuple) else (value,):
+                assert type(x) in (int, float, str, type(None)), (cfg, x)
+        json.dumps(dataclasses.asdict(cfg))
+    assert configs[1].lambdas == (0.5, 2.0)
+    assert configs[4].lambda_grid == (1.0, 2.0) and configs[4].rank_grid == (1, 2)
+    assert configs[5].cluster_sizes == (4, 4)
 
 
 @pytest.mark.parametrize("field, value", [("rank", 2.5), ("max_outer_iters", 10.0),
-                                          ("seed", 1.5)])
+                                          ("seed", 1.5), ("kmeans_k", 2.0),
+                                          ("eval_repeats", 2.0), ("positive_class", 1.5)])
 def test_cli_non_integer_config_fails_before_the_dataset_loads(tmp_path, field, value):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"solver": {field: value}}))
+    solver_field = field in {f.name for f in dataclasses.fields(M2eConfig)}
+    cfg_file.write_text(json.dumps({"solver": {field: value}} if solver_field
+                                   else {field: value}))
     out = tmp_path / "fit"
     code = main(["fit", "--dataset", str(tmp_path / "missing"), "--config", str(cfg_file),
                  "--out", str(out)])
     assert code == 1
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "ValueError"
-    assert error["message"] == f"{field} must be an integer, got {value!r}"
+    if field == "positive_class":  # a label, checked by the label rule
+        assert error["message"] == f"positive_class: labels must be integers, got {value!r}"
+    else:
+        assert error["message"] == f"{field} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("command", [["fit"], ["cp", "--rank", "2"]], ids=["fit", "cp"])
+def test_cli_negative_seed_fails_before_the_dataset_loads(tmp_path, command):
+    out = tmp_path / "out"
+    code = main([*command, "--dataset", str(tmp_path / "missing"), "--seed", "-1",
+                 "--out", str(out)])
+    assert code == 1
+    error = json.loads((out / "error.json").read_text())
+    assert (error["error"], error["message"]) == ("ValueError", "seed must be >= 0, got -1")
 
 
 def test_cli_non_finite_lambda_fails_with_document(tmp_path, dataset_dir):
@@ -556,7 +681,7 @@ def test_cli_non_finite_lambda_fails_with_document(tmp_path, dataset_dir):
     assert code == 1
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "ValueError"
-    assert error["message"] == "view weights must be positive and finite"
+    assert error["message"] == "lambdas must be positive and finite, got nan"
 
 
 def test_cli_repeated_lambda_view_fails_with_document(tmp_path, dataset_dir):
