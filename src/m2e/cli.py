@@ -3,8 +3,10 @@
 Subcommands: generate, fit, cluster, evaluate, gridsearch, cp. Settings
 come from defaults, then an optional JSON config file (fit, cluster,
 evaluate, gridsearch), then flags (flags win). A flag's dest is the name of
-the config field it sets. On failure an error document is written to the
-output directory and the exit status is nonzero.
+the config field it sets. Every command checks its settings before it reads
+an input, so a bad setting is reported ahead of a missing file. On failure
+an error document is written to the output directory and the exit status is
+nonzero.
 """
 from __future__ import annotations
 
@@ -169,10 +171,12 @@ def _cmd_fit(args) -> None:
 
 
 def _cmd_cluster(args) -> None:
-    run_cluster(load_matrix(args.embedding), _build_run_config(args), args.out)
+    config = _build_run_config(args)
+    run_cluster(load_matrix(args.embedding), config, args.out)
 
 
 def _cmd_evaluate(args) -> None:
+    config = _build_run_config(args)
     if args.labels:
         labels = load_labels(args.labels)
     elif args.dataset:
@@ -184,12 +188,12 @@ def _cmd_evaluate(args) -> None:
             )
     else:
         raise ValueError("evaluate needs --labels or --dataset to supply ground truth")
-    run_evaluate(load_matrix(args.embedding), labels, _build_run_config(args), args.out)
+    run_evaluate(load_matrix(args.embedding), labels, config, args.out)
 
 
 def _cmd_gridsearch(args) -> None:
-    run_gridsearch(GridSpec(**_flags(args, GridSpec)), load_dataset(args.dataset),
-                   _build_run_config(args), args.out,
+    grid, config = GridSpec(**_flags(args, GridSpec)), _build_run_config(args)
+    run_gridsearch(grid, load_dataset(args.dataset), config, args.out,
                    allow_large=args.force_large_grid)
 
 

@@ -5,7 +5,7 @@ label convention.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,27 +37,21 @@ class BinaryMetrics:
 
 
 @dataclass(frozen=True)
-class ClusteringReport:
-    labels: np.ndarray
+class ClusteringReport(KmeansResult, BinaryMetrics):
+    """One clustering run: its k-means result, its metrics and the matched labels."""
+
     matched_labels: np.ndarray
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    inertias: np.ndarray = field(repr=False)
-    best_restart: int
-    degenerate: bool = False
 
 
 def as_labels(labels) -> np.ndarray:
     """`labels` as a 1-D int64 array of class ids, each an integer in 1..LABEL_MAX.
 
-    A whole float such as 2.0 counts as an integer. Any other value raises
-    ValueError naming the first bad value, exactly as given, where a cast
-    would truncate or wrap it. A sequence that is not an array is checked on
-    its own values, before any cast: np.asarray would round an int of 2**53
-    or more to float64 when a float sits beside it. Every function that takes
-    labels checks them here.
+    A whole float such as 2.0 counts as an integer; a bool does not. Any
+    other value raises ValueError naming the first bad value, exactly as
+    given, where a cast would truncate or wrap it. A sequence that is not an
+    array is checked on its own values, before any cast: np.asarray would
+    round an int of 2**53 or more to float64 when a float sits beside it.
+    Every function that takes labels checks them here.
     """
     values = labels if isinstance(labels, np.ndarray) else np.array(labels, dtype=object)
     if values.ndim != 1:
@@ -65,7 +59,8 @@ def as_labels(labels) -> np.ndarray:
     if values.dtype.kind != "i" or not (values >= 1).all():
         for x in values.tolist():  # Python numbers compare exactly at any size
             x = x.item() if isinstance(x, np.generic) else x
-            if not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
+            if isinstance(x, bool) or not (isinstance(x, int) or
+                                           isinstance(x, float) and x.is_integer()):
                 raise ValueError(f"labels must be integers, got {x!r}")
             if not 1 <= x <= LABEL_MAX:
                 raise ValueError(f"labels must be positive integers (1..K), got {x!r}")
@@ -239,14 +234,4 @@ def cluster_and_score(embedding: np.ndarray, truth: np.ndarray, k: int = 2,
     result = kmeans(embedding, k, restarts=restarts, seed=seed)
     match = match_labels(result.labels, truth, max(k, int(truth.max(initial=1))))
     metrics = binary_metrics(match.matched_labels, truth, positive_class)
-    return ClusteringReport(
-        labels=result.labels,
-        matched_labels=match.matched_labels,
-        accuracy=match.accuracy,
-        precision=metrics.precision,
-        recall=metrics.recall,
-        f1=metrics.f1,
-        inertias=result.inertias,
-        best_restart=result.best_restart,
-        degenerate=metrics.degenerate,
-    )
+    return ClusteringReport(**vars(result), **vars(metrics), matched_labels=match.matched_labels)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster import as_labels, cluster_and_score, kmeans
+from .cluster import BinaryMetrics, as_labels, cluster_and_score, kmeans
 from .cp import AlsOptions, cp_als_fit, cp_relative_error
 from .dataio import Dataset, load_dataset, load_dataset_view, save_labels, save_matrix
 from .solver import (M2eConfig, M2eSolution, SolverNumericsError, check_settings,
@@ -131,19 +131,6 @@ def run_cluster(embedding: np.ndarray, config: RunConfig, out_dir: str | Path) -
     return doc
 
 
-def _single_evaluation(embedding, labels, config: RunConfig, rep: int) -> dict:
-    report = cluster_and_score(
-        embedding, labels, k=config.kmeans_k, restarts=config.kmeans_restarts,
-        seed=config.solver.seed + rep, positive_class=config.positive_class)
-    return {
-        "accuracy": report.accuracy,
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1": report.f1,
-        "degenerate": report.degenerate,
-    }
-
-
 def run_evaluate(embedding: np.ndarray, labels: np.ndarray, config: RunConfig,
                  out_dir: str | Path | None = None) -> dict:
     """Repeat the clustering protocol and aggregate metrics.
@@ -168,8 +155,12 @@ def run_evaluate(embedding: np.ndarray, labels: np.ndarray, config: RunConfig,
     if config.positive_class not in labels:
         warnings.warn(f"no label is positive_class {config.positive_class}; precision, "
                       "recall and F1 will read 0", stacklevel=2)
-    reps = [_single_evaluation(embedding, labels, config, rep)
-            for rep in range(config.eval_repeats)]
+    reps = []
+    for rep in range(config.eval_repeats):
+        report = cluster_and_score(
+            embedding, labels, k=config.kmeans_k, restarts=config.kmeans_restarts,
+            seed=config.solver.seed + rep, positive_class=config.positive_class)
+        reps.append({f.name: getattr(report, f.name) for f in dataclasses.fields(BinaryMetrics)})
     metric_names = ("accuracy", "precision", "recall", "f1")
     doc = {
         "config": dataclasses.asdict(config),

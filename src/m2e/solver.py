@@ -68,13 +68,18 @@ def check_settings(config, counts=(), seeds=(), weights=(), amounts=()) -> None:
             entries = getattr(config, name) if name in tuples else (getattr(config, name),)
             if not np.iterable(entries) or not (entries := tuple(entries)):
                 raise ValueError(f"{name} must be a non-empty sequence, got {entries!r}")
+            values = []
             for x in entries:
                 if isinstance(x, bool) or not isinstance(x, number):
                     raise ValueError(f"{name} must be {kind}, got {x!r}")
-                if not holds(cast(x)):
-                    raise ValueError(f"{name} must be {wording}, got {cast(x)!r}")
-            entries = tuple(map(cast, entries))
-            object.__setattr__(config, name, entries if name in tuples else entries[0])
+                try:
+                    values.append(cast(x))
+                except OverflowError:  # e.g. float(10**400)
+                    raise ValueError(f"{name} must be {wording}, got a number past "
+                                     "the float range") from None
+                if not holds(values[-1]):
+                    raise ValueError(f"{name} must be {wording}, got {values[-1]!r}")
+            object.__setattr__(config, name, tuple(values) if name in tuples else values[0])
 
 
 @dataclass(frozen=True)
@@ -328,13 +333,17 @@ def _init_state(views: Sequence[GraphViewTensor], config: M2eConfig,
                 lambdas: Sequence[float]) -> tuple[M2eState, list[float]]:
     """The spectral start of every view, and each view's energy ||X_v||^2.
 
-    Both read the packed rows. Every view restarts the generator from the
-    same seed, so equally shaped views start from identical factors and runs
-    are reproducible.
+    Both read the packed rows. A view whose energy overflows raises
+    SolverNumericsError at iteration 0, naming the view. Every view restarts
+    the generator from the same seed, so equally shaped views start from
+    identical factors and runs are reproducible.
     """
     node, aux, dual, subject, energies = [], [], [], [], []
-    for view in views:
+    for v, view in enumerate(views):
         energies.append(packed_energy(view.packed))
+        if not np.isfinite(energies[-1]):  # eigh would fail on the overflowed Gram
+            raise SolverNumericsError(
+                f"||X||^2 of view {v} overflows: non-finite before the spectral start", 0)
         h, f = spectral_start(view.packed, energies[-1], config.rank,
                               np.random.default_rng(config.seed))
         node.append(h)

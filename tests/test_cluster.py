@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from m2e.cluster import (binary_metrics, cluster_and_score, kmeans, lloyd,
-                         match_labels)
+from m2e.cluster import (BinaryMetrics, KmeansResult, binary_metrics, cluster_and_score,
+                         kmeans, lloyd, match_labels)
 from m2e.dataio import save_dataset, save_labels
 from m2e.runner import RunConfig, run_evaluate
 from oracles import best_assignment_hits, exhaustive_label_mapping
@@ -211,6 +212,10 @@ LABEL_ENTRY_POINTS = {
 def test_fractional_labels_raise_instead_of_truncating(call, tmp_path):
     with pytest.raises(ValueError, match="labels must be integers, got 1.7"):
         LABEL_ENTRY_POINTS[call](np.array([1.7, 2.0]), tmp_path)
+    for bools in ([True, 2], [np.True_, 2], np.array([True, False])):  # a bool is no label
+        with pytest.raises(ValueError, match="^labels must be integers, got True$"):
+            LABEL_ENTRY_POINTS[call](bools, tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
 OUT_OF_RANGE_LABELS = {
@@ -285,3 +290,23 @@ def test_cluster_and_score_report_consistency():
     assert report.f1 == 1.0
     assert report.inertias.shape == (5,)
     assert (report.matched_labels == truth).all()
+
+
+@pytest.mark.parametrize("truth_classes", (2, 3))
+def test_cluster_and_score_is_its_three_steps(truth_classes):
+    # a report is the k-means result, the metrics of its matched labels and
+    # those labels, each as the step run alone at the same seed gives it
+    rng = np.random.default_rng(51)
+    pts = rng.standard_normal((24, 3))
+    truth = np.arange(24) % truth_classes + 1
+    report = cluster_and_score(pts, truth, k=2, restarts=4, seed=9, positive_class=2)
+    assert isinstance(report, KmeansResult) and isinstance(report, BinaryMetrics)
+    result = kmeans(pts, 2, restarts=4, seed=9)
+    match = match_labels(result.labels, truth, truth_classes)
+    metrics = binary_metrics(match.matched_labels, truth, positive_class=2)
+    expected = {**vars(result), **vars(metrics), "matched_labels": match.matched_labels}
+    assert {f.name for f in dataclasses.fields(report)} == set(expected)
+    for name, value in expected.items():
+        np.testing.assert_array_equal(getattr(report, name), value, err_msg=name)
+        assert type(getattr(report, name)) is type(value), name
+    assert report.accuracy == match.accuracy

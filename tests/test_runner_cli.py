@@ -569,10 +569,15 @@ def test_cli_bad_lambda_flag(tmp_path, dataset_dir):
     (lambda: M2eConfig(lambdas=("1", 1.0)), "lambdas must be a number, got '1'"),
     (lambda: AlsOptions(rank=2, rel_tol=False), "rel_tol must be a number, got False"),
     (lambda: SyntheticSpec(separation=None), "separation must be a number, got None"),
+    (lambda: M2eConfig(lambdas=(10**400,)),
+     "lambdas must be positive and finite, got a number past the float range"),
+    (lambda: GridSpec(lambda_grid=(1.0, 10**400)),
+     "lambda_grid must be positive and finite, got a number past the float range"),
 ], ids=["lambdas-nan", "lambdas-inf", "grid-nan", "grid-inf", "rel-tol-nan", "rel-tol-inf",
         "separation-nan", "noise-nan", "jitter-nan", "separation-inf", "jitter-negative",
         "lambdas-zero", "lambdas-empty", "lambdas-scalar", "rank-grid-empty", "lambdas-bool",
-        "lambdas-str", "rel-tol-bool", "separation-none"])
+        "lambdas-str", "rel-tol-bool", "separation-none", "lambdas-past-float",
+        "grid-past-float"])
 def test_configs_reject_non_finite_numbers(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
@@ -604,6 +609,8 @@ def test_configs_reject_non_finite_numbers(build, message):
      "positive_class: labels must be integers, got 1.5"),
     (lambda: RunConfig(positive_class=0),
      "positive_class: labels must be positive integers (1..K), got 0"),
+    (lambda: RunConfig(positive_class=True),
+     "positive_class: labels must be integers, got True"),
     (lambda: GridSpec(rank_grid=(1, 2.5)), "rank_grid must be an integer, got 2.5"),
     (lambda: GridSpec(rank_grid=(True,)), "rank_grid must be an integer, got True"),
     (lambda: GridSpec(rank_grid=(2, 0)), "rank_grid must be >= 1, got 0"),
@@ -611,8 +618,8 @@ def test_configs_reject_non_finite_numbers(build, message):
         "als-max-iters", "als-seed", "seed-negative", "als-seed-negative",
         "spec-seed-negative", "rank-zero", "als-max-iters-zero", "cluster-sizes-fraction",
         "cluster-sizes-zero", "views", "nodes-zero", "kmeans-k", "kmeans-restarts-zero",
-        "eval-repeats", "positive-class-fraction", "positive-class-zero", "rank-grid-fraction",
-        "rank-grid-bool", "rank-grid-zero"])
+        "eval-repeats", "positive-class-fraction", "positive-class-zero",
+        "positive-class-bool", "rank-grid-fraction", "rank-grid-bool", "rank-grid-zero"])
 def test_configs_reject_non_integer_counts_and_seeds(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
@@ -648,13 +655,29 @@ def test_configs_take_numpy_integers():
                                           ("seed", 1.5), ("kmeans_k", 2.0),
                                           ("eval_repeats", 2.0), ("positive_class", 1.5)])
 def test_cli_non_integer_config_fails_before_the_dataset_loads(tmp_path, field, value):
+    _assert_config_fails_first(tmp_path, ["fit", "--dataset", str(tmp_path / "missing")],
+                               field, value)
+
+
+@pytest.mark.parametrize("field, value", [("seed", 1.5), ("kmeans_k", 2.0),
+                                          ("positive_class", 1.5)])
+@pytest.mark.parametrize("command, inputs", [("cluster", ["--embedding"]),
+                                             ("evaluate", ["--embedding", "--labels"]),
+                                             ("gridsearch", ["--dataset"])],
+                         ids=["cluster", "evaluate", "gridsearch"])
+def test_cli_config_fails_before_any_input_loads(tmp_path, command, inputs, field, value):
+    missing = [arg for flag in inputs for arg in (flag, str(tmp_path / "missing"))]
+    _assert_config_fails_first(tmp_path, [command, *missing], field, value)
+
+
+def _assert_config_fails_first(tmp_path, command, field, value):
+    """`command`, whose inputs are missing, reports the bad --config setting instead."""
     cfg_file = tmp_path / "cfg.json"
     solver_field = field in {f.name for f in dataclasses.fields(M2eConfig)}
     cfg_file.write_text(json.dumps({"solver": {field: value}} if solver_field
                                    else {field: value}))
-    out = tmp_path / "fit"
-    code = main(["fit", "--dataset", str(tmp_path / "missing"), "--config", str(cfg_file),
-                 "--out", str(out)])
+    out = tmp_path / "out"
+    code = main([*command, "--config", str(cfg_file), "--out", str(out)])
     assert code == 1
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "ValueError"

@@ -705,6 +705,17 @@ def test_singular_block_reported_with_iteration_view_and_block(monkeypatch, fitt
 
 
 @pytest.mark.parametrize("fitter", (m2e_fit, m2e_ds_fit, m2e_ts_fit))
+def test_view_whose_energy_overflows_is_named(fitter):
+    # every entry is finite, but ||X||^2 is not; the second view is at fault
+    rng = np.random.default_rng(48)
+    views = [w + w.transpose(1, 0, 2) for w in rng.standard_normal((2, 5, 5, 6))]
+    with np.errstate(all="ignore"), pytest.raises(SolverNumericsError) as err:
+        fitter([views[0], views[1] * 1e155], M2eConfig(rank=2))
+    assert str(err.value) == "||X||^2 of view 1 overflows: non-finite before the spectral start"
+    assert err.value.iteration == 0
+
+
+@pytest.mark.parametrize("fitter", (m2e_fit, m2e_ds_fit, m2e_ts_fit))
 def test_all_zero_view_fits_finite(fitter):
     # a zero view has a zero spectral start and a zero data term; its exact
     # subject solve without a pull is exactly zero
