@@ -17,8 +17,9 @@ import sys
 from pathlib import Path
 
 from .cp import AlsOptions
-from .dataio import load_dataset, load_dataset_labels, load_labels, load_matrix, save_dataset
-from .datagen import SyntheticSpec, bp_shape_preset, generate, hiv_shape_preset
+from .dataio import (load_dataset, load_dataset_labels, load_labels, load_matrix, save_dataset,
+                     write_json)
+from .datagen import PRESETS, SyntheticSpec, generate
 from .runner import (METHODS, GridSpec, RunConfig, run_cluster, run_cp, run_evaluate,
                      run_fit, run_gridsearch)
 from .solver import M2eConfig
@@ -97,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write a synthetic dataset")
     _add_common(g)
-    g.add_argument("--preset", choices=("hiv", "bp"))
+    g.add_argument("--preset", choices=tuple(PRESETS))
     g.add_argument("--views", type=int, default=None)
     g.add_argument("--nodes", type=int, default=None)
     g.add_argument("--subjects", type=int, default=None)
@@ -147,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp = sub.add_parser("cp", help="plain CP factorization of one view")
     _add_common(cp)
     cp.add_argument("--dataset", required=True)
-    cp.add_argument("--view", default="0", help="view name or 0-based index")
+    cp.add_argument("--view", default="0", help="a view name; otherwise a 0-based index")
     cp.add_argument("--rank", type=int, required=True)
     cp.add_argument("--max-iters", dest="max_iters", type=int, default=None)
     cp.add_argument("--tol", dest="rel_tol", type=float, default=None)
@@ -156,10 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> None:
-    if args.preset:
-        spec = hiv_shape_preset() if args.preset == "hiv" else bp_shape_preset()
-    else:
-        spec = SyntheticSpec()
+    spec = PRESETS[args.preset]() if args.preset else SyntheticSpec()
     spec = dataclasses.replace(spec, **_flags(args, SyntheticSpec))
     views, labels = generate(spec)
     save_dataset(args.out, views, labels,
@@ -198,8 +196,7 @@ def _cmd_gridsearch(args) -> None:
 
 
 def _cmd_cp(args) -> None:
-    view = int(args.view) if args.view.isdigit() else args.view
-    run_cp(args.dataset, view, AlsOptions(**_flags(args, AlsOptions)), args.out)
+    run_cp(args.dataset, args.view, AlsOptions(**_flags(args, AlsOptions)), args.out)
 
 
 _COMMANDS = {
@@ -219,12 +216,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - boundary: report, emit, fail
         out = getattr(args, "out", None)
         if out:
-            Path(out).mkdir(parents=True, exist_ok=True)
-            (Path(out) / "error.json").write_text(json.dumps({
-                "error": type(exc).__name__,
-                "message": str(exc),
-                "command": args.command,
-            }, indent=2) + "\n")
+            write_json(Path(out) / "error.json", {"error": type(exc).__name__,
+                                                  "message": str(exc), "command": args.command})
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

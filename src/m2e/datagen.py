@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import check_settings
-from .tensors import GraphViewTensor
+from .tensors import GraphViewTensor, symmetric_index
 
 _NOISE_ROWS = 256  # packed rows of noise drawn at a time; the view does not depend on it
 
@@ -75,15 +75,15 @@ def generate(spec: SyntheticSpec) -> tuple[list[GraphViewTensor], np.ndarray]:
 def _draw_view(spec: SyntheticSpec, v: int, labels: np.ndarray) -> GraphViewTensor:
     """View v of `spec`, drawn straight into its packed rows.
 
-    Row e is the pair (i, j), i <= j, of `np.triu_indices`, the order of
-    `symmetric_index`: sum_r h_ir h_jr f_nr for each subject n, one GEMM, plus noise.
+    Row e is the pair (i, j), i <= j, of `symmetric_index`: sum_r h_ir h_jr f_nr
+    for each subject n, one GEMM, plus noise.
     """
     rng = np.random.default_rng([spec.seed, v])
     h = rng.standard_normal((spec.nodes, spec.latent_rank))
     centroids = _centroids(rng, spec.n_clusters, spec.latent_rank, spec.separation)
     subject_factors = centroids[labels - 1] + spec.jitter * rng.standard_normal(
         (spec.subjects, spec.latent_rank))
-    i, j = np.triu_indices(spec.nodes)
+    i, j = np.divmod(symmetric_index(spec.nodes)[0], spec.nodes)
     rows = (h[i] * h[j]) @ subject_factors.T
     if spec.noise_sigma > 0:
         std = np.where(i == j, spec.noise_sigma, spec.noise_sigma / np.sqrt(2.0))[:, None]
@@ -103,3 +103,6 @@ def bp_shape_preset() -> SyntheticSpec:
     """Spec shaped like a 97-subject, 82-node, two-view cohort (52/45)."""
     return SyntheticSpec(views=2, nodes=82, subjects=97, cluster_sizes=(52, 45),
                          latent_rank=12)
+
+
+PRESETS = {"hiv": hiv_shape_preset, "bp": bp_shape_preset}  # `m2e generate --preset` names

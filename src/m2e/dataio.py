@@ -54,6 +54,14 @@ class Dataset:
     metadata: dict = field(default_factory=dict)
 
 
+def write_json(path: Path | str, document: dict) -> None:
+    """Write every JSON document (manifest, summary, metrics, error) one way:
+    indented by 2, keys sorted, a final newline, the parent directory created."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+
+
 def save_matrix(path: Path | str, matrix: np.ndarray, comment: str = "") -> None:
     """Write a 2-D array as delimited text with a dimension header."""
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
@@ -62,7 +70,18 @@ def save_matrix(path: Path | str, matrix: np.ndarray, comment: str = "") -> None
 
 
 def load_matrix(path: Path | str) -> np.ndarray:
+    """Read a 2-D array from delimited text, as :func:`save_matrix` writes it.
+
+    A first line of the form `# rows cols ...`, the header :func:`save_matrix`
+    writes, is checked: rows that disagree with it raise a DatasetError naming
+    the file and both shapes. A file without that header loads as it is.
+    """
     m = np.loadtxt(path, ndmin=2)
+    with open(path, encoding="ascii", errors="replace") as fh:
+        header = re.match(r"#\s*(\d+)\s+(\d+)(?:\s|$)", fh.readline())
+    if header and m.shape != (int(header[1]), int(header[2])):
+        raise DatasetError(f"matrix file {path}: its header says {header[1]} x {header[2]}, "
+                           f"its rows hold {m.shape[0]} x {m.shape[1]}")
     return m
 
 
@@ -197,7 +216,7 @@ def save_dataset(path: Path | str, views: list[GraphViewTensor | np.ndarray],
         save_labels(root / "labels.txt", labels)
         manifest["labels_file"] = "labels.txt"
     manifest_path = root / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    write_json(manifest_path, manifest)
     return manifest_path
 
 
@@ -276,15 +295,16 @@ def _read_view(manifest_path: Path, entry: dict, name: str, subjects: int) -> Gr
 
 
 def view_index(names: list[str], view: str | int) -> int:
-    """Position of `view`, a view name or a 0-based index, among `names`."""
-    if isinstance(view, str):
-        if view not in names:
-            raise ValueError(f"unknown view {view!r}; have {names}")
+    """Position of `view` among `names`: a name selects its view; otherwise an int or a
+    string of ASCII digits is a 0-based index, and anything else is an unknown view."""
+    if view in names:
         return names.index(view)
-    idx = int(view)
-    if not 0 <= idx < len(names):
-        raise ValueError(f"view index {idx} out of range")
-    return idx
+    digits = isinstance(view, str) and view.isascii() and view.isdigit()
+    if not digits and (isinstance(view, bool) or not isinstance(view, (int, np.integer))):
+        raise ValueError(f"unknown view {view!r}; have {names}")
+    if not 0 <= int(view) < len(names):
+        raise ValueError(f"view index {int(view)} out of range")
+    return int(view)
 
 
 def load_dataset(path: Path | str) -> Dataset:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -18,7 +17,8 @@ import numpy as np
 
 from .cluster import BinaryMetrics, as_labels, cluster_and_score, kmeans
 from .cp import AlsOptions, cp_als_fit, cp_relative_error
-from .dataio import Dataset, load_dataset, load_dataset_view, save_labels, save_matrix
+from .dataio import (Dataset, load_dataset, load_dataset_view, save_labels, save_matrix,
+                     write_json)
 from .solver import (M2eConfig, M2eSolution, SolverNumericsError, check_settings,
                      m2e_ds_fit, m2e_fit, m2e_ts_fit)
 
@@ -61,11 +61,6 @@ class GridSpec:
         check_settings(self, counts=("rank_grid",), weights=("lambda_grid",))
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _as_dataset(dataset: Dataset | str | Path) -> Dataset:
     if isinstance(dataset, Dataset):
         return dataset
@@ -100,7 +95,7 @@ def run_fit(config: RunConfig, dataset: Dataset | str | Path,
         solution.residual_trace,
     ])
     save_matrix(out / "trace.txt", trace, "iteration objective residual")
-    _write_json(out / "summary.json", {
+    write_json(out / "summary.json", {
         "config": dataclasses.asdict(config),
         "iterations": solution.iterations,
         "converged": solution.converged,
@@ -127,7 +122,7 @@ def run_cluster(embedding: np.ndarray, config: RunConfig, out_dir: str | Path) -
         "best_restart": result.best_restart,
         "best_inertia": float(result.inertias[result.best_restart]),
     }
-    _write_json(out / "summary.json", doc)
+    write_json(out / "summary.json", doc)
     return doc
 
 
@@ -169,7 +164,7 @@ def run_evaluate(embedding: np.ndarray, labels: np.ndarray, config: RunConfig,
         "std": {m: float(np.std([r[m] for r in reps])) for m in metric_names},
     }
     if out_dir is not None:
-        _write_json(Path(out_dir) / "metrics.json", doc)
+        write_json(Path(out_dir) / "metrics.json", doc)
     return doc
 
 
@@ -249,7 +244,7 @@ def run_gridsearch(grid: GridSpec, dataset: Dataset | str | Path, config: RunCon
                           for r in rows if r["rank"] == best["rank"]])
     save_matrix(out / "accuracy_vs_lambda.txt", vs_lambda,
                 f"{lam_cols} mean_accuracy")
-    _write_json(out / "summary.json", {
+    write_json(out / "summary.json", {
         "config": dataclasses.asdict(config),
         "lambda_grid": list(grid.lambda_grid),
         "rank_grid": list(grid.rank_grid),
@@ -263,9 +258,9 @@ def run_gridsearch(grid: GridSpec, dataset: Dataset | str | Path, config: RunCon
 
 def run_cp(dataset: str | Path, view: str | int, opts: AlsOptions,
            out_dir: str | Path) -> dict:
-    """CP factorization of one view (a name or 0-based index); writes factors and trace.
+    """CP factorization of one view, chosen by :func:`m2e.dataio.view_index`.
 
-    Only that view's file is read from the dataset directory.
+    Writes factors and trace. Only that view's file is read from the dataset directory.
     """
     name, graph = load_dataset_view(dataset, view)
     fit = cp_als_fit(graph, opts)
@@ -283,5 +278,5 @@ def run_cp(dataset: str | Path, view: str | int, opts: AlsOptions,
         "degenerate": fit.degenerate,
         "relative_error": cp_relative_error(graph, fit.factors),
     }
-    _write_json(out / "summary.json", doc)
+    write_json(out / "summary.json", doc)
     return doc

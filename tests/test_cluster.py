@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,18 @@ def test_kmeans_rejects_non_finite_rows():
     pts[3, 1] = np.nan
     with pytest.raises(ValueError, match="1 non-finite rows .*row 3"):
         kmeans(pts, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: kmeans(np.zeros(3), 2), "expected an (N, R) matrix, got shape (3,)"),
+    (lambda: kmeans(np.zeros((3, 2)), 2, restarts=0), "restarts must be >= 1"),
+    (lambda: match_labels([1, 2, 1], [1, 2], 2), "pred and truth must have equal length"),
+    (lambda: binary_metrics([1, 2, 1], [1, 2]),
+     "matched labels and truth must have equal length"),
+], ids=["kmeans-vector", "kmeans-no-restart", "match-lengths", "metrics-lengths"])
+def test_clustering_argument_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_kmeans_best_restart_is_minimum():

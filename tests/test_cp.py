@@ -140,6 +140,18 @@ def test_rejects_bad_inputs():
         cp_als_fit(np.random.default_rng(0).standard_normal((3, 3, 2)), AlsOptions(rank=1))
 
 
+@pytest.mark.parametrize("factors, message", [
+    ((np.ones((2, 2)), np.ones((2, 2))), "CpFactors needs exactly three matrices"),
+    ((np.ones((2, 2)), np.ones((2, 2)), np.ones(2)), "CpFactors needs exactly three matrices"),
+    ((np.ones((2, 2)), np.ones((2, 3)), np.ones((2, 2))),
+     "factor matrices disagree on column count"),
+    ((np.ones((2, 2)), np.full((2, 2), np.nan), np.ones((2, 2))), "factor entries must be finite"),
+], ids=["two-matrices", "a-vector", "column-counts", "non-finite"])
+def test_cp_factors_reject_malformed_matrices(factors, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CpFactors(factors)
+
+
 def test_non_finite_sweep_raises_naming_it(monkeypatch):
     t, _ = rank_r_tensor(np.random.default_rng(15), 6, 5, 2)
     with np.errstate(all="ignore"), pytest.raises(SolverNumericsError) as err:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from m2e.cluster import as_labels
 from m2e.datagen import SyntheticSpec, generate, hiv_shape_preset
 from m2e.dataio import (DatasetError, load_dataset, load_dataset_labels, load_dataset_view,
-                        load_labels, load_matrix, save_dataset, save_labels, save_matrix)
+                        load_labels, load_matrix, save_dataset, save_labels, save_matrix,
+                        view_index)
 from m2e.solver import M2eConfig, m2e_fit
 from m2e.tensors import GraphViewTensor
 
@@ -324,6 +326,71 @@ def test_save_matrix_round_trip_full_precision(tmp_path):
     m = rng.standard_normal((7, 3)) * np.exp(rng.uniform(-20, 20, (7, 3)))
     save_matrix(tmp_path / "m.txt", m, "test matrix")
     np.testing.assert_array_equal(load_matrix(tmp_path / "m.txt"), m)
+
+
+def test_load_matrix_checks_the_shape_its_header_states(tmp_path):
+    m = np.arange(80.0).reshape(40, 2)
+    save_matrix(tmp_path / "m.txt", m, "consensus embedding")
+    lines = (tmp_path / "m.txt").read_text().splitlines(keepends=True)
+    (tmp_path / "cut.txt").write_text("".join(lines[:-5]))
+    with pytest.raises(DatasetError) as err:
+        load_matrix(tmp_path / "cut.txt")
+    assert str(err.value) == (f"matrix file {tmp_path / 'cut.txt'}: its header says 40 x 2, "
+                              "its rows hold 35 x 2")
+    # without save_matrix's header, a file loads as it is
+    np.savetxt(tmp_path / "plain.txt", m[:35])
+    np.savetxt(tmp_path / "comment.txt", m[:35], header="consensus embedding")
+    for name in ("plain.txt", "comment.txt"):
+        np.testing.assert_array_equal(load_matrix(tmp_path / name), m[:35])
+
+
+@pytest.mark.parametrize("names, view, expected", [
+    (["view1", "view2"], "1", 1),
+    (["view1", "view2"], np.int64(0), 0),
+    (["view1", "view2"], "01", 1),
+    (["1", "0"], "1", 0),
+    (["1", "0"], "0", 1),
+    (["1", "0"], 1, 1),
+], ids=["digits", "numpy-int", "leading-zero", "digit-name", "digit-name-0",
+        "int-among-digit-names"])
+def test_view_index_takes_a_name_before_an_index(names, view, expected):
+    assert view_index(names, view) == expected
+
+
+@pytest.mark.parametrize("view, message", [
+    ("view3", "unknown view 'view3'; have ['view1', 'view2']"),
+    ("²", "unknown view '²'; have ['view1', 'view2']"),
+    ("-1", "unknown view '-1'; have ['view1', 'view2']"),
+    ("", "unknown view ''; have ['view1', 'view2']"),
+    (1.0, "unknown view 1.0; have ['view1', 'view2']"),
+    (True, "unknown view True; have ['view1', 'view2']"),
+    (2, "view index 2 out of range"),
+    ("2", "view index 2 out of range"),
+    (-1, "view index -1 out of range"),
+], ids=["unknown-name", "superscript-two", "negative-text", "empty", "float", "bool",
+        "int-past-end", "digits-past-end", "negative-int"])
+def test_view_index_rejects_what_is_neither_a_name_nor_an_index(view, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        view_index(["view1", "view2"], view)
+
+
+def _spoil_manifest(path, **fields):
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["views"][0].update(fields)
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("spoil, load, message", [
+    (lambda p: (p / "labels.txt").unlink(), load_dataset,
+     "labels file {path}/labels.txt is missing"),
+    (lambda p: _spoil_manifest(p, node_count=0), load_dataset,
+     "view 'view1': node_count must be positive"),
+], ids=["labels-missing", "node-count-zero"])
+def test_dataset_faults_name_what_is_at_fault(small_dataset, spoil, load, message):
+    path, _, _ = small_dataset
+    spoil(path)
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(path=path))}$"):
+        load(path)
 
 
 def test_dataset_view_files_reparse_exactly(small_dataset):

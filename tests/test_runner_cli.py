@@ -9,8 +9,8 @@ import pytest
 from m2e.cli import build_parser, main
 from m2e.cluster import kmeans
 from m2e.cp import AlsOptions
-from m2e.dataio import load_dataset, load_matrix, save_dataset
-from m2e.datagen import SyntheticSpec, generate
+from m2e.dataio import load_dataset, load_matrix, save_dataset, save_matrix
+from m2e.datagen import PRESETS, SyntheticSpec, generate
 from m2e.runner import (METHODS, GridSpec, RunConfig, run_cluster, run_cp,
                         run_evaluate, run_fit, run_gridsearch)
 from m2e.solver import M2eConfig, SolverNumericsError
@@ -417,6 +417,12 @@ def test_cli_generate_preset(tmp_path):
     manifest = json.loads((ds / "manifest.json").read_text())
     assert manifest["subject_count"] == 70
     assert manifest["metadata"]["generator"]["cluster_sizes"] == [35, 35]
+    for name, preset in PRESETS.items():  # every name --preset takes draws its spec
+        assert main(["generate", "--preset", name, "--out", str(tmp_path / name), "--seed", "1",
+                     "--nodes", "10"]) == 0
+        spec = dataclasses.asdict(dataclasses.replace(preset(), nodes=10, seed=1))
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["metadata"]["generator"] == json.loads(json.dumps(spec))
 
 
 def test_cli_evaluate_without_labels_fails_with_document(tmp_path):
@@ -453,6 +459,57 @@ def test_cli_cp_reads_only_the_requested_view(tmp_path, dataset_dir):
     assert json.loads((out / "summary.json").read_text())["view"] == "view1"
     assert main(argv + ["--view", "view2"]) == 1
     assert "view 'view2'" in json.loads((out / "error.json").read_text())["message"]
+
+
+def test_cli_cp_view_selects_a_name_before_an_index(tmp_path, dataset_dir):
+    def cp(dataset, view, out):
+        code = main(["cp", "--dataset", str(dataset), "--view", view, "--rank", "2",
+                     "--max-iters", "3", "--out", str(tmp_path / out)])
+        name = "summary.json" if code == 0 else "error.json"
+        return code, json.loads((tmp_path / out / name).read_text())
+
+    for view in ("1", "view2"):  # no view is named "1": an index
+        assert cp(dataset_dir, view, f"cp-{view}")[1]["view"] == "view2"
+    views, labels = generate(SMALL)
+    save_dataset(tmp_path / "digits", views, labels, view_names=["1", "0"])
+    assert cp(tmp_path / "digits", "1", "by-name")[1]["view"] == "1"
+    assert cp(tmp_path / "digits", "²", "not-ascii") == (
+        1, {"command": "cp", "error": "ValueError", "message": "unknown view '²'; have ['1', '0']"})
+
+
+def test_cli_cluster_rejects_a_matrix_file_cut_short(tmp_path):
+    save_matrix(tmp_path / "consensus.txt", np.arange(80.0).reshape(40, 2), "consensus embedding")
+    lines = (tmp_path / "consensus.txt").read_text().splitlines(keepends=True)
+    cut = tmp_path / "cut.txt"
+    cut.write_text("".join(lines[:-5]))
+    out = tmp_path / "clusters"
+    assert main(["cluster", "--embedding", str(cut), "--out", str(out)]) == 1
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "DatasetError"
+    assert error["message"] == f"matrix file {cut}: its header says 40 x 2, its rows hold 35 x 2"
+    assert not (out / "labels.txt").exists()
+
+
+@pytest.mark.filterwarnings("ignore:m2e fit did not converge")
+def test_cli_writes_every_json_document_one_way(tmp_path, dataset_dir):
+    """Indented by 2, keys sorted, a final newline: manifest, summaries, metrics and errors."""
+    emb = tmp_path / "fit" / "consensus.txt"
+    for argv in (["fit", "--dataset", str(dataset_dir), "--rank", "2", "--max-iters", "3",
+                  "--out", str(tmp_path / "fit")],
+                 ["evaluate", "--embedding", str(emb), "--dataset", str(dataset_dir),
+                  "--repeats", "1", "--out", str(tmp_path / "eval")],
+                 ["cluster", "--embedding", str(emb), "--out", str(tmp_path / "clusters")],
+                 ["cp", "--dataset", str(dataset_dir), "--rank", "2", "--max-iters", "3",
+                  "--out", str(tmp_path / "cp")],
+                 ["cp", "--dataset", str(dataset_dir), "--view", "view3", "--rank", "2",
+                  "--out", str(tmp_path / "error")]):
+        main(argv)
+    docs = [dataset_dir / "manifest.json", *(tmp_path / d / "summary.json"
+                                             for d in ("fit", "clusters", "cp")),
+            tmp_path / "eval" / "metrics.json", tmp_path / "error" / "error.json"]
+    for doc in docs:
+        text = doc.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", doc
 
 
 def test_cli_evaluate_nan_embedding_fails_with_document(tmp_path):
@@ -546,6 +603,18 @@ def test_cli_bad_lambda_flag(tmp_path, dataset_dir):
                  "--lambda", "oops"])
     assert code == 1
     assert (out / "error.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--dataset", "missing", "--lambda", "1=1", "--lambda", "3=1"],
+     "--lambda views must be 1..V, got [1, 3]"),
+    (["evaluate", "--embedding", "missing.txt"],
+     "evaluate needs --labels or --dataset to supply ground truth"),
+], ids=["lambda-views-not-1-to-V", "evaluate-without-truth"])
+def test_cli_argument_faults_write_their_message(tmp_path, argv, message):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert json.loads((out / "error.json").read_text())["message"] == message
 
 
 @pytest.mark.parametrize("build, message", [

@@ -224,6 +224,21 @@ def test_spectral_start_and_penalty_share_the_balanced_column_norm():
     assert solver.balanced_penalty(energy, 3) == pytest.approx(2.0 * t**4, rel=1e-14)
 
 
+def test_fit_past_the_node_count_starts_from_the_seed():
+    # at rank M + 2 the spectral start adds two node columns of noise drawn from M2eConfig.seed
+    views, _ = shared_factor_views(47, nodes=4, subjects=9, rank=2)
+
+    def fit(seed):
+        return m2e_fit(views, M2eConfig(rank=6, seed=seed, max_outer_iters=5))
+
+    first, again, other = fit(3), fit(3), fit(4)
+    assert np.isfinite(first.consensus).all() and np.isfinite(first.objective_trace).all()
+    assert first.consensus.shape == (9, 6) and first.node_factors[0].shape == (4, 6)
+    np.testing.assert_array_equal(again.consensus, first.consensus)
+    np.testing.assert_array_equal(again.objective_trace, first.objective_trace)
+    assert not np.array_equal(other.consensus, first.consensus)
+
+
 def test_update_dual():
     u = np.zeros((2, 2))
     h = np.ones((2, 2))
@@ -271,6 +286,17 @@ def test_consensus_weighted_mean():
 def test_consensus_rejects_empty():
     with pytest.raises(ValueError):
         update_consensus([], ())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: subject_system(np.ones((3, 2)), np.ones((4, 2)), np.ones((4, 2)), None, 1.0),
+     "a consensus matrix is required when lam > 0"),
+    (lambda: update_consensus([np.ones((3, 2))] * 2, (1.0,)),
+     "one weight per subject factor required"),
+], ids=["subject-pull-without-consensus", "consensus-weight-count"])
+def test_block_helpers_reject_bad_arguments_naming_the_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_consensus_minimizes_weighted_sum():

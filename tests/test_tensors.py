@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -118,6 +119,16 @@ def test_cp_reconstruct_matches_mode3_identity():
 def test_cp_reconstruct_rejects_rank_mismatch():
     with pytest.raises(ValueError):
         cp_reconstruct((np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2))))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: khatri_rao(np.zeros(3), np.zeros((3, 2))), "khatri_rao expects two matrices"),
+    (lambda: cp_reconstruct((np.zeros((2, 2)), np.zeros((2, 2)))),
+     "expected 3 factor matrices, got 2"),
+], ids=["khatri-rao-vector", "reconstruct-two-factors"])
+def test_kernels_reject_malformed_factors_naming_the_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def random_symmetric(rng, m, n):
