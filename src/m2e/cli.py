@@ -151,7 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--view", default="0", help="a view name; otherwise a 0-based index")
     cp.add_argument("--rank", type=int, required=True)
     cp.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    cp.add_argument("--tol", dest="rel_tol", type=float, default=None)
+    cp.add_argument("--tol", dest="rel_tol", type=float, default=None, metavar="TOL",
+                    help="stop once the squared error moves by at most TOL * ||X||^2 "
+                         f"between sweeps (default {AlsOptions.rel_tol:g})")
 
     return parser
 

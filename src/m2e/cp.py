@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import SolverNumericsError, check_settings
+from .solver import STOP_OBJ_CHANGE, SolverNumericsError, balanced_column_norm, check_settings
 from .tensors import (GraphViewTensor, as_views, cp_reconstruct, cp_squared_error,
                       mttkrp_from_partial, packed_energy, packed_mode3_mttkrp,
                       packed_partial_mttkrp, ridge_solve, symmetric_index)
@@ -50,13 +50,14 @@ class CpFactors:
 class AlsOptions:
     """Knobs for :func:`cp_als_fit`.
 
-    `rel_tol`, positive and finite, stops the sweep loop once the relative
-    fit improves by less than this between iterations.
+    `rel_tol`, positive and finite, stops the sweep loop once the squared
+    error moves by at most `rel_tol` * ||X||^2 between sweeps, the form of the
+    M2E fitters' test; it defaults to theirs, STOP_OBJ_CHANGE.
     """
 
     rank: int
     max_iters: int = 500
-    rel_tol: float = 1e-8
+    rel_tol: float = STOP_OBJ_CHANGE
     seed: int = 0
 
     def __post_init__(self):
@@ -69,7 +70,7 @@ class CpFit:
     fit_trace: np.ndarray = field(repr=False)  # relative error per iteration
     iterations: int
     converged: bool
-    degenerate: bool  # zero input tensor; factors are all-zero
+    degenerate: bool  # zero input tensor, ||X||^2 = 0
 
 
 def _residual_norm(xp: np.ndarray, factors) -> float:
@@ -120,9 +121,11 @@ def cp_als_fit(tensor: GraphViewTensor | np.ndarray, opts: AlsOptions) -> CpFit:
     -------
     CpFit
         Factors, the per-iteration relative error trace (non-increasing up
-        to 1e-10 per sweep), iteration count and convergence flags. A zero
-        input tensor short-circuits to all-zero factors with
-        ``degenerate=True``.
+        to 1e-10 per sweep), iteration count and convergence flags. The
+        random start has the balanced column norm of ||X||^2 (as the M2E
+        fitters' start), so the sweeps do not depend on the data's units
+        beyond ridge_solve's absolute ridge. A zero tensor runs the same
+        sweeps, its trace holds the absolute error and ``degenerate`` is set.
 
     Raises
     ------
@@ -134,15 +137,13 @@ def cp_als_fit(tensor: GraphViewTensor | np.ndarray, opts: AlsOptions) -> CpFit:
     xp = view.packed
     r = opts.rank
     energy = packed_energy(xp)
-    if energy == 0.0:
-        zeros = CpFactors(tuple(np.zeros((d, r)) for d in view.shape))
-        return CpFit(zeros, np.zeros(1), iterations=0, converged=True, degenerate=True)
-    scale = math.sqrt(energy)
+    scale = math.sqrt(energy) or 1.0  # a zero tensor's error is absolute
 
     rng = np.random.default_rng(opts.seed)
-    a, b, c = (rng.standard_normal((d, r)) for d in view.shape)
+    col_norm = balanced_column_norm(energy, r)
+    a, b, c = (col_norm / math.sqrt(d) * rng.standard_normal((d, r)) for d in view.shape)
 
-    trace = []
+    trace, prev_sq = [], math.inf
     converged = False
     for it in range(opts.max_iters):
         y = packed_partial_mttkrp(xp, c)  # modes 1 and 2 leave c fixed
@@ -157,9 +158,10 @@ def cp_als_fit(tensor: GraphViewTensor | np.ndarray, opts: AlsOptions) -> CpFit:
         if not (math.isfinite(err) and all(np.isfinite(f).all() for f in (a, b, c))):
             raise SolverNumericsError(f"non-finite error or factors at CP-ALS sweep {it}", it)
         trace.append(err)
-        if it >= 1 and abs(trace[-2] - err) < opts.rel_tol:
+        if abs(prev_sq - sq) <= opts.rel_tol * energy:
             converged = True
             break
+        prev_sq = sq
 
     return CpFit(CpFactors((a, b, c)), np.asarray(trace), iterations=len(trace),
-                 converged=converged, degenerate=False)
+                 converged=converged, degenerate=energy == 0.0)

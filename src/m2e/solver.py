@@ -14,8 +14,8 @@ factor toward the consensus and re-averages the consensus every iteration;
 "independent" (:func:`m2e_ts_fit`) does the same with no pull, so each view
 fits on its own and the consensus is only read out; "shared"
 (:func:`m2e_ds_fit`) solves for one subject factor on all views at once.
-One Gram-based routine evaluates the objective for the per-iteration trace,
-the final objective and :func:`objective_value`.
+One Gram-based routine evaluates the objective for the per-iteration trace
+and the final objective.
 """
 from __future__ import annotations
 
@@ -249,26 +249,6 @@ def _objective(energies, mttkrps, nodes, auxes, subjects, consensus, pulls) -> f
             diff = f - consensus
             total += float(lam) * float(np.vdot(diff, diff))
     return total
-
-
-def objective_value(views: Sequence, state: M2eState,
-                    lambdas: Sequence[float]) -> float:
-    """Sum of squared reconstruction errors plus the weighted consensus pull.
-
-    Views may be GraphViewTensor or (M, M, N) arrays with symmetric slices,
-    which are validated and packed as the fitters do. Each view is read by
-    one packed pass 2.
-    """
-    packed = [g.packed for g in as_views(views)]
-    lambdas = _resolve_lambdas(lambdas, len(packed))
-    for name in ("node", "node_aux", "subject"):
-        if len(getattr(state, name)) != len(packed):
-            raise ValueError(f"got {len(packed)} views but state.{name} holds "
-                             f"{len(getattr(state, name))}")
-    return _objective([packed_energy(xp) for xp in packed],
-                      [packed_mode3_mttkrp(xp, h, p)
-                       for xp, h, p in zip(packed, state.node, state.node_aux)],
-                      state.node, state.node_aux, state.subject, state.consensus, lambdas)
 
 
 def coupling_residual(state: M2eState) -> float:

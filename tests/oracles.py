@@ -2,7 +2,8 @@
 
 The package holds every graph view packed and has no dense unfolding or
 dense MTTKRP. These are the textbook definitions, on dense (I, J, K)
-tensors whose slices need not be symmetric. The label matcher solves one
+tensors whose slices need not be symmetric; `objective_value` evaluates the
+fitters' objective from them. The label matcher solves one
 assignment problem; the exhaustive searches below are its references. The
 generator draws packed rows; `dense_generate` builds the same views densely.
 """
@@ -11,6 +12,7 @@ import itertools
 import numpy as np
 
 from m2e.datagen import _centroids
+from m2e.solver import _objective
 
 
 def matricize(tensor, mode):
@@ -44,6 +46,19 @@ def partial_mttkrp(x, c):
 def mode3_mttkrp(x, a, b):
     """The mode-3 MTTKRP sum_ij X[i, j, k] A[i, r] B[j, r], shape (K, R)."""
     return np.einsum("ijk,ir,jr->kr", x, a, b)
+
+
+def objective_value(views, state, lambdas):
+    """The fitters' objective of `state` on dense views, by `m2e.solver._objective`.
+
+    sum_v ||X_v - [[h_v, p_v, f_v]]||^2 + lambdas[v] ||f_v - consensus||^2, with
+    each ||X_v||^2 and mode-3 MTTKRP taken from the dense view (a
+    `GraphViewTensor`'s `.data`).
+    """
+    dense = [np.asarray(getattr(x, "data", x), dtype=float) for x in views]
+    return _objective([float(np.vdot(x, x)) for x in dense],
+                      [mode3_mttkrp(x, h, p) for x, h, p in zip(dense, state.node, state.node_aux)],
+                      state.node, state.node_aux, state.subject, state.consensus, lambdas)
 
 
 def exhaustive_label_mapping(contingency):

@@ -3,8 +3,10 @@ import pytest
 
 import m2e.cp as cp
 from m2e.cp import AlsOptions, CpFactors, cp_als_fit, cp_relative_error
-from m2e.solver import SolverNumericsError
-from m2e.tensors import GraphViewTensor, cp_reconstruct, frobenius_norm, khatri_rao, ridge_solve
+from m2e.datagen import SyntheticSpec, generate
+from m2e.solver import STOP_OBJ_CHANGE, SolverNumericsError
+from m2e.tensors import (GraphViewTensor, cp_reconstruct, frobenius_norm, khatri_rao,
+                         packed_energy, ridge_solve)
 from oracles import matricize
 
 
@@ -31,11 +33,43 @@ def test_recovers_exact_rank_one():
 
 def test_zero_tensor_short_circuits():
     fit = cp_als_fit(np.zeros((3, 3, 5)), AlsOptions(rank=2))
-    assert fit.degenerate
+    assert fit.degenerate and fit.converged
     assert fit.factors.dims == (3, 3, 5)
     for f in fit.factors:
         np.testing.assert_array_equal(f, 0.0)
     assert cp_relative_error(np.zeros((3, 3, 5)), fit.factors) == 0.0
+
+
+def test_fit_does_not_depend_on_the_data_units():
+    # ALS is scale-equivariant; the start's column norm follows ||X||^2, so only
+    # the absolute RIDGE (1e-10, 2.4e-8 of the Grams at x 1e-4) tells scales apart
+    x = generate(SyntheticSpec(seed=1))[0][0].data
+    fits = {s: cp_als_fit(GraphViewTensor(s * x), AlsOptions(rank=4)) for s in (1e-4, 1.0, 1e4)}
+    assert len({f.iterations for f in fits.values()}) == 1
+    assert all(f.converged for f in fits.values())
+    assert fits[1e4].fit_trace[-1] == pytest.approx(fits[1.0].fit_trace[-1], rel=1e-9)
+    assert fits[1e-4].fit_trace[-1] == pytest.approx(fits[1.0].fit_trace[-1], rel=1e-6)
+    assert cp_als_fit(GraphViewTensor(1e-8 * x), AlsOptions(rank=4)).fit_trace[-1] < 0.05
+
+
+def test_fit_stops_at_the_first_energy_scaled_step(monkeypatch):
+    # the M2E fitters' test: |sq_{k-1} - sq_k| <= rel_tol ||X||^2 on the Gram squared error
+    rng = np.random.default_rng(18)
+    t, _ = rank_r_tensor(rng, 10, 11, 2)
+    t = t + 0.01 * symmetric_noise(rng, t.shape)
+    squared, gram_error = [], cp.cp_squared_error
+
+    def logged(*args):
+        squared.append(gram_error(*args))
+        return squared[-1]
+
+    monkeypatch.setattr(cp, "cp_squared_error", logged)
+    opts = AlsOptions(rank=3, seed=4)
+    assert opts.rel_tol == STOP_OBJ_CHANGE
+    fit = cp_als_fit(t, opts)
+    bound = opts.rel_tol * packed_energy(GraphViewTensor(t).packed)
+    first = next(k for k in range(1, len(squared)) if abs(squared[k - 1] - squared[k]) <= bound)
+    assert fit.converged and fit.iterations == len(squared) == first + 1
 
 
 def test_recovers_exact_rank_two():

@@ -7,7 +7,7 @@ import pytest
 
 from m2e.cp import AlsOptions, CpFactors, cp_als_fit, cp_relative_error
 from m2e.dataio import DatasetError, save_dataset
-from m2e.solver import M2eConfig, M2eState, m2e_ds_fit, m2e_fit, m2e_ts_fit, objective_value
+from m2e.solver import M2eConfig, m2e_ds_fit, m2e_fit, m2e_ts_fit
 from m2e.tensors import (RIDGE, GraphViewTensor, all_finite, as_views, cp_reconstruct,
                          cp_squared_error, frobenius_norm, khatri_rao,
                          mttkrp_from_partial, pack_slice, packed_energy,
@@ -528,14 +528,11 @@ def _bad_views():
 def test_every_entry_point_rejects_a_bad_view_alike(case, tmp_path):
     views, message = _bad_views()[case]
     config = M2eConfig(rank=2)
-    state = M2eState([np.ones((4, 2))], [np.ones((4, 2))], [np.zeros((4, 2))],
-                     [np.ones((3, 2))], np.ones((3, 2)))
     calls = {
         "as_views": lambda: as_views(views),
         "m2e_fit": lambda: m2e_fit(views, config),
         "m2e_ds_fit": lambda: m2e_ds_fit(views, config),
         "m2e_ts_fit": lambda: m2e_ts_fit(views, config),
-        "objective_value": lambda: objective_value(views, state, None),
         "save_dataset": lambda: save_dataset(tmp_path / "ds", views),
     }
     if len(views) == 1:  # CP-ALS takes one view
