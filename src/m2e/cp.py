@@ -1,8 +1,9 @@
 """Rank-R CP factorization of a graph view by alternating least squares.
 
 The model [[a, b, c]] is not held to a = b. Sweeps run on the M2E solver's
-core: the two packed MTTKRP passes, the ridge R x R solve
-(:func:`ridge_solve`) and the Gram error routine (:func:`cp_squared_error`).
+core: the two packed MTTKRP passes, its block systems (:func:`node_system`
+for a and b, :func:`subject_system` for c) and their ridge R x R solve
+(:func:`ridge_solve`), and the Gram error routine (:func:`cp_squared_error`).
 """
 from __future__ import annotations
 
@@ -11,10 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import STOP_OBJ_CHANGE, SolverNumericsError, balanced_column_norm, check_settings
+from .solver import (STOP_OBJ_CHANGE, SolverNumericsError, balanced_column_norm,
+                     check_settings, node_system, subject_system)
 from .tensors import (GraphViewTensor, as_views, cp_reconstruct, cp_squared_error,
-                      mttkrp_from_partial, packed_energy, packed_mode3_mttkrp,
-                      packed_partial_mttkrp, ridge_solve, symmetric_index)
+                      packed_energy, packed_mode3_mttkrp, packed_partial_mttkrp,
+                      ridge_solve, symmetric_index)
 
 # Below this share of ||X||^2 (relative error < 1e-3) the Gram error has lost
 # half its digits, so a sweep measures its error from the residual instead.
@@ -123,8 +125,8 @@ def cp_als_fit(tensor: GraphViewTensor | np.ndarray, opts: AlsOptions) -> CpFit:
         Factors, the per-iteration relative error trace (non-increasing up
         to 1e-10 per sweep), iteration count and convergence flags. The
         random start has the balanced column norm of ||X||^2 (as the M2E
-        fitters' start), so the sweeps do not depend on the data's units
-        beyond ridge_solve's absolute ridge. A zero tensor runs the same
+        fitters' start) and ridge_solve's ridge follows each Gram's scale,
+        so the sweeps do not depend on the data's units. A zero tensor runs the same
         sweeps, its trace holds the absolute error and ``degenerate`` is set.
 
     Raises
@@ -147,10 +149,10 @@ def cp_als_fit(tensor: GraphViewTensor | np.ndarray, opts: AlsOptions) -> CpFit:
     converged = False
     for it in range(opts.max_iters):
         y = packed_partial_mttkrp(xp, c)  # modes 1 and 2 leave c fixed
-        a = ridge_solve((c.T @ c) * (b.T @ b), mttkrp_from_partial(y, b))
-        b = ridge_solve((c.T @ c) * (a.T @ a), mttkrp_from_partial(y, a))
+        a = ridge_solve(*node_system(y, b, c, 0.0, 0.0))
+        b = ridge_solve(*node_system(y, a, c, 0.0, 0.0))
         g = packed_mode3_mttkrp(xp, a, b)
-        c = ridge_solve((b.T @ b) * (a.T @ a), g)
+        c = ridge_solve(*subject_system(g, a, b, None, 0.0))
         sq = cp_squared_error(energy, g, a, b, c)
         err = np.sqrt(sq) / scale
         if sq < RESIDUAL_ERROR_BELOW * energy:

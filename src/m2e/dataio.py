@@ -179,6 +179,7 @@ def save_dataset(path: Path | str, views: list[GraphViewTensor | np.ndarray],
     """Write a dataset directory; returns the manifest path. Checks all before writing any.
 
     Views are checked, and arrays packed, by `m2e.tensors.as_views`, as the fitters do.
+    View v is written to `<name>.txt`, so with labels no view may be named 'labels'.
     """
     try:
         views = as_views(views)
@@ -195,6 +196,9 @@ def save_dataset(path: Path | str, views: list[GraphViewTensor | np.ndarray],
             raise DatasetError(str(exc)) from exc
         if labels.shape != (views[0].subject_count,):
             raise DatasetError("labels must hold one integer per subject")
+        if "labels" in names:
+            raise DatasetError("view name 'labels' would write its view to the "
+                               "labels file labels.txt")
     manifest = {
         "format_version": FORMAT_VERSION,
         "subject_count": views[0].subject_count,

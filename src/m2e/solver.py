@@ -5,8 +5,10 @@ solver factors every view as a partially symmetric rank-R model whose
 first two factors are constrained equal through an auxiliary copy and
 Lagrange multipliers (an ADMM splitting), while the per-view subject
 factors are softly pulled toward a shared consensus embedding. Every block
-update is the exact minimiser of its quadratic subproblem, found by the same
-ridge R x R solve that CP-ALS sweeps with (:func:`m2e.tensors.ridge_solve`).
+update is the exact minimiser of its quadratic subproblem, built by
+:func:`node_system` or :func:`subject_system` and found by the ridge R x R
+solve on the Gram's own scale (:func:`m2e.tensors.ridge_solve`), as CP-ALS
+sweeps with the same builders and solve.
 
 The joint model (:func:`m2e_fit`) and its two ablations run one outer loop
 and differ only in how the subject factors move: "joint" pulls each view's
@@ -165,7 +167,8 @@ def node_system(y: np.ndarray, other: np.ndarray, f: np.ndarray, u: np.ndarray, 
     `y` is the view's pass-1 product packed_partial_mttkrp(X_p, f). With symmetric
     slices the data term ||X - [[h, p, f]]||^2 is unchanged when the copies h
     and p swap, and the coupling term only flips the sign of u: the node step
-    passes (p, u), the aux step (h, -u).
+    passes (p, u), the aux step (h, -u). CP-ALS's mode-1 and mode-2 systems
+    are these with no coupling, mu = u = 0.
     """
     r = other.shape[1]
     a = (f.T @ f) * (other.T @ other) + scaled_identity(r, 0.5 * mu)
@@ -177,7 +180,8 @@ def subject_system(g: np.ndarray, h: np.ndarray, p: np.ndarray,
                    consensus: np.ndarray | None, lam: float):
     """Quadratic (A, B) for a view's subject factor; lam=0 drops the pull.
 
-    `g` is the view's mode-3 MTTKRP packed_mode3_mttkrp(X_p, h, p).
+    `g` is the view's mode-3 MTTKRP packed_mode3_mttkrp(X_p, h, p). The
+    spectral start's subject solve and CP-ALS's mode-3 system are these at lam=0.
     """
     r = h.shape[1]
     a = (p.T @ p) * (h.T @ h)
@@ -281,9 +285,10 @@ def balanced_penalty(energy: float, rank: int) -> float:
     At a norm-balanced rank-R factorization each factor column has norm
     about t (:func:`balanced_column_norm`), so the node-block Gram has
     eigenvalues of order t^4; matching mu to that scale keeps the equality
-    constraint active without freezing the data fit.
+    constraint active without freezing the data fit. A zero view gets 0,
+    which drops its coupling term.
     """
-    return max(2.0 * balanced_column_norm(energy, rank, 4), 1e-8)
+    return 2.0 * balanced_column_norm(energy, rank, 4)
 
 
 def spectral_start(xp: np.ndarray, energy: float, rank: int, rng: np.random.Generator):
@@ -306,7 +311,7 @@ def spectral_start(xp: np.ndarray, energy: float, rank: int, rng: np.random.Gene
     if h.shape[1] < rank:
         extra = rng.standard_normal((m, rank - h.shape[1]))
         h = np.hstack([h, extra * col_scale / np.sqrt(m)])
-    return h, ridge_solve((h.T @ h) * (h.T @ h), packed_mode3_mttkrp(xp, h, h))
+    return h, ridge_solve(*subject_system(packed_mode3_mttkrp(xp, h, h), h, h, None, 0.0))
 
 
 def _init_state(views: Sequence[GraphViewTensor], config: M2eConfig,

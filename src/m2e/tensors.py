@@ -51,8 +51,9 @@ import numpy as np
 # Asymmetry of a view's frontal slice up to this is float drift, averaged away;
 # anything larger is rejected as wrong data, whichever path the view comes by.
 DRIFT_TOL = 1e-6
-# added to the R x R Gram before each least-squares solve
-RIDGE = 1e-10
+# ridge_solve's ridge, as a share of the R x R Gram's mean diagonal
+RIDGE = 1e-12
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Columnwise Kronecker product; b's row index varies fastest."""
@@ -190,9 +191,9 @@ def cp_squared_error(energy: float, g: np.ndarray, a: np.ndarray, b: np.ndarray,
 def scaled_identity(n: int, scale: float) -> np.ndarray:
     """Read-only scale * I_n, built once per (n, scale).
 
-    The fits add the same few diagonals (the ridge, a view's coupling
-    penalty, its consensus weight) to R x R Grams every iteration, and at
-    small R building np.eye costs more than the addition.
+    The fits add the same few diagonals (a view's coupling penalty, its
+    consensus weight) to R x R Grams every iteration, and at small R building
+    np.eye costs more than the addition.
     """
     out = scale * np.eye(n)
     out.flags.writeable = False
@@ -200,12 +201,19 @@ def scaled_identity(n: int, scale: float) -> np.ndarray:
 
 
 def ridge_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """rhs (gram + RIDGE I)^-1: M solving the normal equations M gram = rhs.
+    """rhs (gram + ridge I)^-1: M solving the ridged normal equations M (gram + ridge I) = rhs.
 
     The least-squares update of one factor with the others fixed (Kolda and
     Bader, SIAM Review 2009, section 3.4), shared by CP-ALS and every M2E block.
+    The ridge is RIDGE times gram's mean diagonal trace / R, floored at the
+    smallest normal float: on the Gram's own scale, so that a rank-deficient
+    Gram is solvable at any data units and the fit does not depend on them,
+    and positive, so that an all-zero Gram is solvable too.
     """
-    gram = gram + scaled_identity(gram.shape[0], RIDGE)
+    r = gram.shape[0]
+    gram = gram.copy()
+    diagonal = gram.reshape(-1)[::r + 1]  # a view: the copy is C-contiguous
+    diagonal += max(RIDGE * float(diagonal.sum()) / r, _SMALLEST_NORMAL)
     # gram is symmetric: solve gram @ M.T = rhs.T
     return np.linalg.solve(gram, rhs.T).T
 

@@ -5,7 +5,7 @@ import m2e.cp as cp
 from m2e.cp import AlsOptions, CpFactors, cp_als_fit, cp_relative_error
 from m2e.datagen import SyntheticSpec, generate
 from m2e.solver import STOP_OBJ_CHANGE, SolverNumericsError
-from m2e.tensors import (GraphViewTensor, cp_reconstruct, frobenius_norm, khatri_rao,
+from m2e.tensors import (RIDGE, GraphViewTensor, cp_reconstruct, frobenius_norm, khatri_rao,
                          packed_energy, ridge_solve)
 from oracles import matricize
 
@@ -41,15 +41,23 @@ def test_zero_tensor_short_circuits():
 
 
 def test_fit_does_not_depend_on_the_data_units():
-    # ALS is scale-equivariant; the start's column norm follows ||X||^2, so only
-    # the absolute RIDGE (1e-10, 2.4e-8 of the Grams at x 1e-4) tells scales apart
+    # ALS is scale-equivariant; the start's column norm follows ||X||^2 and
+    # ridge_solve's ridge each Gram's scale, so only rounding tells scales apart
     x = generate(SyntheticSpec(seed=1))[0][0].data
-    fits = {s: cp_als_fit(GraphViewTensor(s * x), AlsOptions(rank=4)) for s in (1e-4, 1.0, 1e4)}
+    scales = (1e-8, 1e-4, 1.0, 1e4, 1e8)
+    fits = {s: cp_als_fit(GraphViewTensor(s * x), AlsOptions(rank=4)) for s in scales}
     assert len({f.iterations for f in fits.values()}) == 1
     assert all(f.converged for f in fits.values())
-    assert fits[1e4].fit_trace[-1] == pytest.approx(fits[1.0].fit_trace[-1], rel=1e-9)
-    assert fits[1e-4].fit_trace[-1] == pytest.approx(fits[1.0].fit_trace[-1], rel=1e-6)
-    assert cp_als_fit(GraphViewTensor(1e-8 * x), AlsOptions(rank=4)).fit_trace[-1] < 0.05
+    for s in scales:
+        assert fits[s].fit_trace[-1] == pytest.approx(fits[1.0].fit_trace[-1], rel=1e-10), s
+
+
+def test_a_gram_of_rank_one_at_any_units_fits_finite():
+    # rank 3 on a 1 x 1 x 1 view: every Gram has rank one, and at 1e40 it is
+    # past any absolute ridge; the ridge on its own scale keeps it solvable
+    fit = cp_als_fit(np.full((1, 1, 1), 1e40), AlsOptions(rank=3))
+    assert all(np.isfinite(f).all() for f in fit.factors)
+    assert fit.fit_trace[-1] < 1e-6
 
 
 def test_fit_stops_at_the_first_energy_scaled_step(monkeypatch):
@@ -93,14 +101,13 @@ def test_als_update_satisfies_normal_equations():
     rng = np.random.default_rng(13)
     t, _ = rank_r_tensor(rng, 6, 4, 2)
     factors = [rng.standard_normal((d, 2)) for d in t.shape]
-    ridge = 1e-10
     for mode in (1, 2, 3):
         others = [factors[m] for m in range(3) if m != mode - 1]
         kr = khatri_rao(others[1], others[0])
         gram = (others[1].T @ others[1]) * (others[0].T @ others[0])
         lhs = matricize(t, mode) @ kr
         new = ridge_solve(gram, lhs)
-        rhs = new @ (gram + ridge * np.eye(2))
+        rhs = new @ (gram + RIDGE * np.trace(gram) / 2 * np.eye(2))
         scale = max(1.0, np.linalg.norm(lhs))
         assert np.linalg.norm(lhs - rhs) / scale < 1e-8
         factors[mode - 1] = new

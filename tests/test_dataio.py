@@ -90,17 +90,28 @@ def test_save_rejects_duplicate_view_names(small_dataset, tmp_path):
     (lambda v: {"views": v, "view_names": ["a\\b", "v2"]},
      r"view name 'a\\\\b' is not a plain file name"),
     (lambda v: {"views": v, "view_names": [1, 2]}, "view name 1 is not a plain file name"),
+    (lambda v: {"views": v, "labels": np.arange(8) % 2 + 1, "view_names": ["labels", "b"]},
+     "view name 'labels' would write its view to the labels file labels.txt"),
     (lambda v: {"views": []}, "need at least one view"),
     (lambda v: {"views": [v[0], GraphViewTensor(v[1].data[:, :, :4])]},
      r"views disagree on subject count: \[4, 8\]"),
 ], ids=["label-count", "label-range", "label-fraction", "name-count", "duplicate-names",
-        "name-escape", "name-empty", "name-dotdot", "name-backslash", "name-not-str", "no-views",
+        "name-escape", "name-empty", "name-dotdot", "name-backslash", "name-not-str",
+        "name-of-labels-file", "no-views",
         "subject-counts"])
 def test_rejected_save_leaves_no_file_behind(small_dataset, tmp_path, args, message):
     _, views, _ = small_dataset
     with pytest.raises(DatasetError, match=message):
         save_dataset(tmp_path / "out" / "ds", **args(views))
     assert not (tmp_path / "out").exists()
+
+
+def test_a_view_named_labels_saves_and_loads_when_no_labels_are_written(small_dataset, tmp_path):
+    _, views, _ = small_dataset
+    save_dataset(tmp_path / "ds", views, view_names=["labels", "b"])
+    loaded = load_dataset(tmp_path / "ds")
+    assert loaded.view_names == ["labels", "b"] and loaded.labels is None
+    np.testing.assert_array_equal(loaded.views[0].packed, views[0].packed)
 
 
 @pytest.mark.parametrize("name", ["", ".", "..", "../../outside", "a/b", "a\\b", "/abs"])

@@ -73,7 +73,8 @@ def test_stationary_point_is_fixed():
     g = rng.standard_normal((3, 3))
     a = g.T @ g + np.eye(3)
     m = rng.standard_normal((4, 3))
-    b = m @ (a + RIDGE * np.eye(3))  # normal equations of the ridged block hold
+    # normal equations of the block ridged by RIDGE times its mean diagonal hold
+    b = m @ (a + RIDGE * np.trace(a) / 3 * np.eye(3))
     np.testing.assert_allclose(ridge_solve(a, b), m, atol=1e-12)
 
 
@@ -146,30 +147,39 @@ def test_block_solves_return_exact_minimisers():
 
 
 def test_cp_and_every_fitter_solve_through_ridge_solve(monkeypatch):
+    # every least-squares block is built by node_system or subject_system and
+    # solved by ridge_solve: CP-ALS's sweep, the spectral start and the fitters
     import m2e.cp as cp
     import m2e.solver as solver
-    calls = {"cp": 0, "solver": 0}
+    calls = {}
 
-    def counted(module):
-        def wrapper(gram, rhs):
-            calls[module] += 1
-            return ridge_solve(gram, rhs)
-        return wrapper
+    def counted(module, name, function):
+        def wrapper(*args):
+            calls[module, name] = calls.get((module, name), 0) + 1
+            return function(*args)
+        monkeypatch.setattr(module, name, wrapper)
 
-    monkeypatch.setattr(cp, "ridge_solve", counted("cp"))
-    monkeypatch.setattr(solver, "ridge_solve", counted("solver"))
+    for module in (cp, solver):
+        for name, function in (("ridge_solve", ridge_solve), ("node_system", node_system),
+                               ("subject_system", subject_system)):
+            counted(module, name, function)
     rng = np.random.default_rng(42)
     w = rng.standard_normal((4, 4, 6))
     cp_als_fit(w + w.transpose(1, 0, 2), AlsOptions(rank=2, max_iters=4, rel_tol=1e-300))
-    assert calls == {"cp": 3 * 4, "solver": 0}
+    # a sweep builds two node systems and one subject system, and solves all three
+    assert calls == {(cp, "ridge_solve"): 3 * 4, (cp, "node_system"): 2 * 4,
+                     (cp, "subject_system"): 4}
     views, _ = shared_factor_views(42, nodes=6, subjects=7)
     cfg = M2eConfig(rank=2, seed=42, max_outer_iters=3)
-    # one spectral start per view, then node, aux and subject per view per
-    # iteration; the shared subject is one solve per iteration
-    for fitter, per_iteration in ((m2e_fit, 6), (m2e_ts_fit, 6), (m2e_ds_fit, 5)):
-        calls["solver"] = 0
+    # the spectral start builds and solves one subject system per view; then
+    # every iteration builds node, aux and subject systems per view, and
+    # solves them, but the shared subject factor is one solve of the summed systems
+    for fitter, solves in ((m2e_fit, 6), (m2e_ts_fit, 6), (m2e_ds_fit, 5)):
+        calls.clear()
         fitter(views, cfg)
-        assert calls == {"cp": 12, "solver": 2 + 3 * per_iteration}, fitter.__name__
+        assert calls == {(solver, "ridge_solve"): 2 + 3 * solves,
+                         (solver, "node_system"): 3 * 4,
+                         (solver, "subject_system"): 2 + 3 * 2}, fitter.__name__
 
 
 def test_balance_columns_keeps_the_model_and_scales_the_mode3_product():
@@ -746,6 +756,31 @@ def test_all_zero_view_fits_finite(fitter):
         assert np.isfinite(block).all()
     if fitter is m2e_ts_fit:
         np.testing.assert_array_equal(sol.subject_factors[1], 0.0)
+
+
+@pytest.mark.parametrize("fitter", (m2e_ds_fit, m2e_ts_fit))
+def test_fit_without_a_pull_does_not_depend_on_the_data_units(fitter):
+    # with no consensus pull every block's scale follows ||X||^2: the start,
+    # the coupling penalty and ridge_solve's ridge
+    views, _ = generate(SyntheticSpec(seed=1))
+
+    def fit(s):
+        scaled = [GraphViewTensor.from_packed(s * v.packed) for v in views]
+        sol = fitter(scaled, M2eConfig(rank=4))
+        return sol, sol.final_objective / sum(np.vdot(v.data, v.data) for v in scaled)
+
+    base, ratio = fit(1.0)
+    for s in (1e-8, 1e-4, 1e4, 1e8):
+        sol, scaled_ratio = fit(s)
+        assert (sol.iterations, sol.converged) == (base.iterations, base.converged), s
+        assert scaled_ratio == pytest.approx(ratio, rel=1e-9), s
+
+
+def test_joint_fit_of_a_one_node_view_past_its_rank_is_finite():
+    # every node Gram of a 1 x 1 x 3 view at rank 3 has rank one, at 1e20 scale
+    sol = m2e_fit([np.full((1, 1, 3), 1e10)], M2eConfig(rank=3))
+    for block in [sol.consensus, *sol.node_factors, *sol.subject_factors]:
+        assert np.isfinite(block).all()
 
 
 def test_config_validation():

@@ -269,9 +269,30 @@ def test_scaled_identity_is_a_cached_read_only_scaled_eye():
     g = rng.standard_normal((4, 4))
     g = g @ g.T
     rhs = rng.standard_normal((9, 4))
-    # the cached ridge gives the same bits as building it in place
-    expected = np.linalg.solve(g + RIDGE * np.eye(4), rhs.T).T
+    # the ridge is RIDGE times the Gram's mean diagonal, added in place on a copy
+    expected = np.linalg.solve(g + RIDGE * np.trace(g) / 4 * np.eye(4), rhs.T).T
+    before = g.copy()
     np.testing.assert_array_equal(ridge_solve(g, rhs), expected)
+    np.testing.assert_array_equal(g, before)
+
+
+@pytest.mark.parametrize("power", [-400, -100, 0, 100, 400])
+def test_ridge_solve_is_on_the_grams_own_scale(power):
+    # a rank-one Gram, as an over-ranked fit gives, solves at any units; a power
+    # of two scales every operation exactly, so the solve scales bit for bit
+    rng = np.random.default_rng(8)
+    v = rng.standard_normal((1, 3))
+    g, rhs = v.T @ v, rng.standard_normal((5, 3))
+    s = 2.0 ** power
+    base = ridge_solve(g, rhs)
+    assert np.isfinite(base).all()
+    np.testing.assert_array_equal(ridge_solve(s * s * g, s * rhs), base / s)
+
+
+def test_ridge_solve_of_an_all_zero_gram_is_floored_and_solvable():
+    np.testing.assert_array_equal(ridge_solve(np.zeros((3, 3)), np.zeros((2, 3))), 0.0)
+    tiny = np.finfo(float).tiny
+    np.testing.assert_array_equal(ridge_solve(np.zeros((2, 2)), np.full((1, 2), tiny)), 1.0)
 
 
 def test_frobenius_norm():
