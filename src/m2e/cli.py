@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Subcommands: generate, fit, cluster, evaluate, gridsearch, cp. Settings
-come from defaults, then an optional JSON config file (fit, cluster,
-evaluate, gridsearch), then flags (flags win). A flag's dest is the name of
+come from defaults, then an optional config file (fit, cluster, evaluate,
+gridsearch), a UTF-8 JSON object whose `solver` object holds the solver
+settings, then flags (flags win). A flag's dest is the name of
 the config field it sets. Every command checks its settings before it reads
 an input, so a bad setting is reported ahead of a missing file. On failure
 an error document is written to the output directory and the exit status is
@@ -12,13 +13,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from .cp import AlsOptions
-from .dataio import (load_dataset, load_dataset_labels, load_labels, load_matrix, save_dataset,
-                     write_json)
+from .dataio import (DatasetError, load_dataset, load_dataset_labels, load_labels, load_matrix,
+                     read_json_object, save_dataset, write_json)
 from .datagen import PRESETS, SyntheticSpec, generate
 from .runner import (METHODS, GridSpec, RunConfig, run_cluster, run_cp, run_evaluate,
                      run_fit, run_gridsearch)
@@ -66,8 +66,10 @@ def _flags(args, cls) -> dict:
 
 
 def _build_run_config(args) -> RunConfig:
-    top = json.loads(Path(args.config).read_text()) if args.config else {}
-    solver_cfg = dict(top.pop("solver", {}))
+    top = read_json_object(Path(args.config), "config") if args.config else {}
+    solver_cfg = top.pop("solver", {})
+    if not isinstance(solver_cfg, dict):
+        raise DatasetError(f"config {args.config}: solver must be a JSON object")
     solver_cfg.update(_flags(args, M2eConfig))
     lambdas = _parse_lambda(getattr(args, "lam", None))
     if lambdas is not None:

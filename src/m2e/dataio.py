@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,7 +44,7 @@ _PARSE_LINES = 16
 
 
 class DatasetError(ValueError):
-    """Malformed manifest or matrix/label file."""
+    """Malformed manifest, config, matrix or label file."""
 
 
 @dataclass(frozen=True)
@@ -72,11 +73,21 @@ def save_matrix(path: Path | str, matrix: np.ndarray, comment: str = "") -> None
 def load_matrix(path: Path | str) -> np.ndarray:
     """Read a 2-D array from delimited text, as :func:`save_matrix` writes it.
 
-    A first line of the form `# rows cols ...`, the header :func:`save_matrix`
-    writes, is checked: rows that disagree with it raise a DatasetError naming
-    the file and both shapes. A file without that header loads as it is.
+    A file that holds no numbers, or lines that are not rows of equally many
+    numbers, raises a DatasetError naming the file. A first line of the form
+    `# rows cols ...`, the header :func:`save_matrix` writes, is checked: rows
+    that disagree with it raise a DatasetError naming the file and both
+    shapes. A file without that header loads as it is.
     """
-    m = np.loadtxt(path, ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's empty-file warning
+            m = np.loadtxt(path, ndmin=2)
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError too
+        raise DatasetError(f"matrix file {path}: its lines are not rows of "
+                           "equally many numbers") from exc
+    if m.size == 0:
+        raise DatasetError(f"matrix file {path}: holds no numbers")
     with open(path, encoding="ascii", errors="replace") as fh:
         header = re.match(r"#\s*(\d+)\s+(\d+)(?:\s|$)", fh.readline())
     if header and m.shape != (int(header[1]), int(header[2])):
@@ -224,6 +235,23 @@ def save_dataset(path: Path | str, views: list[GraphViewTensor | np.ndarray],
     return manifest_path
 
 
+def read_json_object(path: Path, kind: str) -> dict:
+    """The JSON object in the UTF-8 file `path`, a manifest or a config file.
+
+    A DatasetError names the file as `kind path` when it is missing, does not
+    parse as UTF-8 JSON, or holds other than an object at its top level.
+    """
+    if not path.exists():
+        raise DatasetError(f"{kind} {path} is missing")
+    try:
+        document = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise DatasetError(f"{kind} {path}: does not parse as JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise DatasetError(f"{kind} {path}: the top level must be a JSON object")
+    return document
+
+
 def _manifest_field(manifest_path: Path, field: str, value, kind=int):
     """kind(value), or a DatasetError naming the manifest and the field.
 
@@ -242,14 +270,7 @@ def _read_manifest(path: Path | str):
     """Check a manifest and read its labels: (manifest_path, manifest, subjects, names, labels)."""
     p = Path(path)
     manifest_path = p / "manifest.json" if p.is_dir() else p
-    if not manifest_path.exists():
-        raise DatasetError(f"manifest {manifest_path} is missing")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise DatasetError(f"manifest {manifest_path}: does not parse as JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise DatasetError(f"manifest {manifest_path}: the top level must be a JSON object")
+    manifest = read_json_object(manifest_path, "manifest")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise DatasetError(f"manifest {manifest_path}: format_version {version!r} is not "

@@ -29,7 +29,7 @@ import numpy as np
 
 from .tensors import (GraphViewTensor, as_views, cp_squared_error, frobenius_norm,
                       mttkrp_from_partial, packed_energy, packed_mode3_mttkrp,
-                      packed_partial_mttkrp, packed_slice_gram, ridge_solve, scaled_identity)
+                      packed_partial_mttkrp, packed_slice_gram, ridge_solve)
 
 # Monitor callbacks receive (event, info-dict); see m2e_fit.
 Monitor = Callable[[str, dict], None]
@@ -168,10 +168,12 @@ def node_system(y: np.ndarray, other: np.ndarray, f: np.ndarray, u: np.ndarray, 
     slices the data term ||X - [[h, p, f]]||^2 is unchanged when the copies h
     and p swap, and the coupling term only flips the sign of u: the node step
     passes (p, u), the aux step (h, -u). CP-ALS's mode-1 and mode-2 systems
-    are these with no coupling, mu = u = 0.
+    are these with no coupling, mu = u = 0. A is the Gram product
+    (f^T f) * (other^T other) with mu / 2 added in place on its diagonal.
     """
     r = other.shape[1]
-    a = (f.T @ f) * (other.T @ other) + scaled_identity(r, 0.5 * mu)
+    a = (f.T @ f) * (other.T @ other)
+    a.reshape(-1)[::r + 1] += 0.5 * mu
     b = mttkrp_from_partial(y, other) + 0.5 * (mu * other - u)
     return a, b
 
@@ -182,14 +184,15 @@ def subject_system(g: np.ndarray, h: np.ndarray, p: np.ndarray,
 
     `g` is the view's mode-3 MTTKRP packed_mode3_mttkrp(X_p, h, p). The
     spectral start's subject solve and CP-ALS's mode-3 system are these at lam=0.
+    A is the Gram product (p^T p) * (h^T h), with lam added in place on its
+    diagonal when lam > 0.
     """
-    r = h.shape[1]
     a = (p.T @ p) * (h.T @ h)
     b = g
     if lam > 0:
         if consensus is None:
             raise ValueError("a consensus matrix is required when lam > 0")
-        a = a + scaled_identity(r, lam)
+        a.reshape(-1)[::h.shape[1] + 1] += lam
         b = b + lam * consensus
     return a, b
 

@@ -187,19 +187,6 @@ def cp_squared_error(energy: float, g: np.ndarray, a: np.ndarray, b: np.ndarray,
     return max(energy - 2.0 * float(np.vdot(g, c)) + float(gram.sum()), 0.0)
 
 
-@functools.lru_cache(maxsize=64)
-def scaled_identity(n: int, scale: float) -> np.ndarray:
-    """Read-only scale * I_n, built once per (n, scale).
-
-    The fits add the same few diagonals (a view's coupling penalty, its
-    consensus weight) to R x R Grams every iteration, and at small R building
-    np.eye costs more than the addition.
-    """
-    out = scale * np.eye(n)
-    out.flags.writeable = False
-    return out
-
-
 def ridge_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """rhs (gram + ridge I)^-1: M solving the ridged normal equations M (gram + ridge I) = rhs.
 

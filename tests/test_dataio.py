@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -353,6 +354,22 @@ def test_load_matrix_checks_the_shape_its_header_states(tmp_path):
     np.savetxt(tmp_path / "comment.txt", m[:35], header="consensus embedding")
     for name in ("plain.txt", "comment.txt"):
         np.testing.assert_array_equal(load_matrix(tmp_path / name), m[:35])
+
+
+@pytest.mark.parametrize("content, fault", [
+    ("1 2\n3 x\n", "its lines are not rows of equally many numbers"),
+    ("1 2\n3 4 5\n", "its lines are not rows of equally many numbers"),
+    ("", "holds no numbers"),
+    ("# 2 2 consensus embedding\n", "holds no numbers"),
+], ids=["not-a-number", "ragged", "empty", "header-only"])
+def test_load_matrix_faults_name_the_file(tmp_path, content, fault):
+    path = tmp_path / "m.txt"
+    path.write_text(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning ahead of the fault
+        with pytest.raises(DatasetError) as err:
+            load_matrix(path)
+    assert str(err.value) == f"matrix file {path}: {fault}"
 
 
 @pytest.mark.parametrize("names, view, expected", [

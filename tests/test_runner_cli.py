@@ -739,6 +739,22 @@ def test_cli_config_fails_before_any_input_loads(tmp_path, command, inputs, fiel
     _assert_config_fails_first(tmp_path, [command, *missing], field, value)
 
 
+@pytest.mark.parametrize("content", [b"[]", b'"x"', b'{"solver": [1]}', b"{bad", b"\xff{}", None],
+                         ids=["list", "string", "solver-list", "truncated", "not-utf-8",
+                              "missing"])
+def test_cli_config_that_is_not_a_json_object_names_the_file(tmp_path, content):
+    cfg_file = tmp_path / "cfg.json"
+    if content is not None:
+        cfg_file.write_bytes(content)
+    out = tmp_path / "out"
+    code = main(["cluster", "--embedding", str(tmp_path / "missing.txt"),
+                 "--config", str(cfg_file), "--out", str(out)])
+    assert code == 1
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "DatasetError"
+    assert error["message"].startswith(f"config {cfg_file}")
+
+
 def _assert_config_fails_first(tmp_path, command, field, value):
     """`command`, whose inputs are missing, reports the bad --config setting instead."""
     cfg_file = tmp_path / "cfg.json"

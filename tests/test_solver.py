@@ -68,6 +68,33 @@ def test_subject_step_pinned_scalar_case():
     assert f[0, 0] == pytest.approx(1.5)
 
 
+def _assert_gram_plus_diagonal(a, gram, diagonal):
+    """a is gram with exactly `diagonal` added on its diagonal, bit for bit."""
+    off = ~np.eye(gram.shape[0], dtype=bool)
+    np.testing.assert_array_equal(a[off], gram[off])
+    np.testing.assert_array_equal(np.diag(a), np.diag(gram) + diagonal)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.7, 3e5])
+def test_node_system_adds_half_mu_on_the_grams_diagonal_only(mu):
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((5, 5, 6))
+    x = x + x.transpose(1, 0, 2)
+    other, f, u = (rng.standard_normal(shape) for shape in ((5, 4), (6, 4), (5, 4)))
+    a, _ = node_system(partial_mttkrp(x, f), other, f, u, mu)
+    _assert_gram_plus_diagonal(a, (f.T @ f) * (other.T @ other), 0.5 * mu)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.35, 1e4])
+def test_subject_system_adds_lam_on_the_grams_diagonal_only(lam):
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal((5, 5, 6))
+    x = x + x.transpose(1, 0, 2)
+    h, p, consensus = (rng.standard_normal(shape) for shape in ((5, 4), (5, 4), (6, 4)))
+    a, _ = subject_system(mode3_mttkrp(x, h, p), h, p, consensus, lam)
+    _assert_gram_plus_diagonal(a, (p.T @ p) * (h.T @ h), lam)
+
+
 def test_stationary_point_is_fixed():
     rng = np.random.default_rng(21)
     g = rng.standard_normal((3, 3))

@@ -12,7 +12,7 @@ from m2e.tensors import (RIDGE, GraphViewTensor, all_finite, as_views, cp_recons
                          cp_squared_error, frobenius_norm, khatri_rao,
                          mttkrp_from_partial, pack_slice, packed_energy,
                          packed_mode3_mttkrp, packed_partial_mttkrp, packed_slice_gram,
-                         ridge_solve, scaled_identity, symmetric_index)
+                         ridge_solve, symmetric_index)
 from oracles import matricize, mode3_mttkrp, partial_mttkrp, refold
 
 
@@ -259,12 +259,7 @@ def test_graph_view_of_non_contiguous_input_matches_contiguous_copy():
     np.testing.assert_array_equal(packed, GraphViewTensor(np.ascontiguousarray(strided)).packed)
 
 
-def test_scaled_identity_is_a_cached_read_only_scaled_eye():
-    a = scaled_identity(4, 0.35)
-    np.testing.assert_array_equal(a, 0.35 * np.eye(4))
-    assert scaled_identity(4, 0.35) is a
-    with pytest.raises(ValueError):
-        a[0, 0] = 1.0
+def test_ridge_solve_adds_its_ridge_on_a_copy_of_the_gram():
     rng = np.random.default_rng(7)
     g = rng.standard_normal((4, 4))
     g = g @ g.T
