@@ -3,11 +3,11 @@
 Subcommands: generate, fit, cluster, evaluate, gridsearch, cp. Settings
 come from defaults, then an optional config file (fit, cluster, evaluate,
 gridsearch), a UTF-8 JSON object whose `solver` object holds the solver
-settings, then flags (flags win). A flag's dest is the name of
-the config field it sets. Every command checks its settings before it reads
-an input, so a bad setting is reported ahead of a missing file. On failure
-an error document is written to the output directory and the exit status is
-nonzero.
+settings, then flags (flags win). A flag's dest is the name of the config
+field it sets; a config fault, an unknown field included, names the file.
+Every command checks its settings before it reads an input, so a bad
+setting is reported ahead of a missing file. On failure an error document
+is written to the output directory and the exit status is nonzero.
 """
 from __future__ import annotations
 
@@ -70,6 +70,9 @@ def _build_run_config(args) -> RunConfig:
     solver_cfg = top.pop("solver", {})
     if not isinstance(solver_cfg, dict):
         raise DatasetError(f"config {args.config}: solver must be a JSON object")
+    for fields, cls, kind in ((top, RunConfig, "field"), (solver_cfg, M2eConfig, "solver field")):
+        if unknown := sorted(set(fields) - {f.name for f in dataclasses.fields(cls)}):
+            raise DatasetError(f"config {args.config}: unknown {kind} {', '.join(unknown)}")
     solver_cfg.update(_flags(args, M2eConfig))
     lambdas = _parse_lambda(getattr(args, "lam", None))
     if lambdas is not None:

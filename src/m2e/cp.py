@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import (STOP_OBJ_CHANGE, SolverNumericsError, balanced_column_norm,
-                     check_settings, node_system, subject_system)
+from .solver import (STOP_OBJ_CHANGE, SolverNumericsError, check_settings, node_system,
+                     spectral_start, subject_system)
 from .tensors import (GraphViewTensor, as_views, cp_reconstruct, cp_squared_error,
                       packed_energy, packed_mode3_mttkrp, packed_partial_mttkrp,
                       ridge_solve, symmetric_index)
@@ -52,9 +52,9 @@ class CpFactors:
 class AlsOptions:
     """Knobs for :func:`cp_als_fit`.
 
-    `rel_tol`, positive and finite, stops the sweep loop once the squared
-    error moves by at most `rel_tol` * ||X||^2 between sweeps, the form of the
-    M2E fitters' test; it defaults to theirs, STOP_OBJ_CHANGE.
+    `rel_tol` (positive, finite) stops the sweeps once the squared error moves by
+    at most `rel_tol` * ||X||^2, the M2E fitters' test; it defaults to their
+    STOP_OBJ_CHANGE. `seed` draws only start columns past the node count, as theirs.
     """
 
     rank: int
@@ -123,27 +123,23 @@ def cp_als_fit(tensor: GraphViewTensor | np.ndarray, opts: AlsOptions) -> CpFit:
     -------
     CpFit
         Factors, the per-iteration relative error trace (non-increasing up
-        to 1e-10 per sweep), iteration count and convergence flags. The
-        random start has the balanced column norm of ||X||^2 (as the M2E
-        fitters' start) and ridge_solve's ridge follows each Gram's scale,
-        so the sweeps do not depend on the data's units. A zero tensor runs the same
-        sweeps, its trace holds the absolute error and ``degenerate`` is set.
+        to 1e-10 per sweep), iteration count and convergence flags. The start
+        is the M2E fitters' :func:`spectral_start`, a = b = its node factor and
+        c its subject factor, and ridge_solve's ridge follows each Gram's scale,
+        so the sweeps do not depend on the data's units. A zero tensor runs the
+        same sweeps, its trace holds the absolute error and ``degenerate`` is set.
 
     Raises
     ------
     SolverNumericsError
-        At the first sweep whose error or factors are not finite, named in
-        the message and in ``.iteration`` (0-based, as the M2E fitters count).
+        From the start at iteration 0 if ||X||^2 overflows, else at the first
+        non-finite sweep, named in the message and ``.iteration`` (0-based).
     """
-    view = as_views([tensor])[0]
-    xp = view.packed
-    r = opts.rank
+    xp = as_views([tensor])[0].packed
     energy = packed_energy(xp)
     scale = math.sqrt(energy) or 1.0  # a zero tensor's error is absolute
-
-    rng = np.random.default_rng(opts.seed)
-    col_norm = balanced_column_norm(energy, r)
-    a, b, c = (col_norm / math.sqrt(d) * rng.standard_normal((d, r)) for d in view.shape)
+    # the M2E fitters' start; a = b, and the first sweep solves a from b and c
+    b, c = spectral_start(xp, energy, opts.rank, np.random.default_rng(opts.seed))
 
     trace, prev_sq = [], math.inf
     converged = False

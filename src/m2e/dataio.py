@@ -73,23 +73,24 @@ def save_matrix(path: Path | str, matrix: np.ndarray, comment: str = "") -> None
 def load_matrix(path: Path | str) -> np.ndarray:
     """Read a 2-D array from delimited text, as :func:`save_matrix` writes it.
 
-    A file that holds no numbers, or lines that are not rows of equally many
-    numbers, raises a DatasetError naming the file. A first line of the form
-    `# rows cols ...`, the header :func:`save_matrix` writes, is checked: rows
-    that disagree with it raise a DatasetError naming the file and both
-    shapes. A file without that header loads as it is.
+    Leading blank or `#` lines are the header. Lines after it that are not rows
+    of equally many numbers (`#` text included, which numpy would drop without
+    a word) and a file with no numbers raise a DatasetError naming the file,
+    as do rows that disagree with a first line `# rows cols ...`, the header
+    :func:`save_matrix` writes; a file without that header loads as it is.
     """
+    lines = Path(path).read_text(encoding="ascii", errors="replace").splitlines()
+    rows = list(itertools.dropwhile(lambda line: line.lstrip()[:1] in ("", "#"), lines))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # numpy's empty-file warning
-            m = np.loadtxt(path, ndmin=2)
-    except ValueError as exc:  # UnicodeDecodeError is a ValueError too
+            m = np.loadtxt(rows, ndmin=2, comments=None)
+    except ValueError as exc:  # `#` text and U+FFFD, a non-ASCII byte, are not numbers
         raise DatasetError(f"matrix file {path}: its lines are not rows of "
                            "equally many numbers") from exc
     if m.size == 0:
         raise DatasetError(f"matrix file {path}: holds no numbers")
-    with open(path, encoding="ascii", errors="replace") as fh:
-        header = re.match(r"#\s*(\d+)\s+(\d+)(?:\s|$)", fh.readline())
+    header = re.match(r"#\s*(\d+)\s+(\d+)(?:\s|$)", lines[0])
     if header and m.shape != (int(header[1]), int(header[2])):
         raise DatasetError(f"matrix file {path}: its header says {header[1]} x {header[2]}, "
                            f"its rows hold {m.shape[0]} x {m.shape[1]}")

@@ -294,23 +294,28 @@ def balanced_penalty(energy: float, rank: int) -> float:
     return 2.0 * balanced_column_norm(energy, rank, 4)
 
 
-def spectral_start(xp: np.ndarray, energy: float, rank: int, rng: np.random.Generator):
-    """Deterministic data-driven start for one view, from its packed rows `xp`.
+def spectral_start(xp: np.ndarray, energy: float, rank: int, rng: np.random.Generator,
+                   view: int | None = None):
+    """The one start of the M2E fitters and CP-ALS on a view, from its packed rows `xp`.
 
-    Node factor: leading eigenvectors of the slice-wise Gram sum
-    sum_k X_k X_k^T (:func:`m2e.tensors.packed_slice_gram`), sign-fixed and
-    scaled to the balanced column norm of `energy` = ||X||^2; columns beyond
-    the node count are filled with seeded noise at the same scale. Subject
-    factor: one ridge least-squares solve against the node start.
+    Node factor: leading eigenvectors of the slice Gram sum_k X_k X_k^T
+    (:func:`m2e.tensors.packed_slice_gram`; Kolda and Bader, SIAM Review 2009,
+    sec. 3.4), sign-fixed at the balanced column norm of `energy` = ||X||^2;
+    only columns past the node count are drawn, as `rng` noise at that scale.
+    Subject factor: one ridge least-squares solve against the node start. A
+    non-finite `energy` raises SolverNumericsError at iteration 0, naming `view`.
     """
+    if not np.isfinite(energy):  # eigh would fail on the overflowed Gram
+        of_view = "" if view is None else f" of view {view}"
+        raise SolverNumericsError(f"||X||^2{of_view} overflows: non-finite before the "
+                                  "spectral start", 0)
     gram = packed_slice_gram(xp)
     m = gram.shape[0]
     _, vec = np.linalg.eigh(gram)
     vec = vec[:, ::-1][:, :min(rank, m)]
     sign = np.sign(vec[np.abs(vec).argmax(axis=0), np.arange(vec.shape[1])])
-    vec = vec * sign
     col_scale = balanced_column_norm(energy, rank)
-    h = vec * col_scale
+    h = vec * sign * col_scale
     if h.shape[1] < rank:
         extra = rng.standard_normal((m, rank - h.shape[1]))
         h = np.hstack([h, extra * col_scale / np.sqrt(m)])
@@ -326,19 +331,13 @@ def _init_state(views: Sequence[GraphViewTensor], config: M2eConfig,
     the generator from the same seed, so equally shaped views start from
     identical factors and runs are reproducible.
     """
-    node, aux, dual, subject, energies = [], [], [], [], []
-    for v, view in enumerate(views):
-        energies.append(packed_energy(view.packed))
-        if not np.isfinite(energies[-1]):  # eigh would fail on the overflowed Gram
-            raise SolverNumericsError(
-                f"||X||^2 of view {v} overflows: non-finite before the spectral start", 0)
-        h, f = spectral_start(view.packed, energies[-1], config.rank,
-                              np.random.default_rng(config.seed))
-        node.append(h)
-        aux.append(h.copy())  # zero initial coupling residual
-        dual.append(np.zeros_like(h))
-        subject.append(f)
-    return M2eState(node, aux, dual, subject, update_consensus(subject, lambdas)), energies
+    energies = [packed_energy(view.packed) for view in views]
+    starts = [spectral_start(view.packed, e, config.rank, np.random.default_rng(config.seed), v)
+              for v, (view, e) in enumerate(zip(views, energies))]
+    node, subject = [h for h, _ in starts], [f for _, f in starts]
+    return M2eState(node, [h.copy() for h in node],  # zero initial coupling residual
+                    [np.zeros_like(h) for h in node], subject,
+                    update_consensus(subject, lambdas)), energies
 
 
 # ---------------------------------------------------------------------------

@@ -163,15 +163,16 @@ def packed_energy(xp: np.ndarray) -> float:
 def packed_slice_gram(xp: np.ndarray) -> np.ndarray:
     """sum_k X_k X_k^T over the unpacked slices X_k, shape (M, M).
 
-    _TILE slices are unpacked at a time, as an (M, M * _TILE) unfolding, so
-    the dense temporaries stay a small share of the view.
+    _TILE slices at a time are gathered from their columns of X_p, with no copy of those
+    first, into an (M, M * _TILE) unfolding, freed before the next: a small share of the view.
     """
     m = _packed_node_count(xp.shape[0])
     sym = symmetric_index(m)[2]
     gram = np.zeros((m, m))
     for k in range(0, xp.shape[1], _TILE):
-        unfolded = xp[:, k:k + _TILE].take(sym, axis=0).reshape(m, -1)
+        unfolded = xp[sym, k:k + _TILE].reshape(m, -1)  # C-contiguous, so a view
         gram += unfolded @ unfolded.T
+        del unfolded  # before the next tile is gathered
     return gram
 
 

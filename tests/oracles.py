@@ -3,14 +3,16 @@
 The package holds every graph view packed and has no dense unfolding or
 dense MTTKRP. These are the textbook definitions, on dense (I, J, K)
 tensors whose slices need not be symmetric; `objective_value` evaluates the
-fitters' objective from them. The label matcher solves one
-assignment problem; the exhaustive searches below are its references. The
-generator draws packed rows; `dense_generate` builds the same views densely.
+fitters' objective from them, and `congruence` says how well a fit recovers
+a planted factor. The label matcher solves one assignment problem; the
+exhaustive searches below are its references. The generator draws packed
+rows; `dense_generate` builds the same views densely.
 """
 import itertools
 
 import numpy as np
 
+from m2e.cluster import _min_cost_assignment
 from m2e.datagen import _centroids
 from m2e.solver import _objective
 
@@ -59,6 +61,22 @@ def objective_value(views, state, lambdas):
     return _objective([float(np.vdot(x, x)) for x in dense],
                       [mode3_mttkrp(x, h, p) for x, h, p in zip(dense, state.node, state.node_aux)],
                       state.node, state.node_aux, state.subject, state.consensus, lambdas)
+
+
+def congruence(estimate, planted):
+    """Tucker's congruence |cos| of each planted column with its estimate column.
+
+    Columns are paired one to one by the assignment that maximises the summed
+    congruence, solved by `m2e.cluster._min_cost_assignment` on integer costs
+    (-congruence * 2**40). Read 0.95 as equal (Lorenzo-Seva and ten Berge,
+    Methodology 2006). A zero column gives NaN, which reads as not recovered.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        phi = np.abs((planted / np.linalg.norm(planted, axis=0)).T
+                     @ (estimate / np.linalg.norm(estimate, axis=0)))
+    cols = _min_cost_assignment([[int(round(-x * 2**40)) if np.isfinite(x) else 0 for x in row]
+                                 for row in phi])
+    return phi[np.arange(len(cols)), cols]
 
 
 def exhaustive_label_mapping(contingency):

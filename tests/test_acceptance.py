@@ -22,7 +22,7 @@ from m2e import solver
 from m2e.solver import (M2eConfig, m2e_ds_fit, m2e_fit, m2e_ts_fit,
                         update_consensus)
 from m2e.tensors import cp_reconstruct, khatri_rao
-from oracles import matricize
+from oracles import congruence, matricize
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -118,6 +118,33 @@ def test_04_m2e_construct_and_recover():
     report(4, "m2e recovers noiseless shared-factor views",
            successes >= 0.9 * trials and elapsed < 60.0,
            f"{successes}/{trials} recovered, elapsed={elapsed:.1f}s")
+
+
+def test_04_ds_consensus_recovers_the_planted_subject_factor():
+    # acceptance 04's views, noiseless and with symmetric noise at 0.1 of the
+    # RMS entry; a recovery is a worst-column congruence of at least 0.99
+    start = time.perf_counter()
+    counts = {}
+    for noise in (0.0, 0.1):
+        counts[noise] = 0
+        for trial in range(20):
+            rng = np.random.default_rng([4, trial])  # 04's draws, in 04's order
+            f = rng.standard_normal((30, 3))
+            views = []
+            for _ in range(2):
+                h = rng.standard_normal((20, 3))
+                x = np.einsum("ir,jr,kr->ijk", h, h, f)
+                x = (x + x.transpose(1, 0, 2)) / 2
+                z = np.random.default_rng([16, trial, len(views)]).standard_normal(x.shape)
+                z = (z + z.transpose(1, 0, 2)) / np.sqrt(2)  # unit variance off the diagonal
+                views.append(x + noise * np.sqrt(np.mean(x * x)) * z)
+            sol = m2e_ds_fit(views, M2eConfig(rank=3, lambdas=(1.0, 1.0), seed=trial))
+            counts[noise] += bool(congruence(sol.consensus, f).min() >= 0.99)
+    elapsed = time.perf_counter() - start
+    report(4, "m2e_ds_fit's consensus recovers the planted subject factor",
+           min(counts.values()) >= 18 and elapsed < 30.0,
+           f"recovered {counts[0.0]}/20 noiseless, {counts[0.1]}/20 at noise 0.1, "
+           f"elapsed={elapsed:.1f}s")
 
 
 def test_05_consensus_closed_form():

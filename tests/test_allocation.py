@@ -66,9 +66,10 @@ BOUNDS = {
                                          d.parent / "cp"), 0.8),
     # the two packed views it returns, plus the pair products and a block of noise rows
     "generate": (lambda d, v, x, f: generate(SPEC), 2 * PACKED + 0.45),
-    # the passes, and the spectral start's Gram over a few slices at a time
+    # the passes, and the spectral start's Gram over a few slices at a time,
+    # each gathered from its packed columns with no copy of them first
     "m2e_fit": (lambda d, v, x, f: m2e_fit(v, M2eConfig(rank=SPEC.latent_rank, seed=4,
-                                                       max_outer_iters=3)), 0.6),
+                                                       max_outer_iters=3)), 0.4),
 }
 
 

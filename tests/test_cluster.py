@@ -9,7 +9,7 @@ from m2e.cluster import (BinaryMetrics, KmeansResult, binary_metrics, cluster_an
                          kmeans, lloyd, match_labels)
 from m2e.dataio import save_dataset, save_labels
 from m2e.runner import RunConfig, run_evaluate
-from oracles import best_assignment_hits, exhaustive_label_mapping
+from oracles import best_assignment_hits, congruence, exhaustive_label_mapping
 
 
 def two_clouds(rng, n_per=4, dist=50.0, dim=2):
@@ -323,3 +323,21 @@ def test_cluster_and_score_is_its_three_steps(truth_classes):
         np.testing.assert_array_equal(getattr(report, name), value, err_msg=name)
         assert type(getattr(report, name)) is type(value), name
     assert report.accuracy == match.accuracy
+
+
+def test_congruence_oracle_pairs_columns_as_an_exhaustive_search_does():
+    rng = np.random.default_rng(16)
+    planted = rng.standard_normal((30, 4))
+    # a column permutation, sign flips and column scales leave every column recovered
+    moved = planted[:, [2, 0, 3, 1]] * np.array([-1.0, 2.0, 0.5, -3.0])
+    np.testing.assert_allclose(congruence(moved, planted), 1.0, rtol=0, atol=1e-12)
+    for _ in range(20):
+        estimate = planted + rng.standard_normal((30, 4))
+        got = congruence(estimate, planted)
+        phi = np.abs((planted / np.linalg.norm(planted, axis=0)).T
+                     @ (estimate / np.linalg.norm(estimate, axis=0)))
+        best = max(sum(phi[r, c] for r, c in enumerate(p))
+                   for p in itertools.permutations(range(4)))
+        assert got.sum() == pytest.approx(best, rel=1e-12)
+        assert (got <= 1.0 + 1e-12).all()
+    assert np.isnan(congruence(np.zeros((30, 4)), planted)).all()

@@ -361,7 +361,13 @@ def test_load_matrix_checks_the_shape_its_header_states(tmp_path):
     ("1 2\n3 4 5\n", "its lines are not rows of equally many numbers"),
     ("", "holds no numbers"),
     ("# 2 2 consensus embedding\n", "holds no numbers"),
-], ids=["not-a-number", "ragged", "empty", "header-only"])
+    # `#` text after the header: numpy would drop it, and load another 2 x 2
+    # matrix from a row commented out with one appended
+    ("0 1 # 9\n", "its lines are not rows of equally many numbers"),
+    ("# 2 2 consensus embedding\n0 1\n#2 3\n4 5\n",
+     "its lines are not rows of equally many numbers"),
+], ids=["not-a-number", "ragged", "empty", "header-only", "hash-in-a-row",
+        "row-commented-out"])
 def test_load_matrix_faults_name_the_file(tmp_path, content, fault):
     path = tmp_path / "m.txt"
     path.write_text(content)
@@ -370,6 +376,12 @@ def test_load_matrix_faults_name_the_file(tmp_path, content, fault):
         with pytest.raises(DatasetError) as err:
             load_matrix(path)
     assert str(err.value) == f"matrix file {path}: {fault}"
+
+
+def test_load_matrix_takes_blank_and_hash_lines_ahead_of_the_first_row_as_its_header(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("\n# 2 2 consensus embedding\n  # more header\n\n0 1\n\n2 3\n")
+    np.testing.assert_array_equal(load_matrix(path), [[0.0, 1.0], [2.0, 3.0]])
 
 
 @pytest.mark.parametrize("names, view, expected", [

@@ -755,6 +755,22 @@ def test_cli_config_that_is_not_a_json_object_names_the_file(tmp_path, content):
     assert error["message"].startswith(f"config {cfg_file}")
 
 
+@pytest.mark.parametrize("config, field", [({"foo": 1}, "field foo"),
+                                           ({"solver": {"foo": 1}}, "solver field foo")],
+                         ids=["top-level", "solver"])
+def test_cli_config_with_an_unknown_field_names_the_file(tmp_path, config, field):
+    # the embedding is missing: the config is checked before any input is read
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main(["cluster", "--embedding", str(tmp_path / "missing.txt"),
+                 "--config", str(cfg_file), "--out", str(out)])
+    assert code == 1
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "DatasetError"
+    assert error["message"] == f"config {cfg_file}: unknown {field}"
+
+
 def _assert_config_fails_first(tmp_path, command, field, value):
     """`command`, whose inputs are missing, reports the bad --config setting instead."""
     cfg_file = tmp_path / "cfg.json"

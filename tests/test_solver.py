@@ -193,8 +193,10 @@ def test_cp_and_every_fitter_solve_through_ridge_solve(monkeypatch):
     rng = np.random.default_rng(42)
     w = rng.standard_normal((4, 4, 6))
     cp_als_fit(w + w.transpose(1, 0, 2), AlsOptions(rank=2, max_iters=4, rel_tol=1e-300))
-    # a sweep builds two node systems and one subject system, and solves all three
-    assert calls == {(cp, "ridge_solve"): 3 * 4, (cp, "node_system"): 2 * 4,
+    # the spectral start builds and solves one subject system; a sweep builds
+    # two node systems and one subject system, and solves all three
+    assert calls == {(solver, "ridge_solve"): 1, (solver, "subject_system"): 1,
+                     (cp, "ridge_solve"): 3 * 4, (cp, "node_system"): 2 * 4,
                      (cp, "subject_system"): 4}
     views, _ = shared_factor_views(42, nodes=6, subjects=7)
     cfg = M2eConfig(rank=2, seed=42, max_outer_iters=3)
